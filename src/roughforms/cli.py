@@ -10,8 +10,7 @@ timing live there so result.json is byte-identical across reruns).
 Exit codes: 0 success, 2 validation error, 3 convergence/budget
 failure, 4 failed expectation under ``--assert``. Errors are emitted as
 one machine-readable JSON object on stderr. ``--seed`` overrides the
-sampler/spec seeds in the config; ``--threads`` is recorded in
-meta.json and never affects results. Set ROUGHFORMS_LOG=debug|info|...
+sampler/spec seeds in the config. Set ROUGHFORMS_LOG=debug|info|...
 for stderr logging.
 """
 
@@ -1171,12 +1170,6 @@ def _build_parser():
             help="override the sampler/spec seeds in the config",
         )
         sub.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker hint, recorded in meta.json; never affects results",
-        )
-        sub.add_argument(
             "--out", default=None, help="directory for result.json/CSV/meta"
         )
         sub.add_argument(
@@ -1271,7 +1264,6 @@ def main(argv=None):
         meta = {
             "version": __version__,
             "command": args.command,
-            "threads": args.threads,
             "elapsed_seconds": round(time.perf_counter() - started, 6),
             "written_utc": time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()

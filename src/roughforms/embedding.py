@@ -12,7 +12,6 @@ a cochain by summing its integrals against a smooth partition of unity
 subordinate to the Whitney cubes of each simplex.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,8 +20,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureBudgetError
 from .fitting import line_fit
-from .forms import Cochain, _fast_batch
-from .geometry import Chain, Simplex
+from .forms import Cochain
+from .geometry import staircase_blocks
 from .subdivision import partition_quadrature
 
 EVAL_CAP = 1 << 22
@@ -154,84 +153,30 @@ def _tensor_grid(lo, hi, nodes):
     return pts, weights
 
 
-def _kuhn_blocks(base, extents, axes):
-    """Simplices triangulating axis boxes, per permutation of the axes.
-
-    base is (n, d), extents (n, k) nonnegative; returns a list of
-    (parity, vertices (n, k+1, d)) covering each box with k! simplices of
-    consistent orientation.
-    """
-    n, d = base.shape
-    k = len(axes)
-    blocks = []
-    for perm in itertools.permutations(range(k)):
-        parity = _parity(perm)
-        verts = np.empty((n, k + 1, d))
-        verts[:, 0, :] = base
-        cur = base.copy()
-        for step, idx in enumerate(perm):
-            cur = cur.copy()
-            cur[:, axes[idx]] += extents[:, idx]
-            verts[:, step + 1, :] = cur
-        blocks.append((parity, verts))
-    return blocks
-
-
-def _parity(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _box_values(a, pts, J, tol):
     """A on the axis boxes [0, u_j] (j in J) at transverse position u.
 
     Degenerate boxes (some u_j ~ 0) evaluate to zero; orientation is the
-    product of the signs of the spanned coordinates.
+    product of the signs of the spanned coordinates. Every box gets an
+    even share of tol, split evenly over its k! staircase simplices.
     """
     axes = [j - 1 for j in J]
     span = pts[:, axes]
     box_sign = np.prod(np.sign(span), axis=1)
     live = np.abs(span).min(axis=1) > 1e-14
-    base = pts.copy()
-    base[:, axes] = np.minimum(span, 0.0)
-    extents = np.abs(span)
-
     values = np.zeros(pts.shape[0])
     idx = np.nonzero(live)[0]
     if idx.size == 0:
         return values
-    blocks = _kuhn_blocks(base[idx], extents[idx], axes)
-    fast = _fast_batch(a)
-    if fast is not None:
-        acc = np.zeros(idx.size)
-        for parity, verts in blocks:
-            vals, _ = fast(verts)
-            acc += parity * vals
-        values[idx] = box_sign[idx] * acc
-    else:
-        per_box = tol / max(1, idx.size)
-        for row, i in enumerate(idx):
-            chain = Chain(
-                [
-                    (parity, Simplex(verts[row]))
-                    for parity, verts in blocks
-                ]
-            )
-            values[i] = box_sign[i] * a.eval(
-                chain, per_box, best_effort=True
-            )
+    base = pts[idx]
+    base[:, axes] = np.minimum(span[idx], 0.0)
+    steps = np.zeros((idx.size, len(axes), pts.shape[1]))
+    steps[:, range(len(axes)), axes] = np.abs(span[idx])
+    tols = np.full(idx.size, tol / idx.size / math.factorial(len(axes)))
+    acc = np.zeros(idx.size)
+    for sign, verts in staircase_blocks(base, steps):
+        acc += sign * a.eval_batch(verts, tols)[0]
+    values[idx] = box_sign[idx] * acc
     return values
 
 

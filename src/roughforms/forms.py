@@ -9,9 +9,18 @@ sewn germs with the exponent bookkeeping of Young-type multiplication.
 
 Evaluations return a value together with an a posteriori tail bound; by
 default an unachievable tolerance raises, while best-effort mode returns
-the partial value with its honest tail. Inner evaluations are memoized per
-cochain, keyed by quantized vertices and tolerance bucket (plain dict
-inserts are atomic and idempotent, so concurrent readers are safe).
+the partial value with its honest tail. Single evaluations are memoized
+per cochain on the quantized vertices of the vertex-sorted simplex; an
+entry remembers its tolerance and serves a later request only when its
+tail meets that request or the request is no tighter.
+
+Batches of simplices have one protocol: eval_batch(pts, tols) takes an
+(n, k+1, d) vertex array with one tolerance per row and returns values and
+tails, best effort. The default evaluates row by row through the memo;
+closed forms override it with exact vectorized formulas (zero tails),
+smooth forms with two-order quadrature, and combinations and coboundaries
+forward it to their parts. Product and pullback germs call it once per
+subdivision level, and component extraction once per staircase block.
 """
 
 from __future__ import annotations
@@ -32,10 +41,12 @@ from .geometry import (
     Chain,
     Cube,
     Simplex,
+    _permutation_sign,
     boundary,
     coordinate_projection_array,
     cube_to_chain,
     diameter,
+    diameter_array,
     mass_value,
     minimal_enclosing_ball,
 )
@@ -179,20 +190,9 @@ def identity_map(d):
 # cochain base
 
 
-def _memo_key(simplex, tol):
+def _memo_key(simplex):
     q = np.round(simplex.vertices / MEMO_QUANTUM) * MEMO_QUANTUM
-    bucket = int(round(math.log10(tol))) if tol > 0 else 0
-    return (q.tobytes(), q.shape, bucket)
-
-
-def _perm_sign(order):
-    sign = 1
-    order = list(order)
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
+    return (q.tobytes(), q.shape)
 
 
 def _canonical_orientation(simplex):
@@ -205,7 +205,7 @@ def _canonical_orientation(simplex):
     order = np.lexsort(v.T[::-1])
     if np.array_equal(order, np.arange(order.size)):
         return simplex, 1
-    return Simplex(v[order]), _perm_sign(order)
+    return Simplex(v[order]), _permutation_sign(order)
 
 
 class Cochain:
@@ -215,6 +215,12 @@ class Cochain:
     across terms, cubes triangulate first. eval_with_tail() also returns
     an a posteriori error bound; with best_effort=True an exhausted
     evaluation budget yields the partial value instead of raising.
+
+    eval_batch(pts, tols) is the one way to evaluate many simplices: it
+    maps an (n, k+1, d) vertex array and n tolerances to n values and n
+    tails, always best effort. Subclasses implement _eval_simplex() and
+    override eval_batch() when they can do better than one memoized
+    evaluation per row.
     """
 
     provenance = "smooth"
@@ -232,8 +238,20 @@ class Cochain:
     def _eval_simplex(self, simplex, tol):
         raise NotImplementedError
 
-    # optional closed form on an (n, k+1, d) batch; None when unavailable
-    eval_batch_exact = None
+    def eval_batch(self, pts, tols):
+        """Values and tails on a batch, one memoized evaluation per row."""
+        values = np.empty(len(pts))
+        tails = np.empty(len(pts))
+        for i, (row, tol) in enumerate(zip(pts, tols)):
+            values[i], tails[i] = self.eval_with_tail(
+                Simplex(row), tol, best_effort=True
+            )
+        return values, tails
+
+    def _eval_row(self, simplex, tol):
+        """_eval_simplex for classes whose eval_batch does the work."""
+        values, tails = self.eval_batch(simplex.vertices[None], np.array([tol]))
+        return float(values[0]), float(tails[0]), bool(tails[0] > tol)
 
     def eval(self, target, tol=1e-6, best_effort=False):
         return self.eval_with_tail(target, tol, best_effort=best_effort)[0]
@@ -262,12 +280,15 @@ class Cochain:
                 f"got k={simplex.k}, d={simplex.d}"
             )
         canon, sign = _canonical_orientation(simplex)
-        key = _memo_key(canon, tol)
+        key = _memo_key(canon)
         hit = self._memo.get(key)
-        if hit is None:
-            hit = self._eval_simplex(canon, tol)
+        # an entry serves requests its tail meets and requests no tighter
+        # than its own; a tighter one is recomputed and replaces it
+        if hit is None or (hit[2] > tol and tol < hit[0]):
+            hit = (tol, *self._eval_simplex(canon, tol))
             self._memo[key] = hit
-        value, tail, exhausted = hit
+        _, value, tail, exhausted = hit
+        exhausted = exhausted and tail > tol
         if exhausted and not best_effort:
             raise BudgetExceededError(
                 f"evaluation tail {tail:.3g} exceeds tol {tol:.3g}",
@@ -300,10 +321,10 @@ class Cochain:
 class SewnCochain(Cochain):
     """A cochain whose value is the sewing of a simplex germ.
 
-    When germ evaluations are themselves approximate, the germ tracks the
-    summed tails of its most recent batch; since the returned value is the
-    last level sum, that figure bounds the extra error and is added to the
-    sewing tail.
+    When germ evaluations are themselves approximate, the germ's batch
+    function stores the summed tails of its most recent batch in
+    germ.inner_spent; since the returned value is the last level sum, that
+    figure bounds the extra error and is added to the sewing tail.
     """
 
     scheme = EDGEWISE
@@ -319,7 +340,7 @@ class SewnCochain(Cochain):
         except BudgetExceededError as exc:
             res = exc.partial
             exhausted = True
-        tail = res.tail_bound + getattr(germ, "inner_spent", 0.0)
+        tail = res.tail_bound + germ.inner_spent
         return res.value, tail, exhausted or tail > tol
 
 
@@ -338,8 +359,8 @@ class ZeroFormCochain(Cochain):
     def _eval_simplex(self, simplex, tol):
         return float(self.f(simplex.vertices[0])), 0.0, False
 
-    def eval_batch_exact(self, pts):
-        return self.f(pts[:, 0, :])
+    def eval_batch(self, pts, tols):
+        return self.f(pts[:, 0, :]), np.zeros(len(pts))
 
 
 class SmoothFormCochain(SewnCochain):
@@ -404,11 +425,12 @@ class SmoothFormCochain(SewnCochain):
             )
         return out
 
-    def eval_batch_with_tail(self, pts):
+    def eval_batch(self, pts, tols):
         """Vectorized integrals with a quadrature-refinement tail estimate.
 
         Two Gauss-Duffy orders are compared; the difference bounds the
         quadrature error for coefficients resolved at the coarse order.
+        The tolerances are not consulted.
         """
         pts = np.asarray(pts, dtype=float)
         lo = self._quadrature(pts, 8)
@@ -453,8 +475,8 @@ class IncrementCochain(Cochain):
         v = simplex.vertices
         return float(self.g(v[1]) - self.g(v[0])), 0.0, False
 
-    def eval_batch_exact(self, pts):
-        return self.g(pts[:, 1, :]) - self.g(pts[:, 0, :])
+    def eval_batch(self, pts, tols):
+        return self.g(pts[:, 1, :]) - self.g(pts[:, 0, :]), np.zeros(len(pts))
 
 
 def increment_form(g):
@@ -475,48 +497,26 @@ class CombinationCochain(Cochain):
         super().__init__(k, d, alpha, beta)
         self.terms = terms
         self.provenance = provenance
-        if all(a.eval_batch_exact is not None for _, a in terms):
-            def batch(pts):
-                out = np.zeros(pts.shape[0])
-                for c, a in terms:
-                    out += c * a.eval_batch_exact(pts)
-                return out
-
-            self.eval_batch_exact = batch
-        else:
-            fasts = [_fast_batch(a) for _, a in terms]
-            if all(f is not None for f in fasts):
-                def batch_wt(pts):
-                    vals = np.zeros(pts.shape[0])
-                    tails = np.zeros(pts.shape[0])
-                    for (c, _), f in zip(terms, fasts):
-                        v, t = f(pts)
-                        vals += c * v
-                        tails += abs(c) * t
-                    return vals, tails
-
-                self.eval_batch_with_tail = batch_wt
         bounds = [a.alpha_norm_bound for _, a in terms]
         if all(b is not None for b in bounds):
             self.alpha_norm_bound = sum(
                 abs(c) * b for (c, _), b in zip(terms, bounds)
             )
 
-    def _eval_simplex(self, simplex, tol):
+    _eval_simplex = Cochain._eval_row
+
+    def eval_batch(self, pts, tols):
+        """Term batches at tolerance shares proportional to |c|."""
+        values = np.zeros(len(pts))
+        tails = np.zeros(len(pts))
         weight = sum(abs(c) for c, _ in self.terms)
-        if weight == 0.0:
-            return 0.0, 0.0, False
-        value = 0.0
-        tail = 0.0
         for c, a in self.terms:
             if c == 0.0:
                 continue
-            v, t = a.eval_with_tail(
-                simplex, tol * abs(c) / weight, best_effort=True
-            )
-            value += c * v
-            tail += abs(c) * t
-        return value, tail, tail > tol
+            v, t = a.eval_batch(pts, np.asarray(tols) * abs(c) / weight)
+            values += c * v
+            tails += abs(c) * t
+        return values, tails
 
 
 class ZeroCochain(Cochain):
@@ -530,8 +530,8 @@ class ZeroCochain(Cochain):
     def _eval_simplex(self, simplex, tol):
         return 0.0, 0.0, False
 
-    def eval_batch_exact(self, pts):
-        return np.zeros(pts.shape[0])
+    def eval_batch(self, pts, tols):
+        return np.zeros(len(pts)), np.zeros(len(pts))
 
 
 def combination(terms, alpha=None, beta=None, provenance=None):
@@ -545,27 +545,13 @@ def combination(terms, alpha=None, beta=None, provenance=None):
 # products, coboundary, wedges
 
 
-class _TrackedGerm(FunctionGerm):
-    """FunctionGerm that reports the summed tails of its last batch."""
+def _inner_tols(pts, tol, root_diam):
+    """Tolerances for inner evaluations on the rows of one germ batch.
 
-    def __init__(self, *args, holder=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._holder = holder if holder is not None else {"spent": 0.0}
-
-    @property
-    def inner_spent(self):
-        return self._holder["spent"]
-
-
-def _fast_batch(a):
-    """Batch evaluator pts -> (values, tails) for a cochain, or None."""
-    exact = a.eval_batch_exact
-    if exact is not None:
-        return lambda pts: (
-            np.asarray(exact(pts), dtype=float),
-            np.zeros(pts.shape[0]),
-        )
-    return getattr(a, "eval_batch_with_tail", None)
+    A row gets a quarter of tol times its squared relative diameter, so
+    the shares shrink geometrically with the subdivision level.
+    """
+    return tol * 0.25 * np.minimum(1.0, (diameter_array(pts) / root_diam) ** 2)
 
 
 class ProductCochain(SewnCochain):
@@ -583,6 +569,7 @@ class ProductCochain(SewnCochain):
     RULES = ("vertex_average", "barycenter")
 
     def __init__(self, f, a, rule="vertex_average"):
+        # product() builds every product through here, shortcuts included
         if rule not in self.RULES:
             raise ValueError(f"rule must be one of {self.RULES}")
         if f.gamma + a.alpha <= 1:
@@ -608,42 +595,23 @@ class ProductCochain(SewnCochain):
 
     def _germ(self, simplex, tol):
         root_diam = diameter(simplex)
-        base = self.base
-        fast = _fast_batch(base)
-        holder = {"spent": 0.0}
 
-        if fast is not None:
-            def batch(pts):
-                mu = self._mu(pts)
-                vals, tails = fast(pts)
-                holder["spent"] = float(np.sum(np.abs(mu) * tails))
-                return mu * vals
-        else:
-            from .geometry import diameter_array
+        def batch(pts):
+            mu = self._mu(pts)
+            vals, tails = self.base.eval_batch(
+                pts, _inner_tols(pts, tol, root_diam)
+            )
+            germ.inner_spent = float(np.sum(np.abs(mu) * tails))
+            return mu * vals
 
-            def batch(pts):
-                mu = self._mu(pts)
-                diams = diameter_array(pts)
-                inner = tol * 0.25 * np.minimum(1.0, (diams / root_diam) ** 2)
-                vals = np.empty(pts.shape[0])
-                spent = 0.0
-                for i, (row, it) in enumerate(zip(pts, inner)):
-                    v, t = base.eval_with_tail(
-                        Simplex(row), it, best_effort=True
-                    )
-                    vals[i] = v
-                    spent += abs(mu[i]) * t
-                holder["spent"] = spent
-                return mu * vals
-
-        return _TrackedGerm(
+        germ = FunctionGerm(
             lambda s: batch(s.vertices[None])[0],
             batch_fn=batch,
             eta=self.k - 1 + self.alpha,
             gamma=self.f.gamma + self.k - 1 + self.base.alpha,
             delta_norm=self.delta_norm,
-            holder=holder,
         )
+        return germ
 
 
 def product(f, a, rule="vertex_average"):
@@ -662,26 +630,19 @@ def product(f, a, rule="vertex_average"):
             d=a.d,
         )
         return ZeroFormCochain(g)
-    if rule not in ProductCochain.RULES:
-        raise ValueError(f"rule must be one of {ProductCochain.RULES}")
-    if f.gamma + a.alpha <= 1:
-        raise ExponentViolationError(
-            f"product needs alpha + gamma > 1, "
-            f"got {a.alpha} + {f.gamma} = {a.alpha + f.gamma}"
-        )
-    beta_out = min(a.alpha + f.gamma - 1, a.beta)
+    prod = ProductCochain(f, a, rule)  # checks the rule and the exponents
     if a.alpha_norm_bound == 0.0:
-        return ZeroCochain(a.k, a.d, a.alpha, beta_out, provenance="product")
+        return ZeroCochain(a.k, a.d, a.alpha, prod.beta, provenance="product")
     if f.constant == 0.0:
         c = float(f(np.zeros(a.d)))
         if c == 0.0:
             return ZeroCochain(
-                a.k, a.d, a.alpha, beta_out, provenance="product"
+                a.k, a.d, a.alpha, prod.beta, provenance="product"
             )
         return combination(
-            [(c, a)], alpha=a.alpha, beta=beta_out, provenance="product"
+            [(c, a)], alpha=a.alpha, beta=prod.beta, provenance="product"
         )
-    return ProductCochain(f, a, rule)
+    return prod
 
 
 class CoboundaryCochain(Cochain):
@@ -699,38 +660,22 @@ class CoboundaryCochain(Cochain):
             self.alpha_norm_bound = a.f.constant
         elif a.alpha_norm_bound == 0.0:
             self.alpha_norm_bound = 0.0
-        base_exact = a.eval_batch_exact
-        if base_exact is not None:
-            def batch(pts):
-                out = np.zeros(pts.shape[0])
-                for i in range(pts.shape[1]):
-                    faces = np.delete(pts, i, axis=1)
-                    out += (-1.0) ** i * base_exact(faces)
-                return out
 
-            self.eval_batch_exact = batch
-        else:
-            fast = _fast_batch(a)
-            if fast is not None:
-                def batch_wt(pts):
-                    vals = np.zeros(pts.shape[0])
-                    tails = np.zeros(pts.shape[0])
-                    for i in range(pts.shape[1]):
-                        v, t = fast(np.delete(pts, i, axis=1))
-                        vals += (-1.0) ** i * v
-                        tails += t
-                    return vals, tails
+    _eval_simplex = Cochain._eval_row
 
-                self.eval_batch_with_tail = batch_wt
-
-    def _eval_simplex(self, simplex, tol):
-        if self.eval_batch_exact is not None:
-            value = float(self.eval_batch_exact(simplex.vertices[None])[0])
-            return value, 0.0, False
-        value, tail = self.base.eval_with_tail(
-            boundary(simplex), tol, best_effort=True
-        )
-        return value, tail, tail > tol
+    def eval_batch(self, pts, tols):
+        """Signed face batches, each at an even share of the tolerance."""
+        pts = np.asarray(pts, dtype=float)
+        n_faces = pts.shape[1]
+        values = np.zeros(len(pts))
+        tails = np.zeros(len(pts))
+        for i in range(n_faces):
+            v, t = self.base.eval_batch(
+                np.delete(pts, i, axis=1), np.asarray(tols) / n_faces
+            )
+            values += (-1.0) ** i * v
+            tails += t
+        return values, tails
 
 
 def coboundary(a):
@@ -819,41 +764,21 @@ class PullbackCochain(SewnCochain):
 
     def _germ(self, simplex, tol):
         root_diam = diameter(simplex)
-        base = self.base
-        f_map = self.f_map
-        fast = _fast_batch(base)
-        holder = {"spent": 0.0}
 
-        if fast is not None:
-            def batch(pts):
-                vals, tails = fast(f_map(pts))
-                holder["spent"] = float(np.sum(tails))
-                return vals
-        else:
-            from .geometry import diameter_array
+        def batch(pts):
+            vals, tails = self.base.eval_batch(
+                self.f_map(pts), _inner_tols(pts, tol, root_diam)
+            )
+            germ.inner_spent = float(np.sum(tails))
+            return vals
 
-            def batch(pts):
-                images = f_map(pts)
-                diams = diameter_array(pts)
-                inner = tol * 0.25 * np.minimum(1.0, (diams / root_diam) ** 2)
-                vals = np.empty(pts.shape[0])
-                spent = 0.0
-                for i, (row, it) in enumerate(zip(images, inner)):
-                    v, t = base.eval_with_tail(
-                        Simplex(row), it, best_effort=True
-                    )
-                    vals[i] = v
-                    spent += t
-                holder["spent"] = spent
-                return vals
-
-        return _TrackedGerm(
+        germ = FunctionGerm(
             lambda s: batch(s.vertices[None])[0],
             batch_fn=batch,
             eta=self.k - 1 + self.alpha,
             gamma=self.gamma_bar,
-            holder=holder,
         )
+        return germ
 
 
 def pullback(f_map, a, scheme=EDGEWISE):
@@ -1113,37 +1038,32 @@ def pullback_regularity_probe(f_map, k, alpha, beta, region, samples):
 
 
 def _build_catalog():
-    def poly(fn):
-        return fn
-
     return {
         "dx": lambda: smooth_form({(1,): 1.0}, 2),
         "dy": lambda: smooth_form({(2,): 1.0}, 2),
-        "x_dy": lambda: smooth_form({(2,): poly(lambda p: p[..., 0])}, 2),
-        "y_dx": lambda: smooth_form({(1,): poly(lambda p: p[..., 1])}, 2),
+        "x_dy": lambda: smooth_form({(2,): lambda p: p[..., 0]}, 2),
+        "y_dx": lambda: smooth_form({(1,): lambda p: p[..., 1]}, 2),
         "sin_y_dx": lambda: smooth_form(
-            {(1,): poly(lambda p: np.sin(p[..., 1]))}, 2
+            {(1,): lambda p: np.sin(p[..., 1])}, 2
         ),
         "half_rot": lambda: smooth_form(
             {
-                (1,): poly(lambda p: -0.5 * p[..., 1]),
-                (2,): poly(lambda p: 0.5 * p[..., 0]),
+                (1,): lambda p: -0.5 * p[..., 1],
+                (2,): lambda p: 0.5 * p[..., 0],
             },
             2,
         ),
         "area": lambda: smooth_form({(1, 2): 1.0}, 2),
-        "x_area": lambda: smooth_form(
-            {(1, 2): poly(lambda p: p[..., 0])}, 2
-        ),
+        "x_area": lambda: smooth_form({(1, 2): lambda p: p[..., 0]}, 2),
         "dz3": lambda: smooth_form({(3,): 1.0}, 3),
         "xz_dy": lambda: smooth_form(
-            {(2,): poly(lambda p: p[..., 0] * p[..., 2])}, 3
+            {(2,): lambda p: p[..., 0] * p[..., 2]}, 3
         ),
         "twist_area": lambda: smooth_form(
             {
-                (1, 2): poly(lambda p: p[..., 2]),
-                (1, 3): poly(lambda p: np.cos(p[..., 1])),
-                (2, 3): poly(lambda p: p[..., 0]),
+                (1, 2): lambda p: p[..., 2],
+                (1, 3): lambda p: np.cos(p[..., 1]),
+                (2, 3): lambda p: p[..., 0],
             },
             3,
         ),

@@ -402,17 +402,6 @@ def coordinate_projection(simplex, index_set):
     return float(np.linalg.det(m)) / math.factorial(simplex.k)
 
 
-def vertex_order_sign(simplex):
-    """Sign of the permutation sorting the vertices lexicographically.
-
-    An orientation-odd functional of the vertex list: any transposition of
-    two vertices flips it. Used to build deliberately antisymmetric germs.
-    """
-    v = simplex.vertices
-    order = sorted(range(len(v)), key=lambda i: tuple(v[i]))
-    return _permutation_sign(tuple(order))
-
-
 def snap_to_grid(simplex, n):
     """Round each coordinate to the dyadic grid 2^-n, ties toward -inf."""
     scale = 2.0**n
@@ -438,6 +427,26 @@ def _permutation_sign(perm):
     return sign
 
 
+def staircase_blocks(base, steps):
+    """Staircase triangulation of a batch of parallelotopes.
+
+    ``base`` is (n, d) and ``steps`` (n, k, d): box i is spanned by the k
+    step vectors at base i. Returns one (sign, vertices (n, k+1, d)) block
+    per permutation of the steps, walking from the base one step at a time
+    in that order; sign is the permutation's sign, so the signed k!
+    simplices of a box all carry the orientation of its step order.
+    """
+    n, k, d = steps.shape
+    blocks = []
+    for perm in itertools.permutations(range(k)):
+        verts = np.empty((n, k + 1, d))
+        verts[:, 0] = base
+        for i, j in enumerate(perm):
+            verts[:, i + 1] = verts[:, i] + steps[:, j]
+        blocks.append((_permutation_sign(perm), verts))
+    return blocks
+
+
 def _signed_simplex(vertices, sign):
     """Simplex on ``vertices`` carrying orientation ``sign`` as a +1 term."""
     if sign >= 0:
@@ -455,16 +464,10 @@ def cube_to_chain(cube):
     Uses the staircase triangulation: one simplex per permutation of the
     frame directions, walking from the base corner one direction at a time.
     """
-    k = cube.k
-    steps = cube.side * cube.frame
-    terms = []
-    for perm in itertools.permutations(range(k)):
-        pts = [np.array(cube.base, dtype=float)]
-        for j in perm:
-            pts.append(pts[-1] + steps[j])
-        sign = _permutation_sign(perm) * cube.sign
-        terms.append(_signed_simplex(np.array(pts), sign))
-    return Chain(terms)
+    blocks = staircase_blocks(cube.base[None], (cube.side * cube.frame)[None])
+    return Chain(
+        _signed_simplex(verts[0], sign * cube.sign) for sign, verts in blocks
+    )
 
 
 def axis_box_chain(base, axes, extents):
@@ -485,17 +488,10 @@ def axis_box_chain(base, axes, extents):
         raise ValueError("axes and extents must have equal length")
     if any(e == 0.0 for e in extents):
         raise DegenerateSimplexError("axis box has a zero extent")
-    k = len(axes)
-    steps = np.zeros((k, base.shape[0]))
-    for j, (a, e) in enumerate(zip(axes, extents)):
-        steps[j, a] = e
-    terms = []
-    for perm in itertools.permutations(range(k)):
-        pts = [base.copy()]
-        for j in perm:
-            pts.append(pts[-1] + steps[j])
-        terms.append(_signed_simplex(np.array(pts), _permutation_sign(perm)))
-    return Chain(terms)
+    steps = np.zeros((1, len(axes), base.shape[0]))
+    steps[0, range(len(axes)), axes] = extents
+    blocks = staircase_blocks(base[None], steps)
+    return Chain(_signed_simplex(verts[0], sign) for sign, verts in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +529,6 @@ def eccentricity_array(pts):
     with np.errstate(divide="ignore", invalid="ignore"):
         ecc = np.where(vol > 0, diam**k / np.where(vol > 0, vol, 1.0), np.inf)
     return ecc
-
-
-def barycenter_array(pts):
-    return np.asarray(pts, dtype=float).mean(axis=1)
 
 
 def coordinate_projection_array(pts, index_set):

@@ -38,12 +38,14 @@ class Germ:
     `eta` bounds |germ| by diam^eta, `gamma` bounds the defect by
     |K| diam^gamma; both are caller-declared analytic knowledge and may be
     None. `delta_norm`, when supplied, enables the analytic stopping rule
-    of sew().
+    of sew(). A germ built on approximate inner evaluations sets
+    `inner_spent` to the summed inner tails of its latest batch.
     """
 
     eta = None
     gamma = None
     delta_norm = None
+    inner_spent = 0.0
 
     def eval(self, simplex):
         raise NotImplementedError

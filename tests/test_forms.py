@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from roughforms import forms, sewing
+from roughforms import forms, gaussian, sewing
+from roughforms.embedding import iota_cochain
 from roughforms.errors import (
     BudgetExceededError,
     DegenerateFitError,
@@ -192,6 +193,25 @@ def test_repeated_evaluation_is_bitwise_deterministic():
     assert v1 == v2 == fresh
 
 
+def test_memo_never_serves_a_tail_above_the_request():
+    def build():
+        f = forms.WeierstrassFunction(0.6, 2, seed=13)
+        g = forms.WeierstrassFunction(0.7, 2, seed=14)
+        return forms.product(f, forms.increment_form(g))
+
+    seg = Simplex([[0.1, 0.2], [0.3, 0.25]])
+    p = build()
+    value, tail = p.eval_with_tail(seg, 2.4e-5)
+    assert 1e-5 < tail <= 2.4e-5
+    with pytest.raises(BudgetExceededError):
+        build().eval_with_tail(seg, 1e-5)
+    # the cached entry does not meet the tighter request either
+    with pytest.raises(BudgetExceededError):
+        p.eval_with_tail(seg, 1e-5)
+    # a looser request is served from the cache, orientation included
+    assert p.eval_with_tail(seg.flipped(), 1e-3) == (-value, tail)
+
+
 # ---------------------------------------------------------------------------
 # 0-forms and increment forms
 
@@ -221,15 +241,92 @@ def test_increment_form_is_exact_and_closed():
     assert abs(forms.coboundary(dg).eval(tri, 1e-12)) < 1e-12
 
 
-def test_coboundary_exact_batch_matches_chain_evaluation():
-    g = forms.HolderFunction(lambda p: p[..., 0] ** 2 - p[..., 1], 1.0, 3.0, d=2)
-    dg = forms.increment_form(g)
-    ddg = forms.coboundary(dg)
+# ---------------------------------------------------------------------------
+# the batch protocol: eval_batch(pts, tols) against one row at a time
+
+
+def _poly_fn():
+    return forms.HolderFunction(
+        lambda p: p[..., 0] ** 2 - p[..., 1], 1.0, 3.0, d=2
+    )
+
+
+def _product():
+    f = forms.HolderFunction(
+        lambda p: np.cos(p[..., 0]) + p[..., 1], 1.0, 2.0, d=2
+    )
+    return forms.product(f, forms.increment_form(_poly_fn()))
+
+
+def _gaussian():
+    spec = gaussian.SpectralFieldSpec(d=2, theta=1.5, N=8, seed=2)
+    return gaussian.sample_form(spec, 1)
+
+
+def _whitney():
+    return iota_cochain(lambda x: 1.0 + x[..., 0] * x[..., 1], 2, n_max=3, nodes=4)
+
+
+def _rowwise(a, s, tol):
+    return a.eval_with_tail(s, tol, best_effort=True)
+
+
+def _on_boundary(a, s, tol):
+    # the coboundary is the base cochain on the boundary chain
+    return a.base.eval_with_tail(boundary(s), tol, best_effort=True)
+
+
+# name: (fresh cochain, k, reference per row, how the batch must agree)
+BATCH_CASES = {
+    "zero_form": (lambda: forms.ZeroFormCochain(_poly_fn()), 0, _rowwise, "exact"),
+    "increment": (lambda: forms.increment_form(_poly_fn()), 1, _rowwise, "exact"),
+    "zero": (lambda: forms.ZeroCochain(2, 2), 2, _rowwise, "exact"),
+    "smooth": (lambda: forms.catalog_form("sin_y_dx"), 1, _rowwise, "tails"),
+    "combination": (
+        lambda: forms.combination(
+            [(2.0, forms.increment_form(_poly_fn())), (-0.5, _product())]
+        ),
+        1,
+        _rowwise,
+        "exact",
+    ),
+    "coboundary": (
+        lambda: forms.coboundary(forms.increment_form(_poly_fn())),
+        2,
+        _on_boundary,
+        "exact",
+    ),
+    "product": (_product, 1, _rowwise, "exact"),
+    "pullback": (
+        lambda: forms.pullback(
+            forms.identity_map(2), forms.catalog_form("x_dy")
+        ),
+        1,
+        _rowwise,
+        "exact",
+    ),
+    "gaussian": (_gaussian, 1, _rowwise, "exact"),
+    "whitney": (_whitney, 2, _rowwise, "exact"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_eval_batch_matches_per_row_evaluation(name):
+    build, k, reference, agree = BATCH_CASES[name]
     rng = np.random.default_rng(5)
-    s = rand_simplex(rng, 2, 2)
-    via_batch = float(ddg.eval_batch_exact(s.vertices[None])[0])
-    via_chain = dg.eval(boundary(s), 1e-12)
-    assert via_batch == pytest.approx(via_chain, abs=1e-12)
+    pts = np.array([rand_simplex(rng, k, 2).vertices for _ in range(3)])
+    tols = np.array([1e-6, 1e-5, 1e-4])
+    values, tails = build().eval_batch(pts, tols)
+    assert values.shape == tails.shape == (3,)
+    # a fresh cochain, so no memo entry of the batch can answer for a row
+    fresh = build()
+    rows = [reference(fresh, Simplex(p), t) for p, t in zip(pts, tols)]
+    want, want_tails = (np.array(col) for col in zip(*rows))
+    if agree == "exact":
+        np.testing.assert_array_equal(values, want)
+        np.testing.assert_array_equal(tails, want_tails)
+    else:  # quadrature against sewing, both within their tails
+        assert np.all(np.abs(values - want) <= tails + want_tails + 1e-14)
 
 
 # ---------------------------------------------------------------------------
