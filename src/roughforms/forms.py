@@ -18,15 +18,17 @@ Batches of simplices have one protocol: eval_batch(pts, tols) takes an
 (n, k+1, d) vertex array with one tolerance per row and returns values and
 tails, best effort. The default evaluates row by row through the memo;
 closed forms override it with exact vectorized formulas (zero tails),
-smooth forms with two-order quadrature, and combinations and coboundaries
-forward it to their parts. Product and pullback germs call it once per
-subdivision level, and component extraction once per staircase block.
+smooth forms and Gaussian forms (gaussian.py) with two-order quadrature,
+and combinations and coboundaries forward it to their parts. Product and
+pullback germs and the Stokes germ call it once per subdivision level,
+and component extraction once per staircase block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +43,8 @@ from .geometry import (
     Chain,
     Cube,
     Simplex,
-    _permutation_sign,
     boundary,
+    canonical_rows,
     coordinate_projection_array,
     cube_to_chain,
     diameter,
@@ -56,33 +58,40 @@ from .subdivision import EDGEWISE, iterate_array
 MEMO_QUANTUM = 1e-12
 
 
+@lru_cache(maxsize=None)
 def _duffy_rule(k, order):
     """Nodes (Q, k) in the unit simplex and weights summing to 1/k!.
 
     Tensor Gauss-Legendre points collapsed onto the simplex; exactness
-    degree grows with `order` in every variable.
+    degree grows with `order` in every variable. Cached per (k, order),
+    of which callers use few (k <= 3, orders up to 48); the arrays are
+    read-only so no caller can change the cached rule.
     """
     x, w = np.polynomial.legendre.leggauss(order)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     if k == 1:
-        return x[:, None], w
-    if k == 2:
+        nodes, weights = x[:, None], w
+    elif k == 2:
         u, v = np.meshgrid(x, x, indexing="ij")
         wu, wv = np.meshgrid(w, w, indexing="ij")
         t1 = (u * (1 - v)).ravel()
         t2 = (u * v).ravel()
-        wt = (wu * wv * u).ravel()
-        return np.stack([t1, t2], axis=1), wt
-    if k == 3:
+        weights = (wu * wv * u).ravel()
+        nodes = np.stack([t1, t2], axis=1)
+    elif k == 3:
         u, v, s = np.meshgrid(x, x, x, indexing="ij")
         wu, wv, ws = np.meshgrid(w, w, w, indexing="ij")
         t1 = (u * (1 - v)).ravel()
         t2 = (u * v * (1 - s)).ravel()
         t3 = (u * v * s).ravel()
-        wt = (wu * wv * ws * u**2 * v).ravel()
-        return np.stack([t1, t2, t3], axis=1), wt
-    raise ValueError("quadrature rules cover k <= 3")
+        weights = (wu * wv * ws * u**2 * v).ravel()
+        nodes = np.stack([t1, t2, t3], axis=1)
+    else:
+        raise ValueError("quadrature rules cover k <= 3")
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +210,10 @@ def _canonical_orientation(simplex):
     Cochains are odd under vertex transpositions, so caching on the
     sorted representative lets a face and its reversal share one entry.
     """
-    v = simplex.vertices
-    order = np.lexsort(v.T[::-1])
-    if np.array_equal(order, np.arange(order.size)):
+    rows, signs = canonical_rows(simplex.vertices[None])
+    if np.array_equal(rows[0], simplex.vertices):
         return simplex, 1
-    return Simplex(v[order]), _permutation_sign(order)
+    return Simplex(rows[0]), int(signs[0])
 
 
 class Cochain:
@@ -220,7 +228,9 @@ class Cochain:
     maps an (n, k+1, d) vertex array and n tolerances to n values and n
     tails, always best effort. Subclasses implement _eval_simplex() and
     override eval_batch() when they can do better than one memoized
-    evaluation per row.
+    evaluation per row: zero forms, increments, zero cochains, smooth
+    forms, combinations, coboundaries and Gaussian forms do. The last
+    three take _eval_row, the one-row batch, as their _eval_simplex.
     """
 
     provenance = "smooth"
@@ -792,17 +802,21 @@ def pullback(f_map, a, scheme=EDGEWISE):
 def stokes_residual(a, omega, tol=1e-6):
     """|sewn-coboundary value - direct boundary evaluation| on omega.
 
-    The left path sews the germ tau -> A(boundary tau) over subdivisions
-    of omega (exercising cancellation across internal faces); the right
-    path evaluates A once on each boundary face. For an additive A both
-    converge to A(boundary omega), so the residual is error-sized.
+    The left path sews the germ tau -> dA(tau) = A(boundary tau) over
+    subdivisions of omega (exercising cancellation across internal faces),
+    one coboundary batch per level with each face at inner/(k+2); the
+    right path evaluates A once on each boundary face. For an additive A
+    both converge to A(boundary omega), so the residual is error-sized.
     """
     inner = tol / 500.0
+    da = coboundary(a)
 
-    def germ_fn(s):
-        return a.eval(boundary(s), inner, best_effort=True)
+    def batch(pts):
+        return da.eval_batch(pts, np.full(len(pts), inner))[0]
 
-    germ = FunctionGerm(germ_fn, gamma=a.k + 2.0)
+    germ = FunctionGerm(
+        lambda s: batch(s.vertices[None])[0], batch_fn=batch, gamma=a.k + 2.0
+    )
     try:
         # the germ is additive up to evaluation noise, so shallow depth
         # suffices and keeps accumulated inner error small

@@ -34,8 +34,13 @@ from .errors import (
 )
 from .fitting import line_fit
 from .forms import Cochain, _duffy_rule
+from .geometry import canonical_rows, diameter_array
 
 TWO_PI = 2.0 * math.pi
+# quadrature points per mode-sum batch of GaussianKFormCochain.eval_batch
+# in d <= 2; a d = 3 mode sum holds (N-1)^2 terms per point, not N-1, so
+# there the cap is divided by N-1 to keep the batch's memory the same
+QUAD_CHUNK_POINTS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +408,14 @@ class GaussianKFormCochain(Cochain):
 
     On a simplex it evaluates as sum_I dx^I(sigma)/Vol(sigma) times the
     average field integral, computed with two quadrature orders whose
-    difference is the reported error. Axis boxes evaluate exactly through
-    the spectral closed form, which component extraction uses directly.
+    difference is the reported error; the tolerances are not consulted.
+    eval_batch sorts each row's vertices first (the Duffy rule is not
+    symmetric under vertex permutations) and restores the sign, groups the
+    rows by quadrature order, and sums the modes for at most
+    QUAD_CHUNK_POINTS quadrature points of a group at a time (fewer in
+    d = 3, at least one row). Axis boxes
+    evaluate exactly through the spectral closed form, which component
+    extraction uses directly.
     """
 
     provenance = "gaussian"
@@ -429,41 +440,55 @@ class GaussianKFormCochain(Cochain):
         self.samples = keyed
 
     def _quad_orders(self, diam):
-        base = 8.0 * diam * self.spec.N / self.spec.L
-        coarse = int(min(24, max(4, math.ceil(base / 2.0))))
+        """Coarse and fine orders for an array of simplex diameters."""
+        base = 8.0 * np.asarray(diam) * self.spec.N / self.spec.L
+        coarse = np.clip(np.ceil(base / 2.0), 4, 24).astype(int)
         return coarse, 2 * coarse
 
-    def _integrals(self, simplex, order):
-        nodes, weights = _duffy_rule(simplex.k, order)
-        pts = simplex.vertices[0] + nodes @ (
-            simplex.vertices[1:] - simplex.vertices[0]
-        )
-        return {
-            I: float(np.sum(weights * sample.eval(pts)))
-            for I, sample in self.samples.items()
-        }
+    _eval_simplex = Cochain._eval_row
 
-    def _eval_simplex(self, simplex, tol):
-        edges = simplex.vertices[1:] - simplex.vertices[0]
-        diam = float(
-            max(
-                np.linalg.norm(u - v)
-                for u in simplex.vertices
-                for v in simplex.vertices
+    def eval_batch(self, pts, tols):
+        """Values and two-order quadrature tails, order group by group."""
+        pts, signs = canonical_rows(pts)
+        coarse, _ = self._quad_orders(diameter_array(pts))
+        cap = QUAD_CHUNK_POINTS // (self.spec.N - 1) ** max(0, self.d - 2)
+        values = np.empty(len(pts))
+        tails = np.empty(len(pts))
+        for order in np.unique(coarse):
+            rows = np.flatnonzero(coarse == order)
+            rules = [_duffy_rule(self.k, n) for n in (order, 2 * order)]
+            per_row = sum(len(weights) for _, weights in rules)
+            step = max(1, cap // per_row)
+            for start in range(0, rows.size, step):
+                idx = rows[start : start + step]
+                values[idx], tails[idx] = self._pairings(pts[idx], order)
+        return signs * values, tails
+
+    def _pairings(self, pts, order):
+        """Pairings and tails of canonical rows that share one coarse order."""
+        edges = pts[:, 1:, :] - pts[:, :1, :]
+        sums = []  # coarse, then fine: (n, components) weighted field sums
+        for n in (order, 2 * order):
+            nodes, weights = _duffy_rule(self.k, n)
+            at = pts[:, :1, :] + np.einsum("qk,nkd->nqd", nodes, edges)
+            at = at.reshape(-1, self.d)
+            sums.append(
+                np.stack(
+                    [
+                        sample.eval(at).reshape(len(pts), -1) @ weights
+                        for sample in self.samples.values()
+                    ],
+                    axis=1,
+                )
             )
-        )
-        coarse_n, fine_n = self._quad_orders(diam)
-        coarse = self._integrals(simplex, coarse_n)
-        fine = self._integrals(simplex, fine_n)
-        value = 0.0
-        tail = 0.0
-        fact = math.factorial(self.k)
-        for I in self.samples:
-            det = float(np.linalg.det(edges[:, [a - 1 for a in I]]))
-            # duffy weights absorb 1/k!, so det * k! * sum is the pairing
-            value += det * fact * fine[I]
-            tail += abs(det) * fact * abs(fine[I] - coarse[I])
-        return value, tail, tail > tol
+        coarse, fine = sums
+        # duffy weights absorb 1/k!, so det * k! * sum is the pairing
+        cols = np.array([[a - 1 for a in I] for I in self.samples])
+        det = np.linalg.det(edges[:, :, cols].transpose(0, 2, 1, 3))
+        scale = det * math.factorial(self.k)
+        value = np.sum(scale * fine, axis=1)
+        tail = np.sum(np.abs(scale) * np.abs(fine - coarse), axis=1)
+        return value, tail
 
     def eval_axis_box(self, pts, J):
         J = tuple(int(j) for j in J)

@@ -411,20 +411,31 @@ def snap_to_grid(simplex, n):
 
 
 def _permutation_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        cycle = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of a permutation of 0..m-1, or of each row of an (n, m) array.
+
+    The parity is that of the inversion count.
+    """
+    perm = np.asarray(perm)
+    i, j = np.triu_indices(perm.shape[-1], 1)
+    inversions = np.count_nonzero(perm[..., i] > perm[..., j], axis=-1)
+    return 1 - 2 * (inversions % 2)
+
+
+def canonical_rows(pts):
+    """Vertex-sorted rows of an (n, m, d) array and the sign of each sort.
+
+    Each row's vertices are ordered by the first coordinate, ties broken
+    by the next, as np.lexsort(v.T[::-1]) orders one row. An orientation-odd
+    cochain takes value signs[i] * A(sorted row i) on row i.
+    """
+    pts = np.asarray(pts, dtype=float)
+    n, m, d = pts.shape
+    # one lexsort over all vertices, the row index as the primary key
+    keys = [pts[:, :, j].ravel() for j in range(d - 1, -1, -1)]
+    keys.append(np.repeat(np.arange(n), m))
+    order = np.lexsort(keys).reshape(n, m) - m * np.arange(n)[:, None]
+    rows = np.take_along_axis(pts, order[:, :, None], axis=1)
+    return rows, _permutation_sign(order)
 
 
 def staircase_blocks(base, steps):

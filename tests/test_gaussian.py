@@ -20,7 +20,8 @@ from roughforms.errors import (
     InsufficientSamplesError,
     TruncationTailError,
 )
-from roughforms.geometry import Cube, Simplex
+from roughforms.forms import _duffy_rule
+from roughforms.geometry import Cube, Simplex, _permutation_sign, diameter_array
 
 
 def box_kernel(spec, pt, J):
@@ -450,6 +451,68 @@ def test_gaussian_form_metadata_and_validation():
     rough = G.SpectralFieldSpec(d=3, theta=0.9, N=8, seed=0)
     with pytest.raises(ExponentViolationError):
         G.sample_form(rough, 1)  # needs theta > (d - k)/2 = 1
+
+
+def _assert_rounding_close(values, tails, want, want_tails):
+    # the batch and the rows sum the same modes at different BLAS shapes
+    bound = 1e-12 * np.abs(want) + 1e-15
+    assert np.all(np.abs(values - want) <= bound)
+    assert np.all(np.abs(tails - want_tails) <= bound)
+
+
+def _gaussian_rows(k, diameters, seed, d=2):
+    rng = np.random.default_rng(seed)
+    return np.array(
+        [rng.uniform(0.1, 0.9, d) + r * rng.normal(size=(k + 1, d)) for r in diameters]
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_gaussian_batch_matches_per_row_evaluation_across_orders(k):
+    spec = G.SpectralFieldSpec(d=2, theta=1.5, N=8, seed=40 + k)
+    pts = _gaussian_rows(k, np.geomspace(0.01, 0.6, 12), seed=k)
+    orders, _ = G.sample_form(spec, k)._quad_orders(diameter_array(pts))
+    assert len(np.unique(orders)) >= 4
+    tols = np.full(len(pts), 1e-8)
+    values, tails = G.sample_form(spec, k).eval_batch(pts, tols)
+    fresh = G.sample_form(spec, k)
+    rows = [fresh.eval_with_tail(Simplex(p), 1e-8, best_effort=True) for p in pts]
+    want, want_tails = (np.array(col) for col in zip(*rows))
+    _assert_rounding_close(values, tails, want, want_tails)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_gaussian_batch_is_odd_under_vertex_permutations(k):
+    spec = G.SpectralFieldSpec(d=2, theta=1.5, N=8, seed=50 + k)
+    a = G.sample_form(spec, k)
+    pts = _gaussian_rows(k, np.geomspace(0.02, 0.4, 10), seed=10 + k)
+    tols = np.full(len(pts), 1e-8)
+    values, tails = a.eval_batch(pts, tols)
+    reversed_values, reversed_tails = a.eval_batch(pts[:, ::-1], tols)
+    # reversing k+1 vertices is an odd permutation for k = 1 and k = 2
+    _assert_rounding_close(reversed_values, reversed_tails, -values, tails)
+    rng = np.random.default_rng(k)
+    perms = np.array([rng.permutation(k + 1) for _ in pts])
+    signs = np.array([_permutation_sign(p) for p in perms])
+    permuted = np.take_along_axis(pts, perms[:, :, None], axis=1)
+    perm_values, perm_tails = a.eval_batch(permuted, tols)
+    _assert_rounding_close(perm_values, perm_tails, signs * values, tails)
+
+
+@pytest.mark.parametrize("k, d", [(1, 2), (2, 2), (1, 3)])
+def test_gaussian_batch_across_chunks_equals_single_rows(k, d):
+    spec = G.SpectralFieldSpec(d=d, theta=1.5, N=8, seed=60 + k)
+    a = G.sample_form(spec, k)
+    # small rows share the lowest orders, 4 and 8; chunks are smaller in d = 3
+    per_row = sum(len(_duffy_rule(k, n)[1]) for n in (4, 8))
+    n_rows = 2 * G.QUAD_CHUNK_POINTS // per_row + 5
+    pts = _gaussian_rows(k, np.full(n_rows, 0.01), seed=20 + k, d=d)
+    assert np.all(a._quad_orders(diameter_array(pts))[0] == 4)
+    tols = np.full(n_rows, 1e-8)
+    values, tails = a.eval_batch(pts, tols)
+    rows = [a.eval_batch(p[None], t[None]) for p, t in zip(pts, tols)]
+    want, want_tails = (np.concatenate(col) for col in zip(*rows))
+    _assert_rounding_close(values, tails, want, want_tails)
 
 
 # ---------------------------------------------------------------------------
