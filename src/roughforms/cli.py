@@ -35,18 +35,13 @@ from .embedding import TestFunction, iota, pi_J, scaling_probe
 from .errors import (
     BudgetExceededError,
     DegenerateFitError,
-    DegenerateSimplexError,
-    EvalDomainError,
-    ExponentViolationError,
     ExprSyntaxError,
     InsufficientSamplesError,
     NoConvergenceError,
-    NotASubdivisionError,
     NotDifferentiableError,
     QuadratureBudgetError,
     RoughFormsError,
     TruncationTailError,
-    UnsupportedDimensionError,
 )
 from .exprlang import (
     differentiate,
@@ -1232,20 +1227,7 @@ def main(argv=None):
         DegenerateFitError,
     ) as exc:
         return _emit_error(3, type(exc).__name__, str(exc))
-    except (
-        ValueError,
-        TypeError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-        EvalDomainError,
-        NotDifferentiableError,
-        ExponentViolationError,
-        DegenerateSimplexError,
-        UnsupportedDimensionError,
-        NotASubdivisionError,
-        RoughFormsError,
-    ) as exc:
+    except (ValueError, TypeError, KeyError, OSError, RoughFormsError) as exc:
         return _emit_error(2, type(exc).__name__, str(exc))
 
     result["passed"] = passed

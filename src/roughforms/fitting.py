@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def line_fit(x, y, weights=None):
-    """Weighted least squares fit y = slope*x + intercept.
+def line_fit(x, y):
+    """Least squares fit y = slope*x + intercept.
 
     Returns (slope, intercept). With fewer than two distinct x values the
     slope is NaN.
@@ -15,16 +15,9 @@ def line_fit(x, y, weights=None):
     y = np.asarray(y, dtype=float)
     if x.size < 2 or np.ptp(x) == 0:
         return float("nan"), float(y.mean()) if y.size else float("nan")
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=float)
-    sw = w.sum()
-    xb = (w * x).sum() / sw
-    yb = (w * y).sum() / sw
-    sxx = (w * (x - xb) ** 2).sum()
-    sxy = (w * (x - xb) * (y - yb)).sum()
-    slope = sxy / sxx
+    xb = x.mean()
+    yb = y.mean()
+    slope = ((x - xb) * (y - yb)).sum() / ((x - xb) ** 2).sum()
     return float(slope), float(yb - slope * xb)
 
 

@@ -19,9 +19,13 @@ Batches of simplices have one protocol: eval_batch(pts, tols) takes an
 tails, best effort. The default evaluates row by row through the memo;
 closed forms override it with exact vectorized formulas (zero tails),
 smooth forms and Gaussian forms (gaussian.py) with two-order quadrature,
-and combinations and coboundaries forward it to their parts. Product and
-pullback germs and the Stokes germ call it once per subdivision level,
-and component extraction once per staircase block.
+and combinations and coboundaries forward it to their parts.
+
+Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
+writes its germ once, as _germ_rows(pts, tol, root_diam) returning one
+subdivision level's values and inner tails, so product and pullback germs
+call eval_batch once per level; so does the Stokes germ, and component
+extraction calls it once per staircase block.
 """
 
 from __future__ import annotations
@@ -329,29 +333,40 @@ class Cochain:
 
 
 class SewnCochain(Cochain):
-    """A cochain whose value is the sewing of a simplex germ.
+    """A cochain whose value is the edgewise sewing of a simplex germ.
 
-    When germ evaluations are themselves approximate, the germ's batch
-    function stores the summed tails of its most recent batch in
-    germ.inner_spent; since the returned value is the last level sum, that
-    figure bounds the extra error and is added to the sewing tail.
+    Subclasses implement _germ_rows(pts, tol, root_diam), which returns the
+    germ's values on one subdivision level of the root simplex together
+    with the tails of the inner evaluations behind them, and declare the
+    germ's defect exponent `germ_gamma` (and `delta_norm` when known).
+    Since the returned value is the last level sum, the summed inner tails
+    of that level bound the extra error and are added to the sewing tail.
     """
 
-    scheme = EDGEWISE
+    delta_norm = None
 
-    def _germ(self, simplex, tol):
+    def _germ_rows(self, pts, tol, root_diam):
         raise NotImplementedError
 
     def _eval_simplex(self, simplex, tol):
-        germ = self._germ(simplex, tol)
+        root_diam = diameter(simplex)
+        inner_tail = 0.0
+
+        def batch(pts):
+            nonlocal inner_tail
+            values, tails = self._germ_rows(pts, tol, root_diam)
+            inner_tail = float(np.sum(tails))
+            return values
+
+        germ = FunctionGerm(
+            batch, gamma=self.germ_gamma, delta_norm=self.delta_norm
+        )
         try:
-            res = sew(germ, simplex, self.scheme, tol)
-            exhausted = False
+            res = sew(germ, simplex, EDGEWISE, tol)
         except BudgetExceededError as exc:
             res = exc.partial
-            exhausted = True
-        tail = res.tail_bound + germ.inner_spent
-        return res.value, tail, exhausted or tail > tol
+        tail = res.tail_bound + inner_tail
+        return res.value, tail, tail > tol
 
 
 class ZeroFormCochain(Cochain):
@@ -403,23 +418,16 @@ class SmoothFormCochain(SewnCochain):
             raise ValueError("at least one component is required")
         super().__init__(k, d, 1.0, 1.0)
         self.components = comps
+        self.germ_gamma = k + 1.0
 
-    def _batch(self, pts):
+    def _germ_rows(self, pts, tol, root_diam):
         centers = pts.mean(axis=1)
         out = np.zeros(pts.shape[0])
         for idx, fn in self.components.items():
             out += np.asarray(fn(centers), dtype=float) * (
                 coordinate_projection_array(pts, idx)
             )
-        return out
-
-    def _germ(self, simplex, tol):
-        return FunctionGerm(
-            lambda s: self._batch(s.vertices[None])[0],
-            batch_fn=self._batch,
-            eta=self.k,
-            gamma=self.k + 1.0,
-        )
+        return out, 0.0
 
     def _quadrature(self, pts, order):
         nodes, weights = _duffy_rule(self.k, order)
@@ -593,35 +601,19 @@ class ProductCochain(SewnCochain):
         self.f = f
         self.base = a
         self.rule = rule
+        self.germ_gamma = f.gamma + a.k - 1 + a.alpha
         if f.constant and a.alpha_norm_bound is not None:
             self.delta_norm = f.constant * a.alpha_norm_bound
-        else:
-            self.delta_norm = None
 
     def _mu(self, pts):
         if self.rule == "vertex_average":
             return self.f(pts).mean(axis=1)
         return self.f(pts.mean(axis=1))
 
-    def _germ(self, simplex, tol):
-        root_diam = diameter(simplex)
-
-        def batch(pts):
-            mu = self._mu(pts)
-            vals, tails = self.base.eval_batch(
-                pts, _inner_tols(pts, tol, root_diam)
-            )
-            germ.inner_spent = float(np.sum(np.abs(mu) * tails))
-            return mu * vals
-
-        germ = FunctionGerm(
-            lambda s: batch(s.vertices[None])[0],
-            batch_fn=batch,
-            eta=self.k - 1 + self.alpha,
-            gamma=self.f.gamma + self.k - 1 + self.base.alpha,
-            delta_norm=self.delta_norm,
-        )
-        return germ
+    def _germ_rows(self, pts, tol, root_diam):
+        mu = self._mu(pts)
+        vals, tails = self.base.eval_batch(pts, _inner_tols(pts, tol, root_diam))
+        return mu * vals, np.abs(mu) * tails
 
 
 def product(f, a, rule="vertex_average"):
@@ -754,7 +746,7 @@ class PullbackCochain(SewnCochain):
 
     provenance = "pullback"
 
-    def __init__(self, f_map, a, scheme=EDGEWISE):
+    def __init__(self, f_map, a):
         if a.alpha * (1 + f_map.eta) <= 1:
             raise ExponentViolationError(
                 f"pullback needs alpha > 1/(1+eta): alpha={a.alpha}, "
@@ -766,33 +758,19 @@ class PullbackCochain(SewnCochain):
         super().__init__(a.k, f_map.m, a.alpha, beta_t)
         self.f_map = f_map
         self.base = a
-        self.scheme = scheme
-        self.gamma_bar = min(
+        self.germ_gamma = min(
             a.k - 1 + a.alpha * (1 + f_map.eta),
             a.k + a.beta * (1 + f_map.eta),
         )
 
-    def _germ(self, simplex, tol):
-        root_diam = diameter(simplex)
-
-        def batch(pts):
-            vals, tails = self.base.eval_batch(
-                self.f_map(pts), _inner_tols(pts, tol, root_diam)
-            )
-            germ.inner_spent = float(np.sum(tails))
-            return vals
-
-        germ = FunctionGerm(
-            lambda s: batch(s.vertices[None])[0],
-            batch_fn=batch,
-            eta=self.k - 1 + self.alpha,
-            gamma=self.gamma_bar,
+    def _germ_rows(self, pts, tol, root_diam):
+        return self.base.eval_batch(
+            self.f_map(pts), _inner_tols(pts, tol, root_diam)
         )
-        return germ
 
 
-def pullback(f_map, a, scheme=EDGEWISE):
-    return PullbackCochain(f_map, a, scheme)
+def pullback(f_map, a):
+    return PullbackCochain(f_map, a)
 
 
 # ---------------------------------------------------------------------------
@@ -814,9 +792,7 @@ def stokes_residual(a, omega, tol=1e-6):
     def batch(pts):
         return da.eval_batch(pts, np.full(len(pts), inner))[0]
 
-    germ = FunctionGerm(
-        lambda s: batch(s.vertices[None])[0], batch_fn=batch, gamma=a.k + 2.0
-    )
+    germ = FunctionGerm(batch, gamma=a.k + 2.0)
     try:
         # the germ is additive up to evaluation noise, so shallow depth
         # suffices and keeps accumulated inner error small

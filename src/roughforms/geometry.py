@@ -232,9 +232,7 @@ def gram_determinant(simplex):
 
 def diameter(simplex):
     """Largest pairwise vertex distance (equals the set diameter)."""
-    v = simplex.vertices
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2)).max())
+    return float(diameter_array(simplex.vertices[None])[0])
 
 
 def is_degenerate(simplex):
@@ -315,28 +313,15 @@ def mass_value(simplex, alpha):
 
 def mass_alpha(simplex, alpha):
     """Full MassReport of one simplex at weight alpha."""
-    if simplex.k < 1:
-        raise ValueError("mass_alpha requires k >= 1")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if is_degenerate(simplex):
-        raise DegenerateSimplexError(f"degenerate simplex: {simplex!r}")
-    fvols = tuple(volume(f) for f in faces(simplex))
-    h = min(heights(simplex))
-    if alpha == 0:
-        mass = 1.0
-    elif math.isinf(alpha):
-        mass = 0.0
-    else:
-        mass = max(fvols) * h**alpha
+    mass = mass_value(simplex, alpha)
     return MassReport(
         alpha=alpha,
         volume=volume(simplex),
         diameter=diameter(simplex),
-        height=h,
+        height=min(heights(simplex)),
         mass=mass,
         eccentricity=eccentricity(simplex),
-        face_volumes=fvols,
+        face_volumes=tuple(volume(f) for f in faces(simplex)),
     )
 
 
@@ -359,19 +344,11 @@ def boundary(simplex):
     """
     if simplex.k == 0:
         return Chain()
-    terms = []
     v = simplex.vertices
-    for i in range(simplex.k + 1):
-        fv = np.delete(v, i, axis=0)
-        if i % 2 == 0:
-            terms.append((1, Simplex(fv)))
-        elif fv.shape[0] >= 2:
-            fv = fv.copy()
-            fv[[0, 1]] = fv[[1, 0]]
-            terms.append((1, Simplex(fv)))
-        else:
-            terms.append((-1, Simplex(fv)))
-    return Chain(terms)
+    return Chain(
+        _signed_simplex(np.delete(v, i, axis=0), (-1) ** i)
+        for i in range(simplex.k + 1)
+    )
 
 
 def boundary_chain(chain):
@@ -522,6 +499,7 @@ def volume_array(pts):
 
 
 def diameter_array(pts):
+    """Largest pairwise vertex distance of each row of an (n, k+1, d) array."""
     pts = np.asarray(pts, dtype=float)
     n, m, _ = pts.shape
     best = np.zeros(n)

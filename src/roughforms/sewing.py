@@ -4,8 +4,9 @@ A germ assigns a number to every small simplex; its defect measures the
 failure of additivity under subdivision. When the defect is
 Hoelder-controlled with exponent gamma > k, iterated subdivision level sums
 converge geometrically and their limit (the sewing) is the unique additive
-repair of the germ. Everything here works on batches of vertex arrays so
-deep levels stay vectorized.
+repair of the germ. A germ is a batch function: it maps an (n, k+1, d)
+vertex array to n values, so every subdivision level is one call and deep
+levels stay vectorized.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     NoConvergenceError,
     NotASubdivisionError,
 )
-from .geometry import Simplex, diameter, volume
+from .geometry import diameter, volume
 from .subdivision import EDGEWISE, iterate_array
 from .subdivision import stats as subdivision_stats
 
@@ -34,44 +35,33 @@ LEVEL_EVAL_CAP = 1 << 22
 class Germ:
     """A real-valued, orientation-odd function of small simplices.
 
-    Subclasses implement eval(); eval_batch() may be overridden for speed.
-    `eta` bounds |germ| by diam^eta, `gamma` bounds the defect by
-    |K| diam^gamma; both are caller-declared analytic knowledge and may be
-    None. `delta_norm`, when supplied, enables the analytic stopping rule
-    of sew(). A germ built on approximate inner evaluations sets
-    `inner_spent` to the summed inner tails of its latest batch.
+    Subclasses implement eval_batch(pts), which maps an (n, k+1, d) vertex
+    array to n values; eval(simplex) is its one-row call. `gamma` bounds
+    the defect by |K| diam^gamma and `delta_norm` is the constant of that
+    bound; both are caller-declared analytic knowledge and may be None.
+    Together they enable the analytic stopping rule of sew().
     """
 
-    eta = None
     gamma = None
     delta_norm = None
-    inner_spent = 0.0
 
     def eval(self, simplex):
-        raise NotImplementedError
+        return float(self.eval_batch(simplex.vertices[None])[0])
 
     def eval_batch(self, pts):
-        """Evaluate on an (n, k+1, d) vertex array; default loops."""
-        return np.array([self.eval(Simplex(v)) for v in pts])
+        raise NotImplementedError
 
 
 class FunctionGerm(Germ):
-    """Germ from a plain callable on simplices."""
+    """Germ from a batch function on (n, k+1, d) vertex arrays."""
 
-    def __init__(self, fn, eta=None, gamma=None, delta_norm=None, batch_fn=None):
-        self._fn = fn
+    def __init__(self, batch_fn, gamma=None, delta_norm=None):
         self._batch_fn = batch_fn
-        self.eta = eta
         self.gamma = gamma
         self.delta_norm = delta_norm
 
-    def eval(self, simplex):
-        return float(self._fn(simplex))
-
     def eval_batch(self, pts):
-        if self._batch_fn is not None:
-            return np.asarray(self._batch_fn(np.asarray(pts, dtype=float)))
-        return super().eval_batch(pts)
+        return np.asarray(self._batch_fn(np.asarray(pts, dtype=float)))
 
 
 def defect(germ, simplex, pieces):
@@ -125,14 +115,14 @@ def _empirical_tail(increments):
     return 2.0 * mags[-1] * rho / (1.0 - rho)
 
 
-def sew(germ, simplex, scheme, tol, depth_max=None, gamma=None, delta_norm=None):
+def sew(germ, simplex, scheme, tol, depth_max=None):
     """Sewing I(germ)(sigma): the limit of subdivision level sums.
 
     Stops when the analytic geometric tail bound
     card * q^n / (1 - q) * delta_norm * diam^gamma with q = card * c^gamma
-    drops below tol (when gamma and delta_norm are known and q < 1), or when
-    three consecutive level increments fall below tol/10 (empirical Cauchy
-    rule).
+    drops below tol (when the germ declares gamma and delta_norm and
+    q < 1), or when three consecutive level increments fall below tol/10
+    (empirical Cauchy rule).
     Raises NoConvergence when increments fail to decrease over three
     consecutive levels past a burn-in, and BudgetExceeded when depth_max is
     reached with the tail estimate still above tol; both carry the partial
@@ -141,8 +131,7 @@ def sew(germ, simplex, scheme, tol, depth_max=None, gamma=None, delta_norm=None)
     k = simplex.k
     if depth_max is None:
         depth_max = DEPTH_MAX_BY_K.get(k, 6)
-    gamma = gamma if gamma is not None else germ.gamma
-    delta_norm = delta_norm if delta_norm is not None else germ.delta_norm
+    gamma, delta_norm = germ.gamma, germ.delta_norm
     diam = diameter(simplex)
 
     card = scheme.card(k)
@@ -158,6 +147,19 @@ def sew(germ, simplex, scheme, tol, depth_max=None, gamma=None, delta_norm=None)
             def analytic(n):
                 return card * q**n / (1.0 - q) * delta_norm * diam**gamma
 
+    def result(tail):
+        return SewingResult(
+            value=level_values[-1],
+            tail_bound=tail,
+            depth_used=n,
+            level_values=level_values,
+            increment_rate=fitting.decay_rate([abs(x) for x in increments]),
+        )
+
+    def estimated_tail():
+        tail = _empirical_tail(increments)
+        return tail if analytic is None else min(tail, analytic(n))
+
     pts = simplex.vertices[None]
     level_values = [float(np.sum(germ.eval_batch(pts)))]
     increments = []
@@ -166,33 +168,18 @@ def sew(germ, simplex, scheme, tol, depth_max=None, gamma=None, delta_norm=None)
     while True:
         scale_floor = 1e-14 * max(1.0, max(abs(v) for v in level_values))
         if n == depth_max:
-            tail = _empirical_tail(increments)
-            if analytic is not None:
-                tail = min(tail, analytic(n))
-            result = SewingResult(
-                value=level_values[-1],
-                tail_bound=tail,
-                depth_used=n,
-                level_values=level_values,
-                increment_rate=fitting.decay_rate(
-                    [abs(x) for x in increments]
-                ),
-            )
-            if tail > tol:
+            res = result(estimated_tail())
+            if res.tail_bound > tol:
                 raise BudgetExceededError(
-                    f"depth {depth_max} reached with tail {tail:.3g} > tol {tol:.3g}",
-                    partial=result,
+                    f"depth {depth_max} reached with tail "
+                    f"{res.tail_bound:.3g} > tol {tol:.3g}",
+                    partial=res,
                 )
-            return result
+            return res
         if pts.shape[0] * card > LEVEL_EVAL_CAP:
             raise BudgetExceededError(
                 f"level {n + 1} would need {pts.shape[0] * card} evaluations",
-                partial=SewingResult(
-                    value=level_values[-1],
-                    tail_bound=math.inf,
-                    depth_used=n,
-                    level_values=level_values,
-                ),
+                partial=result(math.inf),
             )
         pts = scheme.children_array(pts)
         n += 1
@@ -201,26 +188,11 @@ def sew(germ, simplex, scheme, tol, depth_max=None, gamma=None, delta_norm=None)
         increments.append(s_n - level_values[-2])
 
         if analytic is not None and analytic(n) <= tol:
-            return SewingResult(
-                value=s_n,
-                tail_bound=analytic(n),
-                depth_used=n,
-                level_values=level_values,
-                increment_rate=fitting.decay_rate([abs(x) for x in increments]),
-            )
+            return result(analytic(n))
         if len(increments) >= 3 and all(
             abs(x) < tol / 10 for x in increments[-3:]
         ):
-            tail = _empirical_tail(increments)
-            if analytic is not None:
-                tail = min(tail, analytic(n))
-            return SewingResult(
-                value=s_n,
-                tail_bound=tail,
-                depth_used=n,
-                level_values=level_values,
-                increment_rate=fitting.decay_rate([abs(x) for x in increments]),
-            )
+            return result(estimated_tail())
         # divergence watch: consecutive non-decreasing increment magnitudes.
         # Suppressed while an analytic certificate (q < 1) is active, since
         # the geometric tail bound already guarantees convergence and rough
@@ -234,19 +206,11 @@ def sew(germ, simplex, scheme, tol, depth_max=None, gamma=None, delta_norm=None)
         if analytic is None and n >= 4 and grow_streak >= 3:
             raise NoConvergenceError(
                 f"increments non-decreasing over 3 levels at depth {n}",
-                partial=SewingResult(
-                    value=s_n,
-                    tail_bound=math.inf,
-                    depth_used=n,
-                    level_values=level_values,
-                    increment_rate=fitting.decay_rate(
-                        [abs(x) for x in increments]
-                    ),
-                ),
+                partial=result(math.inf),
             )
 
 
-def sew_chain(germ, chain, scheme, tol, depth_max=None, gamma=None, delta_norm=None):
+def sew_chain(germ, chain, scheme, tol, depth_max=None):
     """Coefficient-weighted sum of sew over the chain's terms.
 
     The tolerance is split evenly across unit coefficients.
@@ -258,13 +222,7 @@ def sew_chain(germ, chain, scheme, tol, depth_max=None, gamma=None, delta_norm=N
     out = 0.0
     for c, s in terms:
         res = sew(
-            germ,
-            s,
-            scheme,
-            tol * abs(c) / total_weight,
-            depth_max=depth_max,
-            gamma=gamma,
-            delta_norm=delta_norm,
+            germ, s, scheme, tol * abs(c) / total_weight, depth_max=depth_max
         )
         out += c * res.value
     return out
@@ -298,17 +256,15 @@ class GermNormEstimate:
         }
 
 
-def estimate_germ_norms(germ, region, k, eta, gamma, spec, scheme=None):
+def estimate_germ_norms(germ, region, k, eta, gamma, spec):
     """Empirical sup of |germ|/diam^eta and |defect|/(|K| diam^gamma).
 
     Samples simplices per dyadic diameter band under the spec's
-    eccentricity cap; defect families are the scheme children at depths
+    eccentricity cap; defect families are the edgewise children at depths
     1..3 plus random two-piece edge splits. Estimates are suprema, hence
     monotone nondecreasing in the sample counts (streams are
     prefix-stable).
     """
-    if scheme is None:
-        scheme = EDGEWISE
     eta_sup = 0.0
     delta_sup = 0.0
     n_samples = 0
@@ -328,7 +284,7 @@ def estimate_germ_norms(germ, region, k, eta, gamma, spec, scheme=None):
             band_eta = max(band_eta, abs(value) / dia**eta)
             families = []
             for depth in (1, 2, 3):
-                arr = iterate_array(scheme, s.vertices[None], depth)
+                arr = iterate_array(EDGEWISE, s.vertices[None], depth)
                 families.append(arr)
             for _ in range(spec.n_splits):
                 pieces = sampling.two_piece_split(s, split_rng)
@@ -379,17 +335,17 @@ class ProbeResult:
         }
 
 
-def convergence_probe(germ, simplex, scheme, depth, gamma=None):
+def convergence_probe(germ, simplex, scheme, depth):
     """Least-squares slope of log |level increment| against level.
 
     The reference value is (gamma - k) log c for the scheme's measured
-    contraction c when gamma is known. Raises DegenerateFit when fewer
+    contraction c when the germ declares gamma. Raises DegenerateFit when fewer
     than 3 increments sit above the floating-point floor.
     """
     if depth < 4:
         raise ValueError("probe needs depth >= 4")
     k = simplex.k
-    gamma = gamma if gamma is not None else germ.gamma
+    gamma = germ.gamma
     pts = simplex.vertices[None]
     sums = [float(np.sum(germ.eval_batch(pts)))]
     for _ in range(depth):

@@ -1,0 +1,90 @@
+"""End-to-end checks of the command-line entry point: exit codes, error
+payloads and reproducible output files."""
+
+import json
+
+import pytest
+
+from roughforms.cli import main
+
+TRIANGLE_LOOP = {
+    "form": {"catalog": "x_dy"},
+    "geometry": {"simplex": [[0, 0], [1, 0], [0, 1]], "boundary": True},
+    "tol": 1e-8,
+    "expect": {"value": 0.5, "tol": 1e-7},
+}
+
+GAUSSIAN_SEGMENT = {
+    "form": {
+        "gaussian": {"spec": {"d": 2, "theta": 1.5, "N": 8, "seed": 3}, "k": 1}
+    },
+    "geometry": {"simplex": [[0.2, 0.3], [0.6, 0.1]]},
+}
+
+
+def run(tmp_path, command, config, *flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return main([command, "--config", str(path), *flags])
+
+
+def error_of(capsys):
+    return json.loads(capsys.readouterr().err)["error"]
+
+
+def test_out_files_are_reproducible(tmp_path):
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert run(tmp_path, "integrate", TRIANGLE_LOOP, "--out", str(out)) == 0
+    first, second = ((out / "result.json").read_bytes() for out in outs)
+    assert first == second
+    assert json.loads(first)["passed"] is True
+    assert all((out / "meta.json").is_file() for out in outs)
+
+
+def test_unknown_key_names_its_field(tmp_path, capsys):
+    assert run(tmp_path, "integrate", {**TRIANGLE_LOOP, "bogus": 1}) == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == "bogus"
+
+
+def test_geometry_outside_the_form_dimension_is_a_config_error(
+    tmp_path, capsys
+):
+    config = {**TRIANGLE_LOOP, "geometry": {"simplex": [[0, 0, 0], [1, 0, 0]]}}
+    assert run(tmp_path, "integrate", config) == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == "geometry"
+
+
+@pytest.mark.parametrize(
+    "command, config, kind",
+    [
+        (
+            "subdiv-stats",
+            {"scheme": "edgewise", "k": 4},
+            "UnsupportedDimensionError",
+        ),
+        ("expr-check", {"expression": "1/x1", "points": [[0]]}, "EvalDomainError"),
+    ],
+)
+def test_domain_errors_exit_2_with_their_type(
+    tmp_path, capsys, command, config, kind
+):
+    assert run(tmp_path, command, config) == 2
+    assert error_of(capsys)["type"] == kind
+
+
+def test_unreachable_tolerance_exits_3(tmp_path, capsys):
+    assert run(tmp_path, "integrate", {**GAUSSIAN_SEGMENT, "tol": 1e-17}) == 3
+    assert error_of(capsys)["type"] == "BudgetExceededError"
+
+
+def test_failed_expectation_exits_4_under_assert(tmp_path, capsys):
+    config = {**TRIANGLE_LOOP, "expect": {"value": 0.25, "tol": 1e-7}}
+    assert run(tmp_path, "integrate", config) == 0
+    capsys.readouterr()
+    assert run(tmp_path, "integrate", config, "--assert") == 4
+    assert error_of(capsys)["type"] == "assertion"

@@ -435,9 +435,7 @@ def test_young_threshold_sewing_behavior():
             mu = 0.5 * (f(pts[:, 0, :]) + f(pts[:, 1, :]))
             return mu * (g(pts[:, 1, :]) - g(pts[:, 0, :]))
 
-        return sewing.FunctionGerm(
-            lambda s: batch(s.vertices[None])[0], batch_fn=batch
-        )
+        return sewing.FunctionGerm(batch)
 
     xi = np.array([0.8, 0.6])
 

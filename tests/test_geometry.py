@@ -110,6 +110,12 @@ def test_batched_volume_and_diameter_match_scalar():
     vols = G.volume_array(pts)
     diams = G.diameter_array(pts)
     eccs = G.eccentricity_array(pts)
+    pair_dists = [
+        np.linalg.norm(pts[:, i] - pts[:, j], axis=1)
+        for i in range(4)
+        for j in range(i + 1, 4)
+    ]
+    assert np.array_equal(diams, np.max(pair_dists, axis=0))
     for i in range(20):
         s = G.Simplex(pts[i])
         assert vols[i] == pytest.approx(G.volume(s), rel=1e-12)

@@ -24,11 +24,7 @@ UNIT = seg(0.0, 1.0)
 
 def dx_germ():
     # integral of dx over an oriented segment; exactly additive
-    return FunctionGerm(
-        lambda s: s.vertices[1, 0] - s.vertices[0, 0],
-        batch_fn=lambda p: p[:, 1, 0] - p[:, 0, 0],
-        eta=1.0,
-    )
+    return FunctionGerm(lambda p: p[:, 1, 0] - p[:, 0, 0])
 
 
 def square_diameter_germ(**kw):
@@ -37,9 +33,7 @@ def square_diameter_germ(**kw):
         e = p[:, 1, 0] - p[:, 0, 0]
         return e * np.abs(e)
 
-    return FunctionGerm(
-        lambda s: batch(s.vertices[None])[0], batch_fn=batch, **kw
-    )
+    return FunctionGerm(batch, **kw)
 
 
 def midpoint_germ(f, **kw):
@@ -48,9 +42,7 @@ def midpoint_germ(f, **kw):
         mid = 0.5 * (p[:, 0, 0] + p[:, 1, 0])
         return f(mid) * (p[:, 1, 0] - p[:, 0, 0])
 
-    return FunctionGerm(
-        lambda s: batch(s.vertices[None])[0], batch_fn=batch, **kw
-    )
+    return FunctionGerm(batch, **kw)
 
 
 def left_anchor_germ(f):
@@ -58,7 +50,7 @@ def left_anchor_germ(f):
     def batch(p):
         return f(p[:, 0, 0]) * (p[:, 1, 0] - p[:, 0, 0])
 
-    return FunctionGerm(lambda s: batch(s.vertices[None])[0], batch_fn=batch)
+    return FunctionGerm(batch)
 
 
 def centroid_area_germ(f):
@@ -70,7 +62,7 @@ def centroid_area_germ(f):
         area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         return f(cen[:, 0], cen[:, 1]) * area
 
-    return FunctionGerm(lambda s: batch(s.vertices[None])[0], batch_fn=batch)
+    return FunctionGerm(batch)
 
 
 def tri_diameter_cubed_germ():
@@ -80,12 +72,7 @@ def tri_diameter_cubed_germ():
         d12 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
         return np.maximum(d01, np.maximum(d02, d12)) ** 3
 
-    return FunctionGerm(
-        lambda s: batch(s.vertices[None])[0],
-        batch_fn=batch,
-        gamma=3.0,
-        delta_norm=0.125,
-    )
+    return FunctionGerm(batch, gamma=3.0, delta_norm=0.125)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +167,7 @@ def test_sew_no_convergence_for_subcritical_exponent():
         e = p[:, 1, 0] - p[:, 0, 0]
         return np.sign(e) * np.sqrt(np.abs(e))
 
-    germ = FunctionGerm(lambda s: batch(s.vertices[None])[0], batch_fn=batch)
+    germ = FunctionGerm(batch)
     with pytest.raises(NoConvergenceError) as exc:
         sew(germ, UNIT, EDGEWISE, tol=1e-6)
     partial = exc.value.partial
@@ -319,9 +306,7 @@ def test_probe_perturbed_additive_rate():
         e = p[:, 1, 0] - p[:, 0, 0]
         return e + e * np.sqrt(np.abs(e))
 
-    germ = FunctionGerm(
-        lambda s: batch(s.vertices[None])[0], batch_fn=batch, gamma=1.5
-    )
+    germ = FunctionGerm(batch, gamma=1.5)
     probe = convergence_probe(germ, UNIT, EDGEWISE, depth=8)
     assert probe.rate == pytest.approx(-0.5 * math.log(2.0), abs=1e-4)
     assert probe.reference == pytest.approx(-0.5 * math.log(2.0), abs=1e-9)
@@ -396,12 +381,7 @@ def test_sewing_is_linear_in_the_germ():
         e = p[:, 1, 0] - p[:, 0, 0]
         return (2.0 * np.sin(mid) - 3.0 * mid * mid) * e
 
-    combo = FunctionGerm(
-        lambda s: combo_batch(s.vertices[None])[0],
-        batch_fn=combo_batch,
-        gamma=3.0,
-        delta_norm=0.16,
-    )
+    combo = FunctionGerm(combo_batch, gamma=3.0, delta_norm=0.16)
     r1 = sew(g1, UNIT, EDGEWISE, tol=1e-7)
     r2 = sew(g2, UNIT, EDGEWISE, tol=1e-7)
     rc = sew(combo, UNIT, EDGEWISE, tol=1e-7)
