@@ -342,7 +342,9 @@ class WhitneyDecomposition:
 
     Cubes live in the simplex's own k-plane; `cubes` holds (level, Cube)
     with ambient coordinates while `flat_corners` keeps the intrinsic
-    corner of each cube in the flattening chart, aligned index-wise.
+    corner of each cube in the flattening chart, aligned index-wise. Cubes
+    are listed level by level, coarsest first, and within a level in
+    lexicographic order of their corners; partition sums rely on it.
     `distances` records each cube center's exact distance to the complement
     of the simplex, the quantity the admissibility sandwich constrains.
     """
@@ -480,16 +482,58 @@ def _bump_1d(t):
     return _smoothstep((2.0 / 3.0 - t) * 6.0)
 
 
+def _centers_and_sides(decomposition):
+    """Flat-chart centers (m, k) and sides (m,) of a decomposition's cubes."""
+    centers = np.array(
+        [c + 2.0 ** -(n + 1) for n, c in decomposition.flat_corners]
+    )
+    sides = np.array([2.0**-n for n, _ in decomposition.flat_corners])
+    return centers, sides
+
+
 class _RawBumps:
-    """Unnormalized tensor bumps attached to the cubes of a decomposition."""
+    """Unnormalized tensor bumps attached to the cubes of a decomposition.
+
+    `total` sums the bumps at a batch of flat points through a dyadic cell
+    index: for each level present, a table maps grid cells (center / side
+    rounded down, exact because sides are powers of two) to cube ids, -1
+    for no cube. A point p lies in the open 4/3-dilation of the level-n
+    cube at cell g only if floor(p / side) is g - 1, g or g + 1 on every
+    axis, because |p - (g + 1/2) side|_inf < 2/3 side puts p / side in
+    (g - 1/6, g + 7/6). So each point looks up 3^k cells per level,
+    levels x 3^k in all, and the strict support test then keeps exactly
+    the cubes that a loop over all cubes keeps. Levels are visited
+    coarsest first and the neighbours of a cell in lexicographic order,
+    the order in which `whitney_cubes` lists cubes, so each point's bumps
+    are added in increasing cube id, as that loop adds them, and the sums
+    are bitwise equal to the loop's without sorting.
+    """
 
     def __init__(self, decomposition):
-        self.centers = np.array(
-            [c + 2.0 ** -(n + 1) for n, c in decomposition.flat_corners]
-        )
-        self.sides = np.array([2.0**-n for n, _ in decomposition.flat_corners])
+        self.centers, self.sides = _centers_and_sides(decomposition)
         self.basis = decomposition.basis
         self.origin = decomposition.simplex.vertices[0]
+        steps = np.array(
+            list(itertools.product((-1, 0, 1), repeat=self.basis.shape[0]))
+        )
+        # per level: side, lowest table cell, highest cell a point is
+        # clamped to, element strides, the flat table and the flat offsets
+        # of the 3^k neighbours; the table has one empty cell of padding on
+        # every side, so a clamped point reads them without a bounds test
+        self._levels = []
+        for n in sorted(decomposition.level_counts):
+            side = 2.0**-n
+            ids = np.flatnonzero(self.sides == side)
+            # centers sit at (cell + 1/2) * side, exactly
+            cells = np.floor(self.centers[ids] / side).astype(np.intp)
+            lo = cells.min(axis=0) - 1
+            table = np.full(cells.max(axis=0) - lo + 2, -1, dtype=np.int32)
+            table[tuple((cells - lo).T)] = ids
+            strides = np.array(table.strides) // table.itemsize
+            self._levels.append(
+                (side, lo, np.array(table.shape) - 2, strides,
+                 table.ravel(), steps @ strides)
+            )
 
     def to_flat(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -499,17 +543,32 @@ class _RawBumps:
         t = (flat_pts - self.centers[i]) / self.sides[i]
         return np.prod(_bump_1d(t), axis=1)
 
-    def total(self, flat_pts):
-        out = np.zeros(flat_pts.shape[0])
-        for i in range(len(self.sides)):
-            # only cubes whose dilated support can contain the points matter
+    def _pairs(self, flat_pts):
+        """(point, cube) pairs with the point in the cube's dilated support."""
+        pts, cubes = [], []
+        for side, lo, top, strides, table, offsets in self._levels:
+            # fmax/fmin send nan to the low edge and +-inf (also from an
+            # overflowing division) to the edges, where the support test
+            # below rejects them
+            with np.errstate(over="ignore"):
+                cell = np.floor(flat_pts / side) - lo
+            cell = np.fmin(np.fmax(cell, 1), top).astype(np.intp)
+            ids = table[(cell @ strides)[:, None] + offsets]
+            p, j = np.nonzero(ids >= 0)
+            i = ids[p, j]
             near = (
-                np.abs(flat_pts - self.centers[i]).max(axis=1)
-                < self.sides[i] * (2.0 / 3.0)
+                np.abs(flat_pts[p] - self.centers[i]).max(axis=1)
+                < side * (2.0 / 3.0)
             )
-            if near.any():
-                out[near] += self.raw(i, flat_pts[near])
-        return out
+            pts.append(p[near])
+            cubes.append(i[near])
+        return np.concatenate(pts), np.concatenate(cubes)
+
+    def total(self, flat_pts):
+        p, i = self._pairs(flat_pts)
+        t = (flat_pts[p] - self.centers[i]) / self.sides[i, None]
+        vals = np.prod(_bump_1d(t), axis=1)
+        return np.bincount(p, weights=vals, minlength=len(flat_pts))
 
 
 def whitney_partition(simplex, n_max):
@@ -518,7 +577,10 @@ def whitney_partition(simplex, n_max):
     Returns a list of (Cube, weight) pairs. Each weight is a callable on
     ambient points: a tensor bump on its cube divided by the sum of all
     bumps. The weights sum to 1 wherever some cube covers the point, and
-    each one vanishes outside its own 4/3-dilated cube.
+    each one vanishes outside its own 4/3-dilated cube. A weight call costs
+    levels x 3^k cell lookups per point, not one pass per cube: a point
+    can be in the dilated support of a level-n cube only if its level-n
+    grid cell is one of the 3^k cells around that cube's (see `_RawBumps`).
     """
     if simplex.k != simplex.d or simplex.k > 2:
         raise UnsupportedDimensionError(
@@ -604,9 +666,9 @@ def partition_quadrature(simplex, n_max, nodes=12):
     k = simplex.k
     if not dec.cubes:
         return np.empty((0, simplex.d)), np.empty(0), dec
-    bumps = _RawBumps(dec)
-    reach = ((2.0 / 3.0) * bumps.sides)[:, None]
-    boxes = _disjoint_boxes(bumps.centers - reach, bumps.centers + reach)
+    centers, sides = _centers_and_sides(dec)
+    reach = ((2.0 / 3.0) * sides)[:, None]
+    boxes = _disjoint_boxes(centers - reach, centers + reach)
     x, w = np.polynomial.legendre.leggauss(nodes)
     lo = boxes[:, 0, :]
     hi = boxes[:, 1, :]
@@ -623,7 +685,7 @@ def partition_quadrature(simplex, n_max, nodes=12):
     weights = np.prod(half, axis=1)[:, None] * tw[None, :]
     flat_pts = pts.reshape(-1, k)
     return (
-        bumps.origin + flat_pts @ bumps.basis,
+        simplex.vertices[0] + flat_pts @ dec.basis,
         weights.reshape(-1),
         dec,
     )

@@ -394,6 +394,71 @@ def test_partition_vanishes_outside_dilated_cube():
         assert np.all(vals[outside] == 0.0)
 
 
+def _loop_total(bumps, flat_pts):
+    # the per-cube loop the cell index replaced: every cube tests every point
+    out = np.zeros(flat_pts.shape[0])
+    for i in range(len(bumps.sides)):
+        near = (
+            np.abs(flat_pts - bumps.centers[i]).max(axis=1)
+            < bumps.sides[i] * (2.0 / 3.0)
+        )
+        if near.any():
+            out[near] += bumps.raw(i, flat_pts[near])
+    return out
+
+
+@pytest.mark.parametrize(
+    "simplex, n_max",
+    [
+        (G.Simplex([[0.3], [1.7]]), 9),
+        (unit_right_triangle(), 6),
+        # away from the origin: flat coordinates go below zero
+        (G.Simplex([[2.0, -1.0], [3.1, 0.4], [1.2, 0.9]]), 5),
+    ],
+    ids=["segment", "right_triangle", "shifted_triangle"],
+)
+def test_whitney_total_matches_per_cube_loop(simplex, n_max):
+    dec = S.whitney_cubes(simplex, n_max)
+    bumps = S._RawBumps(dec)
+    k = simplex.k
+    rng = np.random.default_rng(23)
+    lo = dec.flat_vertices.min(axis=0) - 0.2
+    hi = dec.flat_vertices.max(axis=0) + 0.2
+    boxed = lo + rng.random((1500, k)) * (hi - lo)
+    # every coordinate, or some, snapped to the grid lines of each level
+    on_grid = []
+    for n in dec.level_counts:
+        snapped = np.floor(boxed[:200] / 2.0**-n) * 2.0**-n
+        some = rng.random((200, k)) < 0.5
+        on_grid += [snapped, np.where(some, snapped, boxed[:200])]
+    # one coordinate on a cube's 2/3-side dilation boundary, or a float off it
+    rows = np.arange(200)
+    pick = rng.integers(len(dec.cubes), size=200)
+    centers, sides = bumps.centers[pick], bumps.sides[pick, None]
+    axis = rng.integers(k, size=200)
+    edge = centers + rng.uniform(-0.5, 0.5, (200, k)) * sides
+    reach = rng.choice([-1.0, 1.0], size=(200, 1)) * sides * (2.0 / 3.0)
+    edge[rows, axis] = (centers + reach)[rows, axis]
+    nudged = edge.copy()
+    nudged[rows, axis] = np.nextafter(edge[rows, axis], centers[rows, axis])
+    bad = boxed[:6].copy()
+    bad[0, 0] = np.nan
+    bad[1] = np.nan
+    bad[2, -1] = np.inf
+    bad[3] = -np.inf
+    bad[4, 0] = 1e308
+    bad[5, 0] = -np.inf
+    bad[5, -1] = np.nan
+    pts = np.concatenate([boxed, *on_grid, edge, nudged, bad])
+    # non-finite rows raise nothing and weigh nothing (underflow in the
+    # bump tails is expected)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        total = bumps.total(pts)
+    assert np.array_equal(total, _loop_total(bumps, pts))
+    assert np.all(total[-6:] == 0.0)
+    assert np.count_nonzero(total) > len(pts) // 5
+
+
 def test_partition_gradient_scales_like_level():
     # finite-difference sup of |grad phi| over the covered region obeys
     # C * 2^n with one constant C across levels; the quotient is smooth
@@ -405,10 +470,9 @@ def test_partition_gradient_scales_like_level():
     sides = np.array([2.0**-n for n, _ in dec.flat_corners])
 
     def covered(pts):
-        inside = np.zeros(len(pts), dtype=bool)
-        for c, s in zip(corners, sides):
-            inside |= np.all((pts >= c) & (pts <= c + s), axis=1)
-        return inside
+        p = pts[:, None, :]
+        inside = (p >= corners) & (p <= corners + sides[:, None])
+        return inside.all(axis=2).any(axis=1)
 
     rng = np.random.default_rng(19)
     by_level = {}

@@ -2,8 +2,9 @@
 
 This guards the names and shapes it relies on: `sew` reached through
 `forms`, `Germ.eval_batch` and `FunctionGerm.eval_batch` in their class
-bodies, and `SewnCochain._eval_simplex` returning an exhausted flag at
-index 2. It also checks that leaving the tracer restores every original.
+bodies, `SewnCochain._eval_simplex` returning an exhausted flag at
+index 2, and `subdivision.whitney_partition` returning (Cube, weight)
+pairs. It also checks that leaving the tracer restores every original.
 """
 
 import sys
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 import roughforms
-from roughforms import forms
-from roughforms.geometry import Simplex
+from roughforms import forms, subdivision
+from roughforms.geometry import Cube, Simplex
 from roughforms.sewing import FunctionGerm
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -38,3 +39,19 @@ def test_traced_product_counts_one_sew_and_one_batch_per_level():
         metrics["sewing.depth_mean"] + 1
     )
     assert FunctionGerm.__dict__["eval_batch"] is original
+
+
+def test_traced_partition_counts_weight_calls_and_keeps_pairs():
+    original = subdivision.whitney_partition
+    tri = Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    pts = np.array([[0.2, 0.3], [0.5, 0.1], [0.05, 0.05]])
+    with tracing.Installed(tracing.Tracer(), roughforms) as tracer:
+        parts = subdivision.whitney_partition(tri, 4)
+        for _, weight in parts[:3]:
+            weight(pts)
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["subdivision.partition_weight_calls"] == 3
+    assert all(
+        isinstance(cube, Cube) and callable(weight) for cube, weight in parts
+    )
+    assert subdivision.whitney_partition is original
