@@ -12,7 +12,8 @@ default an unachievable tolerance raises, while best-effort mode returns
 the partial value with its honest tail. Single evaluations are memoized
 per cochain on the quantized vertices of the vertex-sorted simplex; an
 entry remembers its tolerance and serves a later request only when its
-tail meets that request or the request is no tighter.
+tail meets that request or the request is no tighter, or when a tighter
+request would compute it again unchanged (a depth-capped sew).
 
 Batches of simplices have one protocol: eval_batch(pts, tols) takes an
 (n, k+1, d) vertex array with one tolerance per row and returns values and
@@ -22,10 +23,12 @@ smooth forms and Gaussian forms (gaussian.py) with two-order quadrature,
 and combinations and coboundaries forward it to their parts.
 
 Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
-writes its germ once, as _germ_rows(pts, tol, root_diam) returning one
-subdivision level's values and inner tails, so product and pullback germs
-call eval_batch once per level; so does the Stokes germ, and component
-extraction calls it once per staircase block.
+writes its germ once, as _germ_rows(pts, vals, tol, root_diam) returning
+one subdivision level's values and inner tails, so product and pullback
+germs call eval_batch once per level; so does the Stokes germ, and
+component extraction calls it once per staircase block. Products and
+pullbacks read their functions only at the vertices, so they declare a
+vertex function that sewing evaluates once per lattice point.
 """
 
 from __future__ import annotations
@@ -248,7 +251,9 @@ class Cochain:
         # optional rigorous bound on sup |A| / mass_alpha, set when known
         self.alpha_norm_bound = None
 
-    # subclasses: return (value, tail_bound, budget_exhausted)
+    # subclasses: return (value, tail_bound, budget_exhausted), with
+    # budget_exhausted = tail_bound > tol; a fourth item True marks a
+    # result that every tighter tolerance would compute again unchanged
     def _eval_simplex(self, simplex, tol):
         raise NotImplementedError
 
@@ -297,13 +302,14 @@ class Cochain:
         key = _memo_key(canon)
         hit = self._memo.get(key)
         # an entry serves requests its tail meets and requests no tighter
-        # than its own; a tighter one is recomputed and replaces it
+        # than its own; a tighter one is recomputed and replaces it, unless
+        # the entry is final, which serves every request
         if hit is None or (hit[2] > tol and tol < hit[0]):
-            hit = (tol, *self._eval_simplex(canon, tol))
+            value, tail, _, *final = self._eval_simplex(canon, tol)
+            hit = (0.0 if any(final) else tol, value, tail)
             self._memo[key] = hit
-        _, value, tail, exhausted = hit
-        exhausted = exhausted and tail > tol
-        if exhausted and not best_effort:
+        _, value, tail = hit
+        if tail > tol and not best_effort:
             raise BudgetExceededError(
                 f"evaluation tail {tail:.3g} exceeds tol {tol:.3g}",
                 partial=(sign * value, tail),
@@ -335,38 +341,48 @@ class Cochain:
 class SewnCochain(Cochain):
     """A cochain whose value is the edgewise sewing of a simplex germ.
 
-    Subclasses implement _germ_rows(pts, tol, root_diam), which returns the
-    germ's values on one subdivision level of the root simplex together
-    with the tails of the inner evaluations behind them, and declare the
-    germ's defect exponent `germ_gamma` (and `delta_norm` when known).
+    Subclasses implement _germ_rows(pts, vals, tol, root_diam), which
+    returns the germ's values on one subdivision level of the root simplex
+    together with the tails of the inner evaluations behind them, and
+    declare the germ's defect exponent `germ_gamma` (and `delta_norm` when
+    known). A subclass whose germ reads point data only at the vertices
+    sets `vertex_fn` (see sewing.Germ) and gets its values at the level's
+    vertices as `vals`; `vals` is None otherwise.
     Since the returned value is the last level sum, the summed inner tails
     of that level bound the extra error and are added to the sewing tail.
+    A sew that stops at the depth cap with exact inner values (zero inner
+    tail) is what any tighter tolerance would compute again, so its memo
+    entry serves every request.
     """
 
     delta_norm = None
+    vertex_fn = None
 
-    def _germ_rows(self, pts, tol, root_diam):
+    def _germ_rows(self, pts, vals, tol, root_diam):
         raise NotImplementedError
 
     def _eval_simplex(self, simplex, tol):
         root_diam = diameter(simplex)
         inner_tail = 0.0
 
-        def batch(pts):
+        def batch(pts, vals=None):
             nonlocal inner_tail
-            values, tails = self._germ_rows(pts, tol, root_diam)
+            values, tails = self._germ_rows(pts, vals, tol, root_diam)
             inner_tail = float(np.sum(tails))
             return values
 
         germ = FunctionGerm(
-            batch, gamma=self.germ_gamma, delta_norm=self.delta_norm
+            batch,
+            gamma=self.germ_gamma,
+            delta_norm=self.delta_norm,
+            vertex_fn=self.vertex_fn,
         )
         try:
-            res = sew(germ, simplex, EDGEWISE, tol)
+            res = sew(germ, simplex, tol)
         except BudgetExceededError as exc:
             res = exc.partial
         tail = res.tail_bound + inner_tail
-        return res.value, tail, tail > tol
+        return res.value, tail, tail > tol, res.depth_capped and not inner_tail
 
 
 class ZeroFormCochain(Cochain):
@@ -420,7 +436,7 @@ class SmoothFormCochain(SewnCochain):
         self.components = comps
         self.germ_gamma = k + 1.0
 
-    def _germ_rows(self, pts, tol, root_diam):
+    def _germ_rows(self, pts, vals, tol, root_diam):
         centers = pts.mean(axis=1)
         out = np.zeros(pts.shape[0])
         for idx, fn in self.components.items():
@@ -580,7 +596,9 @@ class ProductCochain(SewnCochain):
     (alpha, (alpha + gamma - 1) ^ beta) and the germ's defect exponent is
     gamma + k - 1 + alpha. Inner evaluations of A use a geometrically
     shrinking share of the tolerance; their total is folded into the
-    reported tail.
+    reported tail. Under the vertex-average rule the germ reads f only at
+    the vertices, and when A is an increment dg, A(sigma) = g(v_1) - g(v_0)
+    reads g only there: those functions make up the vertex function.
     """
 
     provenance = "product"
@@ -604,16 +622,33 @@ class ProductCochain(SewnCochain):
         self.germ_gamma = f.gamma + a.k - 1 + a.alpha
         if f.constant and a.alpha_norm_bound is not None:
             self.delta_norm = f.constant * a.alpha_norm_bound
+        # the columns of the vertex values that hold f and g, if any
+        self._vertex_parts = []
+        self._f_col = self._g_col = None
+        if rule == "vertex_average":
+            self._f_col = len(self._vertex_parts)
+            self._vertex_parts.append(f)
+        if isinstance(a, IncrementCochain):
+            self._g_col = len(self._vertex_parts)
+            self._vertex_parts.append(a.g)
+        if self._vertex_parts:
+            self.vertex_fn = self._at_vertices
 
-    def _mu(self, pts):
-        if self.rule == "vertex_average":
-            return self.f(pts).mean(axis=1)
-        return self.f(pts.mean(axis=1))
+    def _at_vertices(self, x):
+        return np.stack([fn(x) for fn in self._vertex_parts], axis=-1)
 
-    def _germ_rows(self, pts, tol, root_diam):
-        mu = self._mu(pts)
-        vals, tails = self.base.eval_batch(pts, _inner_tols(pts, tol, root_diam))
-        return mu * vals, np.abs(mu) * tails
+    def _germ_rows(self, pts, vals, tol, root_diam):
+        if self._f_col is None:
+            mu = self.f(pts.mean(axis=1))
+        else:
+            mu = vals[..., self._f_col].mean(axis=1)
+        if self._g_col is None:
+            a_vals, tails = self.base.eval_batch(
+                pts, _inner_tols(pts, tol, root_diam)
+            )
+            return mu * a_vals, np.abs(mu) * tails
+        g = vals[..., self._g_col]
+        return mu * (g[:, 1] - g[:, 0]), np.zeros(len(pts))
 
 
 def product(f, a, rule="vertex_average"):
@@ -742,7 +777,10 @@ def zust_form(g0, gs, a):
 
 
 class PullbackCochain(SewnCochain):
-    """F^*A sewn from the germ sigma -> A([F(v_0), ..., F(v_k)])."""
+    """F^*A sewn from the germ sigma -> A([F(v_0), ..., F(v_k)]).
+
+    F is the vertex function, so sewing maps each lattice point once.
+    """
 
     provenance = "pullback"
 
@@ -762,11 +800,10 @@ class PullbackCochain(SewnCochain):
             a.k - 1 + a.alpha * (1 + f_map.eta),
             a.k + a.beta * (1 + f_map.eta),
         )
+        self.vertex_fn = f_map
 
-    def _germ_rows(self, pts, tol, root_diam):
-        return self.base.eval_batch(
-            self.f_map(pts), _inner_tols(pts, tol, root_diam)
-        )
+    def _germ_rows(self, pts, vals, tol, root_diam):
+        return self.base.eval_batch(vals, _inner_tols(pts, tol, root_diam))
 
 
 def pullback(f_map, a):
@@ -796,7 +833,7 @@ def stokes_residual(a, omega, tol=1e-6):
     try:
         # the germ is additive up to evaluation noise, so shallow depth
         # suffices and keeps accumulated inner error small
-        res = sew(germ, omega, EDGEWISE, tol, depth_max=5)
+        res = sew(germ, omega, tol, depth_max=5)
         left = res.value
     except (BudgetExceededError, NoConvergenceError) as exc:
         left = exc.partial.value

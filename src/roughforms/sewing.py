@@ -7,6 +7,16 @@ converge geometrically and their limit (the sewing) is the unique additive
 repair of the germ. A germ is a batch function: it maps an (n, k+1, d)
 vertex array to n values, so every subdivision level is one call and deep
 levels stay vectorized.
+
+Sewing walks the edgewise levels on the dyadic lattice of the root: the
+vertices of level n are the points with barycentric coordinates in
+2^-n Z, those of level n-1 among them, so each level computes only the
+points it adds, as midpoints of level n-1 edges, and gathers its simplices
+by the index tables of `subdivision.edgewise_lattice`. A germ whose values
+depend on the point data only through a function at the vertices may
+declare it as `vertex_fn`; sewing then evaluates it once per lattice
+point, on the points each level adds, and hands every level's gathered
+vertex values to the germ along with the vertex array.
 """
 
 from __future__ import annotations
@@ -23,9 +33,8 @@ from .errors import (
     NoConvergenceError,
     NotASubdivisionError,
 )
-from .geometry import diameter, volume
-from .subdivision import EDGEWISE, iterate_array
-from .subdivision import stats as subdivision_stats
+from .geometry import diameter, diameter_array, volume
+from .subdivision import EDGEWISE, edgewise_lattice, iterate_array
 
 # per-degree depth defaults keep worst-case evaluation counts near 10^6
 DEPTH_MAX_BY_K = {1: 14, 2: 10, 3: 7}
@@ -35,33 +44,50 @@ LEVEL_EVAL_CAP = 1 << 22
 class Germ:
     """A real-valued, orientation-odd function of small simplices.
 
-    Subclasses implement eval_batch(pts), which maps an (n, k+1, d) vertex
-    array to n values; eval(simplex) is its one-row call. `gamma` bounds
-    the defect by |K| diam^gamma and `delta_norm` is the constant of that
-    bound; both are caller-declared analytic knowledge and may be None.
-    Together they enable the analytic stopping rule of sew().
+    Subclasses implement eval_batch(pts, vertex_values=None), which maps an
+    (n, k+1, d) vertex array to n values; eval(simplex) is its one-row
+    call. A germ that declares `vertex_fn`, a function from (..., d)
+    points to (...) or (..., m) values, reads its point data only through
+    it: eval_batch then accepts the (n, k+1, ...) values of vertex_fn at
+    the vertices, and computes them from pts when they are not given.
+    `gamma` bounds the defect by |K| diam^gamma and `delta_norm` is the
+    constant of that bound; both are caller-declared analytic knowledge
+    and may be None. Together they enable the analytic stopping rule of
+    sew().
     """
 
     gamma = None
     delta_norm = None
+    vertex_fn = None
 
     def eval(self, simplex):
         return float(self.eval_batch(simplex.vertices[None])[0])
 
-    def eval_batch(self, pts):
+    def eval_batch(self, pts, vertex_values=None):
         raise NotImplementedError
 
 
 class FunctionGerm(Germ):
-    """Germ from a batch function on (n, k+1, d) vertex arrays."""
+    """Germ from a batch function on (n, k+1, d) vertex arrays.
 
-    def __init__(self, batch_fn, gamma=None, delta_norm=None):
+    With a vertex function, batch_fn takes the vertex array and the values
+    of vertex_fn at its vertices; the same formula serves sewing levels,
+    which pass the gathered lattice values, and every other caller.
+    """
+
+    def __init__(self, batch_fn, gamma=None, delta_norm=None, vertex_fn=None):
         self._batch_fn = batch_fn
         self.gamma = gamma
         self.delta_norm = delta_norm
+        self.vertex_fn = vertex_fn
 
-    def eval_batch(self, pts):
-        return np.asarray(self._batch_fn(np.asarray(pts, dtype=float)))
+    def eval_batch(self, pts, vertex_values=None):
+        pts = np.asarray(pts, dtype=float)
+        if self.vertex_fn is None:
+            return np.asarray(self._batch_fn(pts))
+        if vertex_values is None:
+            vertex_values = self.vertex_fn(pts)
+        return np.asarray(self._batch_fn(pts, vertex_values))
 
 
 def defect(germ, simplex, pieces):
@@ -84,13 +110,18 @@ def defect(germ, simplex, pieces):
 
 @dataclass
 class SewingResult:
-    """Limit value of subdivision level sums with a posteriori control."""
+    """Limit value of subdivision level sums with a posteriori control.
+
+    `depth_capped` says that the sew stopped at its depth cap because no
+    stopping rule fired earlier.
+    """
 
     value: float
     tail_bound: float
     depth_used: int
     level_values: list
     increment_rate: float = float("nan")
+    depth_capped: bool = False
 
     def to_json(self):
         return {
@@ -115,14 +146,63 @@ def _empirical_tail(increments):
     return 2.0 * mags[-1] * rho / (1.0 - rho)
 
 
-def sew(germ, simplex, scheme, tol, depth_max=None):
-    """Sewing I(germ)(sigma): the limit of subdivision level sums.
+def _lattice_levels(simplex, vertex_fn=None):
+    """Vertex arrays of the edgewise levels 0, 1, 2, ... of simplex.
 
-    Stops when the analytic geometric tail bound
+    Yields (pts, vals) per level: pts (2^(kn), k+1, d) in the row order of
+    `EDGEWISE.children_array`, and vals the values of vertex_fn at those
+    vertices, None without one. `lattice` holds the points of the levels
+    built so far in id order, `values` vertex_fn at them, so vertex_fn
+    sees each point once.
+    """
+    lattice = simplex.vertices
+    values = None if vertex_fn is None else vertex_fn(lattice)
+    n = 0
+    while True:
+        simplices, midpoints = edgewise_lattice(simplex.k, n)
+        if len(midpoints):
+            # np.take: fancy indexing is several times slower on these
+            ends = lattice.take(midpoints.T, axis=0)
+            new = 0.5 * (ends[0] + ends[1])
+            lattice = np.concatenate([lattice, new])
+            if values is not None:
+                values = np.concatenate([values, vertex_fn(new)])
+        pts = lattice.take(simplices, axis=0)
+        yield pts, None if values is None else values.take(simplices, axis=0)
+        n += 1
+
+
+def _level_sums(germ, simplex):
+    """Level sums of the germ on the edgewise levels 0, 1, 2, ... of simplex."""
+    for pts, vals in _lattice_levels(simplex, germ.vertex_fn):
+        yield float(np.sum(germ.eval_batch(pts, vals)))
+
+
+def _edgewise_contraction(simplex):
+    """Largest child/parent diameter ratio over edgewise levels 1 and 2.
+
+    The c of `subdivision.stats(EDGEWISE, simplex, 2)`, from the lattice.
+    """
+    card = EDGEWISE.card(simplex.k)
+    levels = _lattice_levels(simplex)
+    diams = [diameter_array(next(levels)[0]) for _ in range(3)]
+    return max(
+        float((child / np.repeat(parent, card)).max())
+        for parent, child in zip(diams, diams[1:])
+    )
+
+
+def sew(germ, simplex, tol, *, depth_max=None):
+    """Sewing I(germ)(sigma): the limit of edgewise level sums.
+
+    Levels come from the dyadic lattice of sigma (see the module
+    docstring), one germ.eval_batch call each. Stops when the analytic
+    geometric tail bound
     card * q^n / (1 - q) * delta_norm * diam^gamma with q = card * c^gamma
     drops below tol (when the germ declares gamma and delta_norm and
     q < 1), or when three consecutive level increments fall below tol/10
-    (empirical Cauchy rule).
+    and the tail extrapolated from them is at most tol (empirical Cauchy
+    rule).
     Raises NoConvergence when increments fail to decrease over three
     consecutive levels past a burn-in, and BudgetExceeded when depth_max is
     reached with the tail estimate still above tol; both carry the partial
@@ -134,41 +214,41 @@ def sew(germ, simplex, scheme, tol, depth_max=None):
     gamma, delta_norm = germ.gamma, germ.delta_norm
     diam = diameter(simplex)
 
-    card = scheme.card(k)
+    card = EDGEWISE.card(k)
     analytic = None
     if gamma is not None and delta_norm is not None:
-        st = subdivision_stats(scheme, simplex, 2)
         # level m holds card^m simplices of diameter <= c^m diam, each with
         # one-step defect <= delta_norm * card * (c^m diam)^gamma, so the
         # tail past level n is a geometric series in q = card * c^gamma
-        q = card * st.c_m**gamma
+        q = card * _edgewise_contraction(simplex) ** gamma
         if q < 1.0:
 
             def analytic(n):
                 return card * q**n / (1.0 - q) * delta_norm * diam**gamma
 
-    def result(tail):
+    def result(tail, depth_capped=False):
         return SewingResult(
             value=level_values[-1],
             tail_bound=tail,
             depth_used=n,
             level_values=level_values,
             increment_rate=fitting.decay_rate([abs(x) for x in increments]),
+            depth_capped=depth_capped,
         )
 
     def estimated_tail():
         tail = _empirical_tail(increments)
         return tail if analytic is None else min(tail, analytic(n))
 
-    pts = simplex.vertices[None]
-    level_values = [float(np.sum(germ.eval_batch(pts)))]
+    sums = _level_sums(germ, simplex)
+    level_values = [next(sums)]
     increments = []
     grow_streak = 0
     n = 0
     while True:
         scale_floor = 1e-14 * max(1.0, max(abs(v) for v in level_values))
         if n == depth_max:
-            res = result(estimated_tail())
+            res = result(estimated_tail(), depth_capped=True)
             if res.tail_bound > tol:
                 raise BudgetExceededError(
                     f"depth {depth_max} reached with tail "
@@ -176,14 +256,13 @@ def sew(germ, simplex, scheme, tol, depth_max=None):
                     partial=res,
                 )
             return res
-        if pts.shape[0] * card > LEVEL_EVAL_CAP:
+        if card ** (n + 1) > LEVEL_EVAL_CAP:
             raise BudgetExceededError(
-                f"level {n + 1} would need {pts.shape[0] * card} evaluations",
+                f"level {n + 1} would need {card ** (n + 1)} evaluations",
                 partial=result(math.inf),
             )
-        pts = scheme.children_array(pts)
+        s_n = next(sums)
         n += 1
-        s_n = float(np.sum(germ.eval_batch(pts)))
         level_values.append(s_n)
         increments.append(s_n - level_values[-2])
 
@@ -192,7 +271,9 @@ def sew(germ, simplex, scheme, tol, depth_max=None):
         if len(increments) >= 3 and all(
             abs(x) < tol / 10 for x in increments[-3:]
         ):
-            return result(estimated_tail())
+            tail = estimated_tail()
+            if tail <= tol:
+                return result(tail)
         # divergence watch: consecutive non-decreasing increment magnitudes.
         # Suppressed while an analytic certificate (q < 1) is active, since
         # the geometric tail bound already guarantees convergence and rough
@@ -210,7 +291,7 @@ def sew(germ, simplex, scheme, tol, depth_max=None):
             )
 
 
-def sew_chain(germ, chain, scheme, tol, depth_max=None):
+def sew_chain(germ, chain, tol, *, depth_max=None):
     """Coefficient-weighted sum of sew over the chain's terms.
 
     The tolerance is split evenly across unit coefficients.
@@ -221,9 +302,7 @@ def sew_chain(germ, chain, scheme, tol, depth_max=None):
     total_weight = sum(abs(c) for c, _ in terms)
     out = 0.0
     for c, s in terms:
-        res = sew(
-            germ, s, scheme, tol * abs(c) / total_weight, depth_max=depth_max
-        )
+        res = sew(germ, s, tol * abs(c) / total_weight, depth_max=depth_max)
         out += c * res.value
     return out
 
@@ -335,22 +414,20 @@ class ProbeResult:
         }
 
 
-def convergence_probe(germ, simplex, scheme, depth):
+def convergence_probe(germ, simplex, depth):
     """Least-squares slope of log |level increment| against level.
 
-    The reference value is (gamma - k) log c for the scheme's measured
-    contraction c when the germ declares gamma. Raises DegenerateFit when fewer
-    than 3 increments sit above the floating-point floor.
+    The level sums are sew's, on the edgewise lattice. The reference value
+    is (gamma - k) log c for the edgewise scheme's measured contraction c
+    when the germ declares gamma. Raises DegenerateFit when fewer than 3
+    increments sit above the floating-point floor.
     """
     if depth < 4:
         raise ValueError("probe needs depth >= 4")
     k = simplex.k
     gamma = germ.gamma
-    pts = simplex.vertices[None]
-    sums = [float(np.sum(germ.eval_batch(pts)))]
-    for _ in range(depth):
-        pts = scheme.children_array(pts)
-        sums.append(float(np.sum(germ.eval_batch(pts))))
+    level_sums = _level_sums(germ, simplex)
+    sums = [next(level_sums) for _ in range(depth + 1)]
     increments = np.abs(np.diff(sums))
     floor = 1e-13 * max(1.0, max(abs(v) for v in sums))
     usable = increments > floor
@@ -364,8 +441,7 @@ def convergence_probe(germ, simplex, scheme, depth):
     rate, _ = fitting.line_fit(levels[usable], np.log(increments[usable]))
     reference = float("nan")
     if gamma is not None:
-        st = subdivision_stats(scheme, simplex, 2)
-        reference = (gamma - k) * math.log(st.c_m)
+        reference = (gamma - k) * math.log(_edgewise_contraction(simplex))
     return ProbeResult(
         rate=rate,
         reference=reference,

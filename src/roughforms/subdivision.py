@@ -195,6 +195,57 @@ def iterate(scheme, simplex, levels, max_children=DEFAULT_CHILD_CAP):
     return [Simplex(v) for v in arr]
 
 
+@lru_cache(maxsize=None)
+def edgewise_lattice(k, n):
+    """Level n of the edgewise scheme as ids of dyadic lattice points.
+
+    The vertices of level n are the points of a k-simplex whose barycentric
+    coordinates are multiples of 2^-n; those of level n-1 are the points
+    with even multiples, and each point that level n adds is the midpoint
+    of one level-(n-1) edge. Ids number the points in order of first
+    appearance: the root's vertices are 0..k, and level n gives its new
+    points the ids after all of level n-1's. Returns (simplices, midpoints)
+    as int32 arrays:
+    - simplices (2^(kn), k+1): the ids of each level-n simplex's vertices,
+      rows in the order of n applications of `children_array`;
+    - midpoints (m, 2): row j holds the ids of the two level-(n-1) points
+      whose midpoint gets id size(n-1) + j.
+    Level n is derived from level n-1 by `_EDGEWISE_TABLES`: a child
+    vertex (i,) is the parent's vertex i, and (i, j) the midpoint of the
+    parent's edge ij, which every simplex holding that edge shares.
+    """
+    _edgewise_weights(k)  # checks k
+    if n == 0:
+        simplices = np.arange(k + 1, dtype=np.int32)[None]
+        midpoints = np.empty((0, 2), dtype=np.int32)
+    else:
+        parents, _ = edgewise_lattice(k, n - 1)
+        size = int(parents.max()) + 1
+        # the two parent vertices of each child vertex, (v, v) for a vertex
+        ends = np.array(
+            [
+                [label if len(label) == 2 else label * 2 for label in child]
+                for child in _EDGEWISE_TABLES[k]
+            ]
+        )
+        a = parents[:, ends[..., 0]]  # (rows, 2^k, k+1)
+        b = parents[:, ends[..., 1]]
+        ids, hi = np.minimum(a, b), np.maximum(a, b)
+        edge = ids != hi
+        keys, new_ids = np.unique(
+            ids[edge].astype(np.int64) * size + hi[edge], return_inverse=True
+        )
+        ids[edge] = size + new_ids
+        simplices = ids.reshape(-1, k + 1)
+        midpoints = np.stack([keys // size, keys % size], axis=1).astype(
+            np.int32
+        )
+    # the cache hands these arrays to every caller
+    simplices.setflags(write=False)
+    midpoints.setflags(write=False)
+    return simplices, midpoints
+
+
 @dataclass
 class SubdivisionStats:
     """Measured regularity constants of a scheme on one simplex."""
@@ -468,12 +519,16 @@ def whitney_cubes(simplex, n_max):
 
 
 def _smoothstep(u):
-    """C-infinity ramp: 0 for u <= 0, 1 for u >= 1."""
+    """C-infinity ramp: 0 for u <= 0, 1 for u >= 1, and 0 for nan.
+
+    a + b > 0 for every finite u; a nan u makes both terms 0.
+    """
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.where(u > 0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
         b = np.where(1 - u > 0, np.exp(-1.0 / np.maximum(1 - u, 1e-300)), 0.0)
-    return a / (a + b)
+    total = a + b
+    return np.divide(a, total, out=np.zeros_like(total), where=total > 0)
 
 
 def _bump_1d(t):

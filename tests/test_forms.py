@@ -27,7 +27,6 @@ from roughforms.geometry import (
     snap_to_grid,
 )
 from roughforms.sampling import Box, SamplerSpec
-from roughforms.subdivision import EDGEWISE
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +209,47 @@ def test_memo_never_serves_a_tail_above_the_request():
         p.eval_with_tail(seg, 1e-5)
     # a looser request is served from the cache, orientation included
     assert p.eval_with_tail(seg.flipped(), 1e-3) == (-value, tail)
+
+
+def _resonant_product(rule="vertex_average"):
+    f = forms.WeierstrassFunction(0.6, 2, seed=13)
+    g = forms.WeierstrassFunction(0.7, 2, seed=14)
+    return forms.product(f, forms.increment_form(g), rule=rule)
+
+
+def test_looser_tolerance_passes_where_a_tighter_one_does():
+    # the empirical stop used to fire at 1e-3 with an extrapolated tail of
+    # 1.23e-3, although sewing on reached a tail of 3.1e-6
+    seg = Simplex([[0.1, 0.2], [0.3, 0.25]])
+    tight = _resonant_product("barycenter").eval_with_tail(seg, 1e-4)
+    loose = _resonant_product("barycenter").eval_with_tail(seg, 1e-3)
+    assert loose == tight
+    assert loose[1] == pytest.approx(3.145e-6, rel=1e-3)
+
+
+def test_memo_answers_a_tighter_request_from_a_depth_capped_sew(monkeypatch):
+    # with an exact base, a tighter tolerance would repeat the capped sew
+    # bit for bit; the entry answers it, and still raises above tol
+    sews = []
+
+    def counting_sew(*args, **kw):
+        sews.append(args[1])
+        return sewing.sew(*args, **kw)
+
+    monkeypatch.setattr(forms, "sew", counting_sew)
+    seg = Simplex([[0.1, 0.2], [0.3, 0.25]])
+    p = _resonant_product()
+    value, tail = p.eval_with_tail(seg, 1e-4)
+    with pytest.raises(BudgetExceededError) as exc:
+        p.eval_with_tail(seg, 1e-5)
+    assert exc.value.partial == (value, tail)
+    assert tail == pytest.approx(1.245e-5, rel=1e-3)
+    assert len(sews) == 1
+    # a fresh cochain raises at 1e-5 with the same partial result
+    with pytest.raises(BudgetExceededError) as fresh:
+        _resonant_product().eval_with_tail(seg, 1e-5)
+    assert fresh.value.partial == (value, tail)
+    assert len(sews) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +498,11 @@ def test_young_threshold_sewing_behavior():
 
     seg = Simplex([[0.05, 0.15], [0.85, 0.75]])
     probe = sewing.convergence_probe(
-        young_germ(*resonant_pair(0.6, 0.7)), seg, EDGEWISE, 12
+        young_germ(*resonant_pair(0.6, 0.7)), seg, 12
     )
     assert probe.rate < -0.1
     probe_bad = sewing.convergence_probe(
-        young_germ(*resonant_pair(0.3, 0.6)), seg, EDGEWISE, 12
+        young_germ(*resonant_pair(0.3, 0.6)), seg, 12
     )
     assert probe_bad.rate > -0.05
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,40 @@ def test_partition_property():
         lam = np.concatenate([1 - sol.sum(axis=1, keepdims=True), sol], axis=1)
         counts += np.all(lam >= -1e-9, axis=1)
     assert np.all(counts == 1)
+
+
+@pytest.mark.parametrize("k, levels", [(1, 4), (2, 4), (3, 3)])
+def test_edgewise_lattice_gathers_the_iterated_children(k, levels):
+    # rebuild the lattice from the midpoint tables: points in ambient and
+    # in integer barycentric coordinates (denominator 2^n), then compare
+    # each level's gathered simplices with iterate_array row by row
+    root = np.random.default_rng(k).normal(size=(k + 1, 3))
+    points = root
+    coords = np.eye(k + 1, dtype=np.int64)
+    for n in range(levels + 1):
+        simplices, midpoints = S.edgewise_lattice(k, n)
+        if n:
+            old = len(points)
+            points = np.concatenate(
+                [points, 0.5 * (points[midpoints[:, 0]] + points[midpoints[:, 1]])]
+            )
+            coords = np.concatenate(
+                [2 * coords, coords[midpoints[:, 0]] + coords[midpoints[:, 1]]]
+            )
+            # level n-1's points are the even-index subset, ids first
+            even = np.all(coords % 2 == 0, axis=1)
+            assert np.all(even[:old]) and not np.any(even[old:])
+        # every lattice point once, each a vertex of the level
+        assert len(points) == math.comb(2**n + k, k)
+        assert np.all(coords.sum(axis=1) == 2**n)
+        assert len(np.unique(coords, axis=0)) == len(coords)
+        assert simplices.dtype == np.int32
+        np.testing.assert_array_equal(np.unique(simplices), np.arange(len(points)))
+        want = S.iterate_array(S.EDGEWISE, root[None], n)
+        np.testing.assert_allclose(points[simplices], want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            coords[simplices] / 2**n @ root, want, rtol=0, atol=1e-14
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +427,15 @@ def test_partition_vanishes_outside_dilated_cube():
         vals = weight(probe)
         outside = np.any(np.abs(probe - center) >= (2.0 / 3.0) * side, axis=1)
         assert np.all(vals[outside] == 0.0)
+
+
+def test_partition_weight_at_nan_is_zero_and_quiet():
+    parts = S.whitney_partition(unit_right_triangle(), 4)
+    pts = np.array([[np.nan, 0.2], [0.1, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = parts[0][1](pts)
+    assert values[0] == 0.0
 
 
 def _loop_total(bumps, flat_pts):

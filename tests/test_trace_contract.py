@@ -35,9 +35,10 @@ def test_traced_product_counts_one_sew_and_one_batch_per_level():
     assert metrics["sewing.sew_calls"] == 1
     assert metrics["forms.memo_miss"] == 1
     assert metrics["forms.exhausted"] == 0
-    assert metrics["sewing.germ_batches"] == pytest.approx(
-        metrics["sewing.depth_mean"] + 1
-    )
+    depth = metrics["sewing.depth_mean"]
+    assert metrics["sewing.germ_batches"] == pytest.approx(depth + 1)
+    # f and g once per lattice point, 2^depth + 1 points on a segment
+    assert metrics["forms.fn_points"] == 2 * (2**depth + 1)
     assert FunctionGerm.__dict__["eval_batch"] is original
 
 
