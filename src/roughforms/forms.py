@@ -6,6 +6,10 @@ declared Hoelder-type exponents (alpha, beta): alpha controls |A(sigma)|
 against the alpha-mass, beta does the same for A on boundaries. Products
 with Hoelder functions, coboundaries, wedges, and pullbacks are built as
 sewn germs with the exponent bookkeeping of Young-type multiplication.
+Smooth forms need no sewing: on smooth data the sewn integral is the
+classical one, so they are integrated by quadrature, and the pullback of a
+smooth form by a map with an analytic Jacobian is again a smooth form, by
+the change of variables formula.
 
 Evaluations return a value together with an a posteriori tail bound; by
 default an unachievable tolerance raises, while best-effort mode returns
@@ -19,8 +23,9 @@ Batches of simplices have one protocol: eval_batch(pts, tols) takes an
 (n, k+1, d) vertex array with one tolerance per row and returns values and
 tails, best effort. The default evaluates row by row through the memo;
 closed forms override it with exact vectorized formulas (zero tails),
-smooth forms and Gaussian forms (gaussian.py) with two-order quadrature,
-and combinations and coboundaries forward it to their parts.
+smooth forms with adaptive two-order quadrature and Gaussian forms
+(gaussian.py) with two-order quadrature (estimated tails), and
+combinations and coboundaries forward it to their parts.
 
 Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
 writes its germ once, as _germ_rows(pts, vals, tol, root_diam) returning
@@ -33,6 +38,7 @@ vertex function that sewing evaluates once per lattice point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -59,10 +65,16 @@ from .geometry import (
     mass_value,
     minimal_enclosing_ball,
 )
-from .sewing import FunctionGerm, sew
+from .sewing import DEPTH_MAX_BY_K, FunctionGerm, sew
 from .subdivision import EDGEWISE, iterate_array
 
 MEMO_QUANTUM = 1e-12
+# quadrature points per sample batch of a smooth-form quadrature, and of a
+# Gaussian-form mode sum in d <= 2 (gaussian.py divides it in d = 3)
+QUAD_CHUNK_POINTS = 1 << 13
+# a quadrature tail within this share of the value is rounding noise,
+# which splitting the simplex does not reduce
+QUAD_ROUNDING = 1e-13
 
 
 @lru_cache(maxsize=None)
@@ -151,8 +163,13 @@ class WeierstrassFunction(HolderFunction):
         freqs = 2.0 ** np.arange(self.LEVELS)
 
         def fn(x):
-            phases = 2.0 * math.pi * np.tensordot(x, xi, axes=([-1], [1]))
-            return np.sum(weights * np.cos(freqs * phases), axis=-1)
+            # one buffer, in the order 2 pi <xi_j, x>, * 2^j, cos, * weight
+            terms = np.tensordot(x, xi, axes=([-1], [1]))
+            terms *= 2.0 * math.pi
+            terms *= freqs
+            np.cos(terms, out=terms)
+            terms *= weights
+            return np.sum(terms, axis=-1)
 
         constant = self.LEVELS * 2.0 ** (1 - gamma) * (2 * math.pi) ** gamma
         super().__init__(fn, gamma, constant, d=d)
@@ -237,7 +254,7 @@ class Cochain:
     override eval_batch() when they can do better than one memoized
     evaluation per row: zero forms, increments, zero cochains, smooth
     forms, combinations, coboundaries and Gaussian forms do. The last
-    three take _eval_row, the one-row batch, as their _eval_simplex.
+    four take _eval_row, the one-row batch, as their _eval_simplex.
     """
 
     provenance = "smooth"
@@ -404,17 +421,27 @@ class ZeroFormCochain(Cochain):
         return self.f(pts[:, 0, :]), np.zeros(len(pts))
 
 
-class SmoothFormCochain(SewnCochain):
+class SmoothFormCochain(Cochain):
     """sum_I f_I dx^I from pointwise coefficient functions.
 
-    The germ evaluates each f_I at the barycenter against dx^I(sigma);
-    sewing repairs it into the exact integral. Smooth coefficients give a
-    defect exponent of k+1.
+    Integrals are Gauss-Duffy quadratures of orders 8 and 16; the fine
+    one is the value and their difference the tail, an estimate that holds
+    for coefficients the coarse order resolves. A row whose tail exceeds
+    its tolerance is split into its edgewise children, each at tol / 2^k,
+    and so on until every piece meets its share or the sewing depth cap
+    DEPTH_MAX_BY_K[k] is reached, where the pieces return best effort; a
+    piece also stops when its tail is rounding noise (QUAD_ROUNDING),
+    which splitting cannot reduce. A row's value and tail are the sums
+    over its pieces. The declared exponents default to (1, 1); pullbacks
+    keep those of the sewn construction.
     """
 
     provenance = "smooth"
+    ORDERS = (8, 16)
 
-    def __init__(self, components, d):
+    def __init__(
+        self, components, d, alpha=1.0, beta=1.0, provenance="smooth"
+    ):
         comps = {}
         k = None
         for index_set, fn in components.items():
@@ -432,44 +459,58 @@ class SmoothFormCochain(SewnCochain):
             comps[idx] = fn
         if k is None:
             raise ValueError("at least one component is required")
-        super().__init__(k, d, 1.0, 1.0)
+        super().__init__(k, d, alpha, beta)
         self.components = comps
-        self.germ_gamma = k + 1.0
+        self.provenance = provenance
 
-    def _germ_rows(self, pts, vals, tol, root_diam):
-        centers = pts.mean(axis=1)
-        out = np.zeros(pts.shape[0])
-        for idx, fn in self.components.items():
-            out += np.asarray(fn(centers), dtype=float) * (
-                coordinate_projection_array(pts, idx)
-            )
-        return out, 0.0
+    _eval_simplex = Cochain._eval_row
 
-    def _quadrature(self, pts, order):
-        nodes, weights = _duffy_rule(self.k, order)
-        base = pts[:, 0, :]
-        edges = pts[:, 1:, :] - pts[:, :1, :]
-        samples = base[:, None, :] + np.einsum("qk,nkd->nqd", nodes, edges)
+    def _quadratures(self, pts):
+        """Coarse and fine integrals of each row, a chunk of rows at a time.
+
+        A chunk holds at most QUAD_CHUNK_POINTS quadrature points of the
+        two rules together (at least one row).
+        """
+        rules = [_duffy_rule(self.k, order) for order in self.ORDERS]
+        step = max(1, QUAD_CHUNK_POINTS // sum(len(w) for _, w in rules))
         fact = math.factorial(self.k)
-        out = np.zeros(pts.shape[0])
-        for idx, fn in self.components.items():
-            vals = np.asarray(fn(samples), dtype=float)
-            out += (vals @ weights) * fact * (
-                coordinate_projection_array(pts, idx)
-            )
-        return out
+        sums = np.zeros((len(rules), len(pts)))
+        for start in range(0, len(pts), step):
+            rows = pts[start : start + step]
+            edges = rows[:, 1:, :] - rows[:, :1, :]
+            for out, (nodes, weights) in zip(sums, rules):
+                samples = rows[:, :1, :] + np.einsum(
+                    "qk,nkd->nqd", nodes, edges
+                )
+                for idx, fn in self.components.items():
+                    vals = np.asarray(fn(samples), dtype=float)
+                    out[start : start + step] += (vals @ weights) * fact * (
+                        coordinate_projection_array(rows, idx)
+                    )
+        return sums
 
     def eval_batch(self, pts, tols):
-        """Vectorized integrals with a quadrature-refinement tail estimate.
-
-        Two Gauss-Duffy orders are compared; the difference bounds the
-        quadrature error for coefficients resolved at the coarse order.
-        The tolerances are not consulted.
-        """
+        """Quadrature values and tails, each row refined to its tolerance."""
         pts = np.asarray(pts, dtype=float)
-        lo = self._quadrature(pts, 8)
-        hi = self._quadrature(pts, 16)
-        return hi, np.abs(hi - lo)
+        tols = np.asarray(tols, dtype=float)
+        values = np.zeros(len(pts))
+        tails = np.zeros(len(pts))
+        owner = np.arange(len(pts))  # the row each piece belongs to
+        card = EDGEWISE.card(self.k)
+        cap = DEPTH_MAX_BY_K[self.k]
+        for depth in range(cap + 1):
+            lo, hi = self._quadratures(pts)
+            err = np.abs(hi - lo)
+            split = (err > tols) & (err > QUAD_ROUNDING * np.abs(hi))
+            split &= depth < cap
+            np.add.at(values, owner[~split], hi[~split])
+            np.add.at(tails, owner[~split], err[~split])
+            if not split.any():
+                break
+            pts = EDGEWISE.children_array(pts[split])
+            owner = np.repeat(owner[split], card)
+            tols = np.repeat(tols[split] / card, card)
+        return values, tails
 
 
 def smooth_form(components, d):
@@ -806,8 +847,46 @@ class PullbackCochain(SewnCochain):
         return self.base.eval_batch(vals, _inner_tols(pts, tol, root_diam))
 
 
+def _pulled_coefficient(f_map, components, J):
+    """u -> sum_I f_I(F(u)) det DF(u)[I, J], the du^J coefficient of F^*A."""
+    cols = [j - 1 for j in J]
+
+    def coefficient(u):
+        x = f_map(u)
+        jac = f_map.jacobian(u)[..., cols]
+        out = 0.0
+        for I, fn in components.items():
+            minor = jac[..., [i - 1 for i in I], :]
+            out = out + np.asarray(fn(x), dtype=float) * np.linalg.det(minor)
+        return out
+
+    return coefficient
+
+
 def pullback(f_map, a):
-    return PullbackCochain(f_map, a)
+    """F^*A for a C^{1,eta} map F: R^m -> R^d and a k-cochain A on R^d.
+
+    When A is a smooth form sum_I f_I dx^I and F has an analytic Jacobian,
+    F^*A is the smooth form sum_J sum_I (f_I o F) det DF[I, J] du^J on R^m
+    (change of variables), which needs no sewing. Otherwise it is the sewn
+    PullbackCochain. Both carry the sewn
+    construction's exponents and provenance.
+    """
+    pulled = PullbackCochain(f_map, a)  # checks the exponents and dimensions
+    # for k > m no du^J exists, and no k-simplex in R^m to evaluate on
+    if (
+        not isinstance(a, SmoothFormCochain)
+        or f_map._jac is None
+        or a.k > f_map.m
+    ):
+        return pulled
+    components = {
+        J: _pulled_coefficient(f_map, a.components, J)
+        for J in itertools.combinations(range(1, f_map.m + 1), a.k)
+    }
+    return SmoothFormCochain(
+        components, f_map.m, pulled.alpha, pulled.beta, pulled.provenance
+    )
 
 
 # ---------------------------------------------------------------------------

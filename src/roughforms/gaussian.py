@@ -33,14 +33,10 @@ from .errors import (
     TruncationTailError,
 )
 from .fitting import line_fit
-from .forms import Cochain, _duffy_rule
+from .forms import QUAD_CHUNK_POINTS, Cochain, _duffy_rule
 from .geometry import canonical_rows, diameter_array
 
 TWO_PI = 2.0 * math.pi
-# quadrature points per mode-sum batch of GaussianKFormCochain.eval_batch
-# in d <= 2; a d = 3 mode sum holds (N-1)^2 terms per point, not N-1, so
-# there the cap is divided by N-1 to keep the batch's memory the same
-QUAD_CHUNK_POINTS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +447,8 @@ class GaussianKFormCochain(Cochain):
         """Values and two-order quadrature tails, order group by group."""
         pts, signs = canonical_rows(pts)
         coarse, _ = self._quad_orders(diameter_array(pts))
+        # a d = 3 mode sum holds (N-1)^2 terms per point, not N-1, so there
+        # the cap is divided by N-1 to keep the batch's memory the same
         cap = QUAD_CHUNK_POINTS // (self.spec.N - 1) ** max(0, self.d - 2)
         values = np.empty(len(pts))
         tails = np.empty(len(pts))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from roughforms.cli import main
+from roughforms.cli import main, run_command
 
 TRIANGLE_LOOP = {
     "form": {"catalog": "x_dy"},
@@ -88,3 +88,17 @@ def test_failed_expectation_exits_4_under_assert(tmp_path, capsys):
     capsys.readouterr()
     assert run(tmp_path, "integrate", config, "--assert") == 4
     assert error_of(capsys)["type"] == "assertion"
+
+
+def test_tight_pullback_of_a_smooth_form_is_one_third():
+    # dx1^dx3 through F = (x1, x2, x1^2 + x2^2) is 2 x2 du1^du2, whose
+    # integral over the unit triangle is 1/3
+    config = {
+        "form": {"components": {"1,3": 1.0}, "d": 3},
+        "map": {"F": ["x1", "x2", "x1^2 + x2^2"]},
+        "geometry": {"simplex": [[0, 0], [1, 0], [0, 1]]},
+        "tol": 1e-4,
+    }
+    result, _, _ = run_command("pullback", config)
+    assert result["tail_bound"] <= 1e-4
+    assert abs(result["value"] - 1 / 3) <= result["tail_bound"] + 1e-15

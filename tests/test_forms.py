@@ -23,10 +23,13 @@ from roughforms.geometry import (
     Cube,
     Simplex,
     boundary,
+    coordinate_projection_array,
     diameter,
     snap_to_grid,
 )
 from roughforms.sampling import Box, SamplerSpec
+from roughforms.sewing import FunctionGerm
+from roughforms.subdivision import SubdivisionScheme
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +162,68 @@ def test_smooth_form_rejects_bad_indices():
         forms.smooth_form({(1,): 1.0, (1, 2): 1.0}, 2)
     with pytest.raises(ValueError):
         forms.smooth_form({(3,): 1.0}, 2)
+
+
+@pytest.mark.parametrize("freq", [10, 40, 100, 300])
+def test_oscillatory_smooth_form_refines_to_its_tolerance(freq):
+    # sin(f x1) dx1 along (0,0) -> (1,1) is (1 - cos f) / f; fixed-order
+    # quadrature misses it by up to 0.57 at these frequencies
+    a = forms.smooth_form({(1,): lambda p: np.sin(freq * p[..., 0])}, 2)
+    v, tail = a.eval_with_tail(Simplex([[0, 0], [1, 1]]), 1e-9)
+    assert tail <= 1e-9
+    assert abs(v - (1 - math.cos(freq)) / freq) <= 1e-9
+
+
+def test_smooth_form_refinement_stops_at_the_depth_cap():
+    # the kink of |x1 - 1/3| is not resolved at 1e-12: the pieces around it
+    # halve down to the depth cap, and the memo raises with the partial
+    # result; the integral is 1/18 + 4/18
+    a = forms.smooth_form({(1,): lambda p: np.abs(p[..., 0] - 1 / 3)}, 1)
+    seg = Simplex([[0.0], [1.0]])
+    with pytest.raises(BudgetExceededError) as exc:
+        a.eval_with_tail(seg, 1e-12)
+    v, tail = exc.value.partial
+    assert 1e-12 < tail < 1e-10
+    assert abs(v - 5 / 18) <= tail
+
+
+def test_rounding_level_tails_are_not_split(monkeypatch):
+    # splitting cannot shrink rounding noise, so a tolerance below it is
+    # answered from the first quadrature, and the memo raises
+    def no_children(self, pts):
+        raise AssertionError("split a simplex at the rounding level")
+
+    monkeypatch.setattr(SubdivisionScheme, "children_array", no_children)
+    a = forms.catalog_form("twist_area")
+    s = Simplex([[0.1, 0.2, 0.3], [0.9, 0.1, 0.4], [0.3, 0.8, 0.7]])
+    v, tail = a.eval_with_tail(s, 0.0, best_effort=True)
+    assert 0.0 < tail <= forms.QUAD_ROUNDING * abs(v)
+
+
+def _barycenter_germ(a):
+    """sigma -> sum_I f_I(barycenter) dx^I(sigma), the germ of a smooth form.
+
+    Its sewing is the form's integral, an oracle for the quadrature path.
+    """
+
+    def batch(pts):
+        centers = pts.mean(axis=1)
+        return sum(
+            fn(centers) * coordinate_projection_array(pts, idx)
+            for idx, fn in a.components.items()
+        )
+
+    return FunctionGerm(batch, gamma=a.k + 1.0)
+
+
+@pytest.mark.parametrize("name", forms.catalog_names())
+def test_smooth_form_matches_the_sewn_barycenter_germ(name):
+    a = forms.catalog_form(name)
+    s = rand_simplex(np.random.default_rng(23), a.k, a.d)
+    tol = 1e-7 if a.k == 1 else 1e-5
+    res = sewing.sew(_barycenter_germ(a), s, tol)
+    v, tail = a.eval_with_tail(s, tol)
+    assert abs(v - res.value) <= tail + res.tail_bound + 1e-15
 
 
 def test_cochain_is_odd_under_orientation_flip():
@@ -321,7 +386,9 @@ BATCH_CASES = {
     "zero_form": (lambda: forms.ZeroFormCochain(_poly_fn()), 0, _rowwise, "exact"),
     "increment": (lambda: forms.increment_form(_poly_fn()), 1, _rowwise, "exact"),
     "zero": (lambda: forms.ZeroCochain(2, 2), 2, _rowwise, "exact"),
-    "smooth": (lambda: forms.catalog_form("sin_y_dx"), 1, _rowwise, "tails"),
+    "smooth": (
+        lambda: forms.catalog_form("sin_y_dx"), 1, _rowwise, "rounding"
+    ),
     "combination": (
         lambda: forms.combination(
             [(2.0, forms.increment_form(_poly_fn())), (-0.5, _product())]
@@ -340,6 +407,14 @@ BATCH_CASES = {
     "pullback": (
         lambda: forms.pullback(
             forms.identity_map(2), forms.catalog_form("x_dy")
+        ),
+        1,
+        _rowwise,
+        "rounding",
+    ),
+    "pullback_sewn": (
+        lambda: forms.pullback(
+            forms.SmoothMap(lambda x: x, 2, 2), forms.catalog_form("x_dy")
         ),
         1,
         _rowwise,
@@ -366,12 +441,11 @@ def test_eval_batch_matches_per_row_evaluation(name):
     if agree == "exact":
         np.testing.assert_array_equal(values, want)
         np.testing.assert_array_equal(tails, want_tails)
-    elif agree == "rounding":  # one vectorized sum against one per row
+    else:  # one vectorized sum against one per row
+        assert agree == "rounding"
         bound = 1e-12 * np.abs(want) + 1e-15
         assert np.all(np.abs(values - want) <= bound)
         assert np.all(np.abs(tails - want_tails) <= bound)
-    else:  # quadrature against sewing, both within their tails
-        assert np.all(np.abs(values - want) <= tails + want_tails + 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +742,108 @@ def test_affine_pullback_of_constant_form_is_exact():
     assert pb.eval(s, 1e-12) == pytest.approx(image_increment, abs=1e-14)
 
 
+# name: (F, DF as rows of entries, m, d), each a function of the point u
+PULLBACK_MAPS = {
+    "arc": (
+        lambda u: [np.cos(u[..., 0]), np.sin(2 * u[..., 0])],
+        lambda u: [[-np.sin(u[..., 0])], [2 * np.cos(2 * u[..., 0])]],
+        1,
+        2,
+    ),
+    "helix": (
+        lambda u: [np.cos(u[..., 0]), np.sin(u[..., 0]), u[..., 0] ** 2],
+        lambda u: [[-np.sin(u[..., 0])], [np.cos(u[..., 0])], [2 * u[..., 0]]],
+        1,
+        3,
+    ),
+    "bend": (
+        lambda u: [u[..., 0], u[..., 1] + 0.3 * u[..., 0] ** 2],
+        lambda u: [[1.0, 0.0], [0.6 * u[..., 0], 1.0]],
+        2,
+        2,
+    ),
+    "paraboloid": (
+        lambda u: [u[..., 0], u[..., 1], u[..., 0] ** 2 + u[..., 1] ** 2],
+        lambda u: [[1.0, 0.0], [0.0, 1.0], [2 * u[..., 0], 2 * u[..., 1]]],
+        2,
+        3,
+    ),
+}
+
+
+def _stack(parts, u):
+    return np.stack([np.broadcast_to(p, u.shape[:-1]) for p in parts], axis=-1)
+
+
+def _pullback_map(name, analytic, eta=1.0):
+    fn, jac, m, d = PULLBACK_MAPS[name]
+
+    def jacobian(u):
+        return np.stack([_stack(row, u) for row in jac(u)], axis=-2)
+
+    return forms.SmoothMap(
+        lambda u: _stack(fn(u), u),
+        m,
+        d,
+        jacobian=jacobian if analytic else None,
+        eta=eta,
+    )
+
+
+PULLBACK_CASES = [
+    ("arc", "x_dy"),
+    ("helix", "xz_dy"),
+    ("bend", "sin_y_dx"),
+    ("bend", "x_area"),
+    ("paraboloid", "xz_dy"),
+    ("paraboloid", "twist_area"),
+    ("paraboloid", "dx1_dx3"),
+]
+
+
+def _pullback_form(name):
+    if name == "dx1_dx3":
+        return forms.smooth_form({(1, 3): 1.0}, 3)
+    return forms.catalog_form(name)
+
+
+@pytest.mark.parametrize("map_name, form_name", PULLBACK_CASES)
+def test_closed_form_pullback_matches_the_sewn_one(map_name, form_name):
+    a = _pullback_form(form_name)
+    closed = forms.pullback(_pullback_map(map_name, True), a)
+    sewn = forms.pullback(_pullback_map(map_name, False), a)
+    assert isinstance(closed, forms.SmoothFormCochain)
+    assert isinstance(sewn, forms.PullbackCochain)
+    rng = np.random.default_rng(47)
+    # sewn 2-form pullbacks converge slowly, so they get small simplices
+    tol, scale = (1e-7, 1.0) if a.k == 1 else (3e-4, 0.5)
+    for _ in range(3):
+        s = rand_simplex(rng, a.k, closed.d, scale)
+        v1, t1 = closed.eval_with_tail(s, tol)
+        v2, t2 = sewn.eval_with_tail(s, tol, best_effort=True)
+        assert abs(v1 - v2) <= t1 + t2 + 1e-15
+
+
+def test_closed_form_pullback_keeps_the_sewn_exponents():
+    a = forms.catalog_form("twist_area")
+    for eta in (1.0, 0.5):
+        closed = forms.pullback(_pullback_map("paraboloid", True, eta), a)
+        sewn = forms.pullback(_pullback_map("paraboloid", False, eta), a)
+        assert isinstance(closed, forms.SmoothFormCochain)
+        assert type(sewn) is forms.PullbackCochain
+        assert (closed.k, closed.d) == (sewn.k, sewn.d) == (2, 2)
+        assert (closed.alpha, closed.beta, closed.provenance) == (
+            sewn.alpha,
+            sewn.beta,
+            "pullback",
+        )
+    assert closed.beta == 0.5
+    # a rough base is sewn whatever the Jacobian
+    rough = forms.increment_form(forms.WeierstrassFunction(0.8, 3, seed=2))
+    pb = forms.pullback(_pullback_map("paraboloid", True), rough)
+    assert type(pb) is forms.PullbackCochain
+
+
 def test_pullback_requires_enough_regularity():
     rough = forms.increment_form(forms.WeierstrassFunction(0.45, 2, seed=9))
     f = forms.SmoothMap(lambda p: p, 2, 2, eta=1.0)
@@ -920,6 +1096,18 @@ def test_weierstrass_is_reproducible_and_holder():
     lhs = np.abs(w1(x) - w1(y))
     rhs = w1.constant * np.linalg.norm(x - y, axis=1) ** 0.6
     assert np.all(lhs <= rhs)
+
+
+def test_weierstrass_values_equal_the_per_term_sum():
+    # term j is 2^(-j g) cos(2^j (2 pi <xi_j, x>)), rounded in that order
+    w = forms.WeierstrassFunction(0.6, 3, seed=4)
+    x = np.random.default_rng(9).uniform(-2.0, 2.0, (257, 3))
+    phases = np.tensordot(x, w.xi, axes=([-1], [1]))
+    terms = [
+        2.0 ** (-0.6 * j) * np.cos(2.0**j * (2.0 * math.pi * phases[:, j]))
+        for j in range(w.LEVELS)
+    ]
+    assert np.array_equal(w(x), np.sum(np.stack(terms, axis=-1), axis=-1))
 
 
 def test_weierstrass_seeds_differ():
