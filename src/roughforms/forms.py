@@ -9,7 +9,8 @@ sewn germs with the exponent bookkeeping of Young-type multiplication.
 Smooth forms need no sewing: on smooth data the sewn integral is the
 classical one, so they are integrated by quadrature, and the pullback of a
 smooth form by a map with an analytic Jacobian is again a smooth form, by
-the change of variables formula.
+the change of variables formula. Sampled Gaussian forms (gaussian.py) are
+band-limited, so they are smooth forms of their fields and share both.
 
 Evaluations return a value together with an a posteriori tail bound; by
 default an unachievable tolerance raises, while best-effort mode returns
@@ -23,9 +24,9 @@ Batches of simplices have one protocol: eval_batch(pts, tols) takes an
 (n, k+1, d) vertex array with one tolerance per row and returns values and
 tails, best effort. The default evaluates row by row through the memo;
 closed forms override it with exact vectorized formulas (zero tails),
-smooth forms with adaptive two-order quadrature and Gaussian forms
-(gaussian.py) with two-order quadrature (estimated tails), and
-combinations and coboundaries forward it to their parts.
+smooth forms, Gaussian forms among them, with adaptive two-order
+quadrature (estimated tails), and combinations and coboundaries forward
+it to their parts.
 
 Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
 writes its germ once, as _germ_rows(pts, vals, tol, root_diam) returning
@@ -69,8 +70,9 @@ from .sewing import DEPTH_MAX_BY_K, FunctionGerm, sew
 from .subdivision import EDGEWISE, iterate_array
 
 MEMO_QUANTUM = 1e-12
-# quadrature points per sample batch of a smooth-form quadrature, and of a
-# Gaussian-form mode sum in d <= 2 (gaussian.py divides it in d = 3)
+# quadrature points per coefficient call of a smooth-form quadrature; a
+# Gaussian form in d = 3 divides it by N - 1, since there each point's mode
+# sum holds (N-1)^2 terms, not N - 1
 QUAD_CHUNK_POINTS = 1 << 13
 # a quadrature tail within this share of the value is rounding noise,
 # which splitting the simplex does not reduce
@@ -253,8 +255,9 @@ class Cochain:
     tails, always best effort. Subclasses implement _eval_simplex() and
     override eval_batch() when they can do better than one memoized
     evaluation per row: zero forms, increments, zero cochains, smooth
-    forms, combinations, coboundaries and Gaussian forms do. The last
-    four take _eval_row, the one-row batch, as their _eval_simplex.
+    forms (Gaussian forms among them), combinations and coboundaries do.
+    The last three take _eval_row, the one-row batch, as their
+    _eval_simplex.
     """
 
     provenance = "smooth"
@@ -424,11 +427,16 @@ class ZeroFormCochain(Cochain):
 class SmoothFormCochain(Cochain):
     """sum_I f_I dx^I from pointwise coefficient functions.
 
-    Integrals are Gauss-Duffy quadratures of orders 8 and 16; the fine
-    one is the value and their difference the tail, an estimate that holds
-    for coefficients the coarse order resolves. A row whose tail exceeds
-    its tolerance is split into its edgewise children, each at tol / 2^k,
-    and so on until every piece meets its share or the sewing depth cap
+    Integrals are Gauss-Duffy quadratures of two orders, a coarse one per
+    row (_coarse_orders; ORDER, 8, for every row here, and a rule of the
+    simplex diameter for Gaussian forms) and twice that. The fine one is
+    the value and their difference the tail, an estimate that holds for
+    coefficients the coarse order resolves. Each row's vertices are sorted
+    first (the Duffy rule is not symmetric under vertex permutations for
+    k >= 2) and its sign restored at the end, so a batch is odd under
+    permutations as the memo is. A row whose tail exceeds its tolerance
+    is split into its edgewise children, each at tol / 2^k, and so on
+    until every piece meets its share or the sewing depth cap
     DEPTH_MAX_BY_K[k] is reached, where the pieces return best effort; a
     piece also stops when its tail is rounding noise (QUAD_ROUNDING),
     which splitting cannot reduce. A row's value and tail are the sums
@@ -437,7 +445,9 @@ class SmoothFormCochain(Cochain):
     """
 
     provenance = "smooth"
-    ORDERS = (8, 16)
+    ORDER = 8
+    # at most this many quadrature points, both rules together, per chunk
+    chunk_points = QUAD_CHUNK_POINTS
 
     def __init__(
         self, components, d, alpha=1.0, beta=1.0, provenance="smooth"
@@ -465,33 +475,47 @@ class SmoothFormCochain(Cochain):
 
     _eval_simplex = Cochain._eval_row
 
+    def _coarse_orders(self, pts):
+        """Coarse quadrature order of each row; the fine one is twice it."""
+        return np.full(len(pts), self.ORDER)
+
     def _quadratures(self, pts):
         """Coarse and fine integrals of each row, a chunk of rows at a time.
 
-        A chunk holds at most QUAD_CHUNK_POINTS quadrature points of the
-        two rules together (at least one row).
+        Rows are grouped by coarse order. A chunk holds at most chunk_points
+        quadrature points of the group's two rules together (at least one
+        row), and each coefficient is called once per chunk and rule on the
+        flat (rows * nodes, d) array of its points.
         """
-        rules = [_duffy_rule(self.k, order) for order in self.ORDERS]
-        step = max(1, QUAD_CHUNK_POINTS // sum(len(w) for _, w in rules))
+        orders = self._coarse_orders(pts)
         fact = math.factorial(self.k)
-        sums = np.zeros((len(rules), len(pts)))
-        for start in range(0, len(pts), step):
-            rows = pts[start : start + step]
-            edges = rows[:, 1:, :] - rows[:, :1, :]
-            for out, (nodes, weights) in zip(sums, rules):
-                samples = rows[:, :1, :] + np.einsum(
-                    "qk,nkd->nqd", nodes, edges
-                )
-                for idx, fn in self.components.items():
-                    vals = np.asarray(fn(samples), dtype=float)
-                    out[start : start + step] += (vals @ weights) * fact * (
-                        coordinate_projection_array(rows, idx)
-                    )
+        sums = np.zeros((2, len(pts)))
+        for order in np.unique(orders):
+            group = np.flatnonzero(orders == order)
+            rules = [_duffy_rule(self.k, n) for n in (order, 2 * order)]
+            step = max(1, self.chunk_points // sum(len(w) for _, w in rules))
+            for start in range(0, group.size, step):
+                idx = group[start : start + step]
+                rows = pts[idx]
+                edges = rows[:, 1:, :] - rows[:, :1, :]
+                parts = [
+                    (fn, coordinate_projection_array(rows, I))
+                    for I, fn in self.components.items()
+                ]
+                for out, (nodes, weights) in zip(sums, rules):
+                    at = np.einsum("qk,nkd->nqd", nodes, edges)
+                    at = (rows[:, :1, :] + at).reshape(-1, self.d)
+                    total = 0.0
+                    for fn, dx in parts:
+                        vals = np.asarray(fn(at), dtype=float)
+                        vals = vals.reshape(len(idx), -1)
+                        total += (vals @ weights) * fact * dx
+                    out[idx] = total
         return sums
 
     def eval_batch(self, pts, tols):
         """Quadrature values and tails, each row refined to its tolerance."""
-        pts = np.asarray(pts, dtype=float)
+        pts, signs = canonical_rows(pts)
         tols = np.asarray(tols, dtype=float)
         values = np.zeros(len(pts))
         tails = np.zeros(len(pts))
@@ -510,7 +534,7 @@ class SmoothFormCochain(Cochain):
             pts = EDGEWISE.children_array(pts[split])
             owner = np.repeat(owner[split], card)
             tols = np.repeat(tols[split] / card, card)
-        return values, tails
+        return signs * values, tails
 
 
 def smooth_form(components, d):

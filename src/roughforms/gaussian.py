@@ -4,9 +4,11 @@ Fields are sampled spectrally on the periodic torus of side L: modes p with
 |p_j| < N/2 carry independent complex Gaussian amplitudes shaped by the
 isotropic symbol (1 + |p|_2 / L)^(-theta) (normalized by L^(-d/2)), with
 exact Hermitian symmetry so the synthesized field is real. A k-form is
-assembled from one independent field per coordinate index set I; it pairs
-with a k-cube Q through sum_I minor_I(frame) times the field integral over
-Q, the cube form of the mass-normalized simplex pairing.
+assembled from one independent field g_I per coordinate index set I. The
+fields are band-limited, so the form is the smooth form sum_I g_I dx^I:
+simplices integrate it by the adaptive quadrature of smooth forms, within
+the requested tolerance, and a k-cube Q pairs with it through
+sum_I minor_I(frame) times the field integral over Q.
 
 The cube distribution delta_Q has the closed-form Fourier transform
 prod_j (e^(2 pi i xi_j r) - 1)/(2 pi i xi_j) in a frame adapted to Q, which
@@ -33,8 +35,8 @@ from .errors import (
     TruncationTailError,
 )
 from .fitting import line_fit
-from .forms import QUAD_CHUNK_POINTS, Cochain, _duffy_rule
-from .geometry import canonical_rows, diameter_array
+from .forms import QUAD_CHUNK_POINTS, SmoothFormCochain
+from .geometry import diameter_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -399,22 +401,19 @@ def delta_Q_sobolev(Q, theta, nodes=10, reach=32.0, tail_limit=0.05):
 # the Gaussian k-form cochain
 
 
-class GaussianKFormCochain(Cochain):
+class GaussianKFormCochain(SmoothFormCochain):
     """The k-form assembled from one sampled field per index set I.
 
-    On a simplex it evaluates as sum_I dx^I(sigma)/Vol(sigma) times the
-    average field integral, computed with two quadrature orders whose
-    difference is the reported error; the tolerances are not consulted.
-    eval_batch sorts each row's vertices first (the Duffy rule is not
-    symmetric under vertex permutations) and restores the sign, groups the
-    rows by quadrature order, and sums the modes for at most
-    QUAD_CHUNK_POINTS quadrature points of a group at a time (fewer in
-    d = 3, at least one row). Axis boxes
-    evaluate exactly through the spectral closed form, which component
-    extraction uses directly.
+    A sampled field is band-limited, so the form is the smooth form
+    sum_I g_I dx^I of its fields and evaluates as one: two-order Duffy
+    quadrature refined until each row's tail meets its tolerance. The
+    coarse order grows with the simplex diameter in units of the grid
+    spacing L / N, from 4 to 24. A d = 3 mode sum holds (N-1)^2 terms per
+    point, not N-1, so there the chunk of quadrature points is divided by
+    N-1 to keep a batch's memory the same. Axis boxes evaluate exactly
+    through the spectral closed form, which component extraction uses
+    directly.
     """
-
-    provenance = "gaussian"
 
     def __init__(self, samples, k):
         samples = dict(samples)
@@ -431,62 +430,21 @@ class GaussianKFormCochain(Cochain):
         spec.require_pairing(k)
         alpha_bar = min(spec.theta - spec.d / 2.0 + 1.0, 1.0)
         beta_bar = min(spec.theta - spec.d / 2.0, 1.0)
-        super().__init__(k, spec.d, max(alpha_bar, 0.0), max(beta_bar, 0.0))
+        super().__init__(
+            {I: sample.eval for I, sample in keyed.items()},
+            spec.d,
+            max(alpha_bar, 0.0),
+            max(beta_bar, 0.0),
+            provenance="gaussian",
+        )
         self.spec = spec
         self.samples = keyed
+        d3_cut = (spec.N - 1) ** max(0, spec.d - 2)
+        self.chunk_points = QUAD_CHUNK_POINTS // d3_cut
 
-    def _quad_orders(self, diam):
-        """Coarse and fine orders for an array of simplex diameters."""
-        base = 8.0 * np.asarray(diam) * self.spec.N / self.spec.L
-        coarse = np.clip(np.ceil(base / 2.0), 4, 24).astype(int)
-        return coarse, 2 * coarse
-
-    _eval_simplex = Cochain._eval_row
-
-    def eval_batch(self, pts, tols):
-        """Values and two-order quadrature tails, order group by group."""
-        pts, signs = canonical_rows(pts)
-        coarse, _ = self._quad_orders(diameter_array(pts))
-        # a d = 3 mode sum holds (N-1)^2 terms per point, not N-1, so there
-        # the cap is divided by N-1 to keep the batch's memory the same
-        cap = QUAD_CHUNK_POINTS // (self.spec.N - 1) ** max(0, self.d - 2)
-        values = np.empty(len(pts))
-        tails = np.empty(len(pts))
-        for order in np.unique(coarse):
-            rows = np.flatnonzero(coarse == order)
-            rules = [_duffy_rule(self.k, n) for n in (order, 2 * order)]
-            per_row = sum(len(weights) for _, weights in rules)
-            step = max(1, cap // per_row)
-            for start in range(0, rows.size, step):
-                idx = rows[start : start + step]
-                values[idx], tails[idx] = self._pairings(pts[idx], order)
-        return signs * values, tails
-
-    def _pairings(self, pts, order):
-        """Pairings and tails of canonical rows that share one coarse order."""
-        edges = pts[:, 1:, :] - pts[:, :1, :]
-        sums = []  # coarse, then fine: (n, components) weighted field sums
-        for n in (order, 2 * order):
-            nodes, weights = _duffy_rule(self.k, n)
-            at = pts[:, :1, :] + np.einsum("qk,nkd->nqd", nodes, edges)
-            at = at.reshape(-1, self.d)
-            sums.append(
-                np.stack(
-                    [
-                        sample.eval(at).reshape(len(pts), -1) @ weights
-                        for sample in self.samples.values()
-                    ],
-                    axis=1,
-                )
-            )
-        coarse, fine = sums
-        # duffy weights absorb 1/k!, so det * k! * sum is the pairing
-        cols = np.array([[a - 1 for a in I] for I in self.samples])
-        det = np.linalg.det(edges[:, :, cols].transpose(0, 2, 1, 3))
-        scale = det * math.factorial(self.k)
-        value = np.sum(scale * fine, axis=1)
-        tail = np.sum(np.abs(scale) * np.abs(fine - coarse), axis=1)
-        return value, tail
+    def _coarse_orders(self, pts):
+        base = 8.0 * diameter_array(pts) * self.spec.N / self.spec.L
+        return np.clip(np.ceil(base / 2.0), 4, 24).astype(int)
 
     def eval_axis_box(self, pts, J):
         J = tuple(int(j) for j in J)

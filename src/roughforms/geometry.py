@@ -393,8 +393,12 @@ def _permutation_sign(perm):
     The parity is that of the inversion count.
     """
     perm = np.asarray(perm)
-    i, j = np.triu_indices(perm.shape[-1], 1)
-    inversions = np.count_nonzero(perm[..., i] > perm[..., j], axis=-1)
+    m = perm.shape[-1]
+    # a loop over the few pairs beats building index arrays for m <= 4
+    inversions = sum(
+        (perm[..., a] > perm[..., b] for a in range(m) for b in range(a + 1, m)),
+        np.zeros(perm.shape[:-1], dtype=int),
+    )
     return 1 - 2 * (inversions % 2)
 
 
@@ -407,12 +411,9 @@ def canonical_rows(pts):
     """
     pts = np.asarray(pts, dtype=float)
     n, m, d = pts.shape
-    # one lexsort over all vertices, the row index as the primary key
-    keys = [pts[:, :, j].ravel() for j in range(d - 1, -1, -1)]
-    keys.append(np.repeat(np.arange(n), m))
-    order = np.lexsort(keys).reshape(n, m) - m * np.arange(n)[:, None]
-    rows = np.take_along_axis(pts, order[:, :, None], axis=1)
-    return rows, _permutation_sign(order)
+    # coordinates as keys, the first one primary, each row sorted alone
+    order = np.lexsort(pts.transpose(2, 0, 1)[::-1], axis=-1)
+    return pts[np.arange(n)[:, None], order], _permutation_sign(order)
 
 
 def staircase_blocks(base, steps):

@@ -31,6 +31,8 @@ from roughforms.sampling import Box, SamplerSpec
 from roughforms.sewing import FunctionGerm
 from roughforms.subdivision import SubdivisionScheme
 
+from conftest import assert_rounding_close
+
 
 # ---------------------------------------------------------------------------
 # independent quadrature oracle: iterated map t1=u1, t2=u2(1-t1), ... onto
@@ -443,9 +445,8 @@ def test_eval_batch_matches_per_row_evaluation(name):
         np.testing.assert_array_equal(tails, want_tails)
     else:  # one vectorized sum against one per row
         assert agree == "rounding"
-        bound = 1e-12 * np.abs(want) + 1e-15
-        assert np.all(np.abs(values - want) <= bound)
-        assert np.all(np.abs(tails - want_tails) <= bound)
+        assert_rounding_close(values, want)
+        assert_rounding_close(tails, want_tails)
 
 
 # ---------------------------------------------------------------------------
@@ -798,12 +799,16 @@ PULLBACK_CASES = [
     ("paraboloid", "xz_dy"),
     ("paraboloid", "twist_area"),
     ("paraboloid", "dx1_dx3"),
+    ("bend", "gaussian"),
+    ("bend", "gaussian_2form"),
 ]
 
 
 def _pullback_form(name):
     if name == "dx1_dx3":
         return forms.smooth_form({(1, 3): 1.0}, 3)
+    if name.startswith("gaussian"):
+        return _gaussian(2 if name == "gaussian_2form" else 1)
     return forms.catalog_form(name)
 
 

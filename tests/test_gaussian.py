@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from roughforms import forms
 from roughforms import gaussian as G
 from roughforms.embedding import TestFunction, pi_J
 from roughforms.errors import (
@@ -21,7 +22,14 @@ from roughforms.errors import (
     TruncationTailError,
 )
 from roughforms.forms import _duffy_rule
-from roughforms.geometry import Cube, Simplex, _permutation_sign, diameter_array
+from roughforms.geometry import (
+    Cube,
+    Simplex,
+    _permutation_sign,
+    axis_box_chain,
+)
+
+from conftest import assert_rounding_close
 
 
 def box_kernel(spec, pt, J):
@@ -453,13 +461,6 @@ def test_gaussian_form_metadata_and_validation():
         G.sample_form(rough, 1)  # needs theta > (d - k)/2 = 1
 
 
-def _assert_rounding_close(values, tails, want, want_tails):
-    # the batch and the rows sum the same modes at different BLAS shapes
-    bound = 1e-12 * np.abs(want) + 1e-15
-    assert np.all(np.abs(values - want) <= bound)
-    assert np.all(np.abs(tails - want_tails) <= bound)
-
-
 def _gaussian_rows(k, diameters, seed, d=2):
     rng = np.random.default_rng(seed)
     return np.array(
@@ -467,36 +468,67 @@ def _gaussian_rows(k, diameters, seed, d=2):
     )
 
 
+def _per_row(build, pts, tol):
+    """Values and tails of a fresh cochain, one memoized row at a time."""
+    a = build()
+    rows = [a.eval_with_tail(Simplex(p), tol, best_effort=True) for p in pts]
+    return (np.array(col) for col in zip(*rows))
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_gaussian_batch_matches_per_row_evaluation_across_orders(k):
     spec = G.SpectralFieldSpec(d=2, theta=1.5, N=8, seed=40 + k)
     pts = _gaussian_rows(k, np.geomspace(0.01, 0.6, 12), seed=k)
-    orders, _ = G.sample_form(spec, k)._quad_orders(diameter_array(pts))
+    orders = G.sample_form(spec, k)._coarse_orders(pts)
     assert len(np.unique(orders)) >= 4
     tols = np.full(len(pts), 1e-8)
     values, tails = G.sample_form(spec, k).eval_batch(pts, tols)
-    fresh = G.sample_form(spec, k)
-    rows = [fresh.eval_with_tail(Simplex(p), 1e-8, best_effort=True) for p in pts]
-    want, want_tails = (np.array(col) for col in zip(*rows))
-    _assert_rounding_close(values, tails, want, want_tails)
+    want, want_tails = _per_row(lambda: G.sample_form(spec, k), pts, 1e-8)
+    assert_rounding_close(values, want)
+    assert_rounding_close(tails, want_tails)
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_gaussian_batch_is_odd_under_vertex_permutations(k):
-    spec = G.SpectralFieldSpec(d=2, theta=1.5, N=8, seed=50 + k)
-    a = G.sample_form(spec, k)
+def _wave_area():
+    """A smooth 2-form whose Duffy sums depend on the vertex order."""
+    return forms.smooth_form(
+        {(1, 2): lambda p: np.sin(25 * p[..., 0] + 13 * p[..., 1])}, 2
+    )
+
+
+def _gaussian_2d(k, seed):
+    spec = G.SpectralFieldSpec(d=2, theta=1.5, N=8, seed=seed)
+    return G.sample_form(spec, k)
+
+
+# case: (fresh cochain, k, tolerance); the wave is not refined at tol 1
+ODD_CASES = {
+    "1": (lambda: _gaussian_2d(1, 51), 1, 1e-8),
+    "2": (lambda: _gaussian_2d(2, 52), 2, 1e-8),
+    "smooth": (_wave_area, 2, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODD_CASES))
+def test_gaussian_batch_is_odd_under_vertex_permutations(case):
+    build, k, tol = ODD_CASES[case]
+    a = build()
     pts = _gaussian_rows(k, np.geomspace(0.02, 0.4, 10), seed=10 + k)
-    tols = np.full(len(pts), 1e-8)
+    tols = np.full(len(pts), tol)
     values, tails = a.eval_batch(pts, tols)
+    want, want_tails = _per_row(build, pts, tol)
+    assert_rounding_close(values, want)
+    assert_rounding_close(tails, want_tails)
     reversed_values, reversed_tails = a.eval_batch(pts[:, ::-1], tols)
     # reversing k+1 vertices is an odd permutation for k = 1 and k = 2
-    _assert_rounding_close(reversed_values, reversed_tails, -values, tails)
+    assert_rounding_close(reversed_values, -values)
+    assert_rounding_close(reversed_tails, tails)
     rng = np.random.default_rng(k)
     perms = np.array([rng.permutation(k + 1) for _ in pts])
     signs = np.array([_permutation_sign(p) for p in perms])
     permuted = np.take_along_axis(pts, perms[:, :, None], axis=1)
     perm_values, perm_tails = a.eval_batch(permuted, tols)
-    _assert_rounding_close(perm_values, perm_tails, signs * values, tails)
+    assert_rounding_close(perm_values, signs * values)
+    assert_rounding_close(perm_tails, tails)
 
 
 @pytest.mark.parametrize("k, d", [(1, 2), (2, 2), (1, 3)])
@@ -507,12 +539,63 @@ def test_gaussian_batch_across_chunks_equals_single_rows(k, d):
     per_row = sum(len(_duffy_rule(k, n)[1]) for n in (4, 8))
     n_rows = 2 * G.QUAD_CHUNK_POINTS // per_row + 5
     pts = _gaussian_rows(k, np.full(n_rows, 0.01), seed=20 + k, d=d)
-    assert np.all(a._quad_orders(diameter_array(pts))[0] == 4)
+    assert np.all(a._coarse_orders(pts) == 4)
     tols = np.full(n_rows, 1e-8)
     values, tails = a.eval_batch(pts, tols)
     rows = [a.eval_batch(p[None], t[None]) for p, t in zip(pts, tols)]
     want, want_tails = (np.concatenate(col) for col in zip(*rows))
-    _assert_rounding_close(values, tails, want, want_tails)
+    assert_rounding_close(values, want)
+    assert_rounding_close(tails, want_tails)
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (3, 2), (3, 3)])
+def test_gaussian_k_forms_integrate_boxes_and_cubes_exactly(d, k):
+    # a triangulated box or cube against the exact spectral integrals
+    spec = G.SpectralFieldSpec(d=d, theta=2.0, N=8, seed=70 + d + k)
+    a = G.sample_form(spec, k)
+    tol = 1e-9
+    u = np.array([0.3, 0.45, 0.25])[:d]
+    for J in G.component_indices(d, k):
+        axes = [j - 1 for j in J]
+        base = u.copy()
+        base[axes] = 0.0
+        value, tail = a.eval_with_tail(axis_box_chain(base, J, u[axes]), tol)
+        want = a.eval_axis_box(u[None], J)[0]
+        assert abs(value - want) <= tail + 1e-12 * abs(want) + 1e-15
+    rng = np.random.default_rng(d + k)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    frame = (q * np.sign(np.diag(r))).T[:k]
+    corner, side = rng.uniform(0.1, 0.5, d), 0.35
+    want = sum(
+        np.linalg.det(frame[:, [i - 1 for i in I]])
+        * a.samples[I].integral_cube(corner, frame, side)
+        for I in G.component_indices(d, k)
+    )
+    value, tail = a.eval_with_tail(Cube(corner, frame, side), tol)
+    assert abs(value - want) <= tail + 1e-12 * abs(want) + 1e-15
+
+
+def test_gaussian_forms_keep_the_tolerance_contract():
+    spec = G.SpectralFieldSpec(d=2, theta=1.5, N=32, seed=7)
+    seg = np.array([[0.05, 0.1], [0.95, 0.8]])
+    a = G.sample_form(spec, 1)
+    value, tail = a.eval_with_tail(Simplex(seg), 1e-10)
+    assert tail <= 1e-10
+    # composite Gauss-Legendre along the segment, 64 panels of 16 nodes
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, 1.0, 65)
+    half = 0.5 * np.diff(edges)[:, None]
+    ts = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    ws = (half * w).ravel()
+    pts = seg[0] + ts[:, None] * (seg[1] - seg[0])
+    oracle = sum(
+        (seg[1, i] - seg[0, i]) * (ws @ a.samples[(i + 1,)].eval(pts))
+        for i in range(2)
+    )
+    assert abs(value - oracle) <= tail + 1e-12 * abs(oracle)
+    tri = Simplex([[0.1, 0.1], [0.9, 0.2], [0.3, 0.9]])
+    _, tail = G.sample_form(spec, 2).eval_with_tail(tri, 1e-9)
+    assert tail <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,21 @@ def test_eccentricity_values():
 # boundary and chains
 
 
+def test_canonical_rows_sort_each_row_and_give_its_sign():
+    # integer coordinates, so rows hold equal coordinates and equal vertices
+    rng = np.random.default_rng(3)
+    for m, d in [(1, 2), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3)]:
+        pts = rng.integers(0, 3, (100, m, d)).astype(float)
+        rows, signs = G.canonical_rows(pts)
+        for p, row, sign in zip(pts, rows, signs):
+            order = sorted(range(m), key=lambda i: tuple(p[i]))
+            inversions = sum(
+                order[a] > order[b] for a in range(m) for b in range(a + 1, m)
+            )
+            assert np.array_equal(row, p[order])
+            assert sign == (-1) ** inversions
+
+
 def test_boundary_of_unit_right_triangle():
     chain = G.boundary(unit_right_triangle())
     got = canon(chain)

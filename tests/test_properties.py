@@ -1,4 +1,4 @@
-"""Property tests of smooth forms and their closed-form pullbacks.
+"""Property tests of smooth forms, Gaussian forms and closed-form pullbacks.
 
 Hypothesis draws well-shaped simplices in R^2 and R^3. The properties are
 the paper's invariants for additive cochains: additivity under
@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from roughforms import forms, sampling
+from roughforms import forms, gaussian, sampling
 from roughforms.geometry import Simplex, diameter, gram_determinant
 
 TOL = 1e-9
@@ -39,7 +39,23 @@ FORMS = {
     },
 }
 
-CASES = sorted(FORMS)
+
+
+def _smooth(k, d):
+    return forms.smooth_form(FORMS[k, d], d)
+
+
+def _gaussian(k, d):
+    spec = gaussian.SpectralFieldSpec(d=d, theta=2.0, N=8, seed=10 * k + d)
+    return gaussian.sample_form(spec, k)
+
+
+# (k, d, fresh cochain): the smooth forms above and sampled Gaussian forms
+CASES = [pytest.param(k, d, _smooth, id=f"{k}-{d}") for k, d in sorted(FORMS)]
+CASES += [
+    pytest.param(k, d, _gaussian, id=f"gaussian-{k}-{d}")
+    for k, d in [(1, 2), (2, 2), (1, 3)]
+]
 
 
 def _stack(parts, u):
@@ -89,12 +105,12 @@ def simplices(draw, k, d):
     return s
 
 
-@pytest.mark.parametrize("k, d", CASES)
+@pytest.mark.parametrize("k, d, build", CASES)
 @settings(max_examples=25)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_smooth_forms_add_over_two_piece_splits(k, d, data, seed):
+def test_smooth_forms_add_over_two_piece_splits(k, d, build, data, seed):
     s = data.draw(simplices(k, d))
-    a = forms.smooth_form(FORMS[k, d], d)
+    a = build(k, d)
     whole, tail = a.eval_with_tail(s, TOL)
     parts = [
         a.eval_with_tail(p, TOL)
@@ -104,10 +120,10 @@ def test_smooth_forms_add_over_two_piece_splits(k, d, data, seed):
     assert gap <= tail + sum(t for _, t in parts) + SLACK * (1 + abs(whole))
 
 
-@pytest.mark.parametrize("k, d", CASES)
+@pytest.mark.parametrize("k, d, build", CASES)
 @settings(max_examples=25)
 @given(data=st.data())
-def test_smooth_forms_are_odd_through_the_memo(k, d, data):
+def test_smooth_forms_are_odd_through_the_memo(k, d, build, data):
     s = data.draw(simplices(k, d))
     i, j = data.draw(
         st.lists(st.integers(0, k), min_size=2, max_size=2, unique=True)
@@ -115,11 +131,11 @@ def test_smooth_forms_are_odd_through_the_memo(k, d, data):
     verts = s.vertices.copy()
     verts[[i, j]] = verts[[j, i]]
     swapped = Simplex(verts)
-    a = forms.smooth_form(FORMS[k, d], d)
+    a = build(k, d)
     v, tail = a.eval_with_tail(s, TOL)
     assert a.eval_with_tail(swapped, TOL) == (-v, tail)
     # a fresh cochain that meets the transposition first agrees
-    fresh = forms.smooth_form(FORMS[k, d], d)
+    fresh = build(k, d)
     assert fresh.eval_with_tail(swapped, TOL) == (-v, tail)
     assert fresh.eval_with_tail(s, TOL) == (v, tail)
 

@@ -14,6 +14,8 @@ from roughforms.geometry import Chain, Simplex, axis_box_chain, diameter
 from roughforms.sewing import FunctionGerm, convergence_probe, defect, sew, sew_chain
 from roughforms.subdivision import EDGEWISE, edgewise_children
 
+from conftest import assert_rounding_close
+
 
 def seg(a, b):
     return Simplex(np.array([[a], [b]], dtype=float))
@@ -464,14 +466,11 @@ def _assert_same_sew(germ, simplex, tol, depth_max=None):
     )
     assert got_exc is want_exc
     assert got.depth_used == want.depth_used
-    want_sums = np.array(want.level_values)
-    bound = 1e-12 * np.abs(want_sums) + 1e-15
-    assert np.all(np.abs(np.array(got.level_values) - want_sums) <= bound)
+    assert_rounding_close(got.level_values, want.level_values)
     if math.isinf(want.tail_bound):
         assert got.tail_bound == want.tail_bound
     else:
-        bound = 1e-12 * want.tail_bound + 1e-15
-        assert abs(got.tail_bound - want.tail_bound) <= bound
+        assert_rounding_close(got.tail_bound, want.tail_bound)
 
 
 def _subcritical_germ():
