@@ -1,11 +1,13 @@
 """Batch front end: JSON experiment configs in, JSON/CSV reports out.
 
-Subcommands: integrate, product, pullback, stokes, subdiv-stats, norms,
-flatnorm, embed, gaussian-sample, kolmogorov-fit, expr-check. Every
-command reads a schema-validated JSON config (unknown fields rejected),
-prints a result JSON object to stdout, and with ``--out DIR`` also
-writes ``result.json``, optional CSVs, and ``meta.json`` (version and
-timing live there so result.json is byte-identical across reruns).
+Run it as ``python -m roughforms <subcommand> --config FILE`` or as the
+``roughforms`` script. Subcommands: integrate, product, pullback, stokes,
+subdiv-stats, norms, flatnorm, embed, gaussian-sample, kolmogorov-fit,
+expr-check. Every command reads a schema-validated JSON config (unknown
+fields rejected), prints a result JSON object to stdout, and with
+``--out DIR`` also writes ``result.json``, optional CSVs, and
+``meta.json`` (version and timing live there so result.json is
+byte-identical across reruns).
 
 Exit codes: 0 success, 2 validation error, 3 convergence/budget
 failure, 4 failed expectation under ``--assert``. Errors are emitted as

@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureBudgetError
 from .fitting import line_fit
 from .forms import Cochain
 from .geometry import staircase_blocks
-from .subdivision import partition_quadrature
+from .subdivision import gauss_legendre_boxes, partition_quadrature
 
 EVAL_CAP = 1 << 22
 
@@ -136,23 +135,6 @@ class TestFunction:
         }
 
 
-def _tensor_grid(lo, hi, nodes):
-    """Gauss-Legendre tensor nodes and weights over an axis box."""
-    x, w = leggauss(nodes)
-    axes_x = []
-    axes_w = []
-    for a, b in zip(lo, hi):
-        axes_x.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        axes_w.append(0.5 * (b - a) * w)
-    grids = np.meshgrid(*axes_x, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*axes_w, indexing="ij")
-    weights = np.ones(pts.shape[0])
-    for g in wgrids:
-        weights = weights * g.ravel()
-    return pts, weights
-
-
 def _box_values(a, pts, J, tol):
     """A on the axis boxes [0, u_j] (j in J) at transverse position u.
 
@@ -183,9 +165,10 @@ def _box_values(a, pts, J, tol):
 def pi_J(a, psi, J, nodes=24, tol=1e-8):
     """The pairing of the J component of a cochain with a test function.
 
-    Tensor Gauss-Legendre quadrature over the support of psi of
-    (-1)^k A(box(u)) D^J psi(u), where box(u) spans [0, u_j] for j in J at
-    transverse position u. Exact up to quadrature for smooth densities.
+    Tensor Gauss-Legendre quadrature of (-1)^k A(box(u)) D^J psi(u) over
+    the bounding box of psi's support (`gauss_legendre_boxes`, `nodes` per
+    axis), where box(u) spans [0, u_j] for j in J at transverse position
+    u. Exact up to quadrature for smooth densities.
     """
     J = tuple(sorted(int(j) for j in J))
     if len(J) != a.k or len(set(J)) != len(J):
@@ -202,7 +185,7 @@ def pi_J(a, psi, J, nodes=24, tol=1e-8):
             f"quadrature would need {cost} vertex evaluations"
         )
     lo, hi = psi.support_box()
-    pts, weights = _tensor_grid(lo, hi, nodes)
+    pts, weights = gauss_legendre_boxes(lo[None], hi[None], nodes)
     dvals = psi.derivative(J)(pts)
     live = dvals != 0.0
     values = np.zeros(pts.shape[0])
@@ -285,13 +268,17 @@ class IotaResult:
 
 
 def iota(F, simplex, n_max=8, nodes=12):
-    """sign(sigma) sum of integrals of F against the Whitney partition.
+    """sign(sigma) times the sum of the integrals of F against the Whitney
+    partition of the simplex.
 
     Codimension zero only (k = d <= 2). F is any callable on batches of
-    ambient points; the partition pairing equals the integral of F over
-    the union of the dilated Whitney cubes, which is integrated on a
-    disjoint box decomposition. The tail bound charges sup|F| on the
-    sliver of the simplex that union misses.
+    ambient points. The partition weights sum to one on the union of the
+    4/3-dilated cubes of `whitney_cubes(simplex, n_max)`, so the pairing
+    is the integral of F over that union, which `partition_quadrature`
+    takes with `nodes` Gauss-Legendre nodes per axis on disjoint boxes.
+    The tail bound charges sup|F|, over the vertices and the nodes, on the
+    part of the simplex's volume that the union misses; n_cubes counts the
+    cubes and covered_volume is their total volume.
     """
     pts, weights, dec = partition_quadrature(simplex, n_max, nodes)
     edges = simplex.vertices[1:] - simplex.vertices[0]
@@ -309,7 +296,7 @@ def iota(F, simplex, n_max=8, nodes=12):
         value=orientation * value,
         tail_bound=tail,
         covered_volume=dec.covered_volume,
-        n_cubes=len(dec.cubes),
+        n_cubes=len(dec.levels),
     )
 
 

@@ -483,9 +483,11 @@ class SmoothFormCochain(Cochain):
         """Coarse and fine integrals of each row, a chunk of rows at a time.
 
         Rows are grouped by coarse order. A chunk holds at most chunk_points
-        quadrature points of the group's two rules together (at least one
-        row), and each coefficient is called once per chunk and rule on the
-        flat (rows * nodes, d) array of its points.
+        quadrature points of the group's two rules together, and each
+        coefficient is called once per chunk and rule on the flat
+        (rows * nodes, d) array of its points. A row whose rules hold more
+        points than that is a chunk of its own, and its nodes are taken in
+        slices of chunk_points, so no coefficient call gets more.
         """
         orders = self._coarse_orders(pts)
         fact = math.factorial(self.k)
@@ -502,14 +504,17 @@ class SmoothFormCochain(Cochain):
                     (fn, coordinate_projection_array(rows, I))
                     for I, fn in self.components.items()
                 ]
+                width = max(1, self.chunk_points // len(idx))
                 for out, (nodes, weights) in zip(sums, rules):
-                    at = np.einsum("qk,nkd->nqd", nodes, edges)
-                    at = (rows[:, :1, :] + at).reshape(-1, self.d)
                     total = 0.0
-                    for fn, dx in parts:
-                        vals = np.asarray(fn(at), dtype=float)
-                        vals = vals.reshape(len(idx), -1)
-                        total += (vals @ weights) * fact * dx
+                    for q in range(0, len(weights), width):
+                        part = slice(q, q + width)
+                        at = np.einsum("qk,nkd->nqd", nodes[part], edges)
+                        at = (rows[:, :1, :] + at).reshape(-1, self.d)
+                        for fn, dx in parts:
+                            vals = np.asarray(fn(at), dtype=float)
+                            vals = vals.reshape(len(idx), -1)
+                            total += (vals @ weights[part]) * fact * dx
                     out[idx] = total
         return sums
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .geometry import Simplex, diameter, eccentricity, is_degenerate
 
 
@@ -93,7 +94,8 @@ def sample_simplex(region, k, band, ecc_cap, rng, max_attempts=20_000):
 
     Rejection sampling: a uniform anchor point plus k offsets at the band
     scale, accepted when the diameter lands in the band, the eccentricity
-    is under the cap, and all vertices stay in the region.
+    is under the cap, and all vertices stay in the region. Raises
+    `BudgetExceededError` when max_attempts draws are all rejected.
     """
     lo, hi = band
     for _ in range(max_attempts):
@@ -111,7 +113,7 @@ def sample_simplex(region, k, band, ecc_cap, rng, max_attempts=20_000):
         if not np.all(region.contains(verts)):
             continue
         return s
-    raise RuntimeError(
+    raise BudgetExceededError(
         f"could not sample a simplex in band {band} after {max_attempts} tries"
     )
 

@@ -389,37 +389,65 @@ def _inradius(simplex):
 
 @dataclass
 class WhitneyDecomposition:
-    """Non-overlapping dyadic cubes filling a simplex's interior.
+    """Non-overlapping dyadic cubes filling a simplex's interior, as arrays.
 
-    Cubes live in the simplex's own k-plane; `cubes` holds (level, Cube)
-    with ambient coordinates while `flat_corners` keeps the intrinsic
-    corner of each cube in the flattening chart, aligned index-wise. Cubes
-    are listed level by level, coarsest first, and within a level in
-    lexicographic order of their corners; partition sums rely on it.
-    `distances` records each cube center's exact distance to the complement
-    of the simplex, the quantity the admissibility sandwich constrains.
+    Cubes live in the flattening chart of the simplex, which sends a flat
+    point p to the ambient point simplex.vertices[0] + p @ basis; the rows
+    of `basis` are the one orthonormal frame all cubes share, and
+    `flat_vertices` are the simplex's vertices in the chart. Row i is the
+    cube of side 2^-levels[i] with lower corner corners[i]; distances[i]
+    is the exact distance from its center to the complement of the
+    simplex, the quantity the admissibility sandwich constrains. Rows go
+    level by level, coarsest first, and within a level in lexicographic
+    order of their corners; partition sums rely on it.
     """
 
     simplex: Simplex
     flat_vertices: np.ndarray
     basis: np.ndarray
-    cubes: list
-    flat_corners: list
-    distances: list
-    level_counts: dict
-    covered_volume: float
+    levels: np.ndarray
+    corners: np.ndarray
+    distances: np.ndarray
     simplex_volume: float
-    count_fitted_order: float
+
+    @property
+    def sides(self):
+        return np.ldexp(1.0, -self.levels)
+
+    @property
+    def centers(self):
+        return self.corners + 0.5 * self.sides[:, None]
+
+    @property
+    def level_counts(self):
+        levels, counts = np.unique(self.levels, return_counts=True)
+        return dict(zip(levels.tolist(), counts.tolist()))
+
+    @property
+    def covered_volume(self):
+        """Total volume of the cubes."""
+        return float(np.sum(self.sides**self.simplex.k))
+
+    def cubes(self):
+        """The ambient `Cube` of each row, in row order."""
+        v0 = self.simplex.vertices[0]
+        return [
+            Cube(v0 + corner @ self.basis, self.basis, float(side))
+            for corner, side in zip(self.corners, self.sides)
+        ]
 
     def to_json(self):
+        counts = self.level_counts  # keys ascending
         return {
             "k": self.simplex.k,
-            "levels": {str(n): c for n, c in sorted(self.level_counts.items())},
-            "n_cubes": len(self.cubes),
+            "levels": {str(n): c for n, c in counts.items()},
+            "n_cubes": len(self.levels),
             "covered_volume": self.covered_volume,
             "simplex_volume": self.simplex_volume,
             "covered_fraction": self.covered_volume / self.simplex_volume,
-            "count_fitted_order": self.count_fitted_order,
+            "count_fitted_order": fitting.loglog_slope(
+                [2.0**n for n in counts], list(counts.values())
+            ),
         }
 
 
@@ -440,10 +468,7 @@ def whitney_cubes(simplex, n_max):
         raise ValueError("whitney_cubes requires k >= 1")
     k = simplex.k
     flat, _ = flatten_simplex(simplex)
-    basis = orthonormal_tangent(simplex)
-    v0 = simplex.vertices[0]
     normals, offsets = _inward_halfspaces(flat)
-    one_norms = np.abs(normals).sum(axis=1)
     rt_k = math.sqrt(k)
     inr = _inradius(simplex)
     # smallest level with 2^-n sqrt(k) strictly above the inradius
@@ -459,58 +484,35 @@ def whitney_cubes(simplex, n_max):
         slack = centers @ normals.T - offsets[None, :]
         return slack.min(axis=1)
 
-    cubes = []
-    flat_corners = []
-    distances = []
-    level_counts = {}
-    covered = 0.0
+    levels = [np.empty(0, dtype=int)]
+    corners = [np.empty((0, k))]
+    distances = [np.empty(0)]
     for n in range(n0, n_max + 1):
         side = 2.0**-n
         lo_idx = np.floor(lo / side).astype(int)
         hi_idx = np.ceil(hi / side).astype(int)
         axes = [np.arange(lo_idx[j], hi_idx[j]) for j in range(k)]
-        if any(a.size == 0 for a in axes):
-            continue
         grid = np.stack(
             [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1
         )
         centers = (grid + 0.5) * side
         dist = center_distances(centers)
-        admissible = dist >= side * rt_k
-        if n == n0:
-            selected = admissible
-        else:
+        selected = dist >= side * rt_k
+        if n > n0:
             parent_centers = (np.floor(grid / 2) + 0.5) * (2 * side)
             parent_dist = center_distances(parent_centers)
-            parent_adm = parent_dist >= 2 * side * rt_k
-            selected = admissible & ~parent_adm
-        idx = np.nonzero(selected)[0]
-        if idx.size == 0:
-            continue
-        level_counts[n] = int(idx.size)
-        covered += idx.size * side**k
-        for i in idx:
-            corner = grid[i] * side
-            cubes.append(
-                (n, Cube(base=v0 + corner @ basis, frame=basis, side=side))
-            )
-            flat_corners.append((n, corner.astype(float)))
-            distances.append(float(dist[i]))
-    levels = sorted(level_counts)
-    order = fitting.loglog_slope(
-        [2.0**n for n in levels], [level_counts[n] for n in levels]
-    )
+            selected &= parent_dist < 2 * side * rt_k
+        levels.append(np.full(np.count_nonzero(selected), n))
+        corners.append(grid[selected] * side)
+        distances.append(dist[selected])
     return WhitneyDecomposition(
         simplex=simplex,
         flat_vertices=flat,
-        basis=basis,
-        cubes=cubes,
-        flat_corners=flat_corners,
-        distances=distances,
-        level_counts=level_counts,
-        covered_volume=covered,
+        basis=orthonormal_tangent(simplex),
+        levels=np.concatenate(levels),
+        corners=np.concatenate(corners),
+        distances=np.concatenate(distances),
         simplex_volume=volume(simplex),
-        count_fitted_order=order,
     )
 
 
@@ -537,15 +539,6 @@ def _bump_1d(t):
     return _smoothstep((2.0 / 3.0 - t) * 6.0)
 
 
-def _centers_and_sides(decomposition):
-    """Flat-chart centers (m, k) and sides (m,) of a decomposition's cubes."""
-    centers = np.array(
-        [c + 2.0 ** -(n + 1) for n, c in decomposition.flat_corners]
-    )
-    sides = np.array([2.0**-n for n, _ in decomposition.flat_corners])
-    return centers, sides
-
-
 class _RawBumps:
     """Unnormalized tensor bumps attached to the cubes of a decomposition.
 
@@ -565,7 +558,7 @@ class _RawBumps:
     """
 
     def __init__(self, decomposition):
-        self.centers, self.sides = _centers_and_sides(decomposition)
+        self.centers, self.sides = decomposition.centers, decomposition.sides
         self.basis = decomposition.basis
         self.origin = decomposition.simplex.vertices[0]
         steps = np.array(
@@ -629,13 +622,15 @@ class _RawBumps:
 def whitney_partition(simplex, n_max):
     """Smooth partition of unity subordinate to the Whitney cubes (k = d <= 2).
 
-    Returns a list of (Cube, weight) pairs. Each weight is a callable on
-    ambient points: a tensor bump on its cube divided by the sum of all
-    bumps. The weights sum to 1 wherever some cube covers the point, and
-    each one vanishes outside its own 4/3-dilated cube. A weight call costs
-    levels x 3^k cell lookups per point, not one pass per cube: a point
-    can be in the dilated support of a level-n cube only if its level-n
-    grid cell is one of the 3^k cells around that cube's (see `_RawBumps`).
+    Returns one (Cube, weight) pair per cube of `whitney_cubes(simplex,
+    n_max)`, in its row order, with the ambient cubes of its `cubes()`.
+    Each weight is a callable on ambient points: a tensor bump on its cube
+    divided by the sum of all bumps. The weights sum to 1 wherever some
+    cube covers the point, and each one vanishes outside its own
+    4/3-dilated cube. A weight call costs levels x 3^k cell lookups per
+    point, not one pass per cube: a point can be in the dilated support of
+    a level-n cube only if its level-n grid cell is one of the 3^k cells
+    around that cube's (see `_RawBumps`).
     """
     if simplex.k != simplex.d or simplex.k > 2:
         raise UnsupportedDimensionError(
@@ -656,7 +651,7 @@ def whitney_partition(simplex, n_max):
 
         return weight
 
-    return [(cube, make_weight(i)) for i, (_, cube) in enumerate(dec.cubes)]
+    return [(cube, make_weight(i)) for i, cube in enumerate(dec.cubes())]
 
 
 def _merge_intervals(lo, hi):
@@ -700,47 +695,48 @@ def _disjoint_boxes(lo, hi):
     )  # (m, 2, k): [lo, hi]
 
 
+def gauss_legendre_boxes(lo, hi, nodes):
+    """Tensor Gauss-Legendre rule with `nodes` nodes per axis on axis boxes.
+
+    lo, hi are (m, k) lower and upper corners. Returns points (m * nodes^k,
+    k) and weights (m * nodes^k,), box by box, the nodes of a box in C
+    order of their per-axis indices.
+    """
+    k = lo.shape[1]
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    offsets = np.array(list(itertools.product(x, repeat=k)))
+    node_weights = np.prod(list(itertools.product(w, repeat=k)), axis=1)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    pts = mid[:, None, :] + half[:, None, :] * offsets
+    weights = np.prod(half, axis=1)[:, None] * node_weights
+    return pts.reshape(-1, k), weights.reshape(-1)
+
+
 def partition_quadrature(simplex, n_max, nodes=12):
     """Quadrature for integrals against the whole Whitney partition.
 
-    Returns (points, weights, decomposition) with ambient points and
-    weights such that sum(weights * F(points)) equals
-    sum_i integral of F * phi_i up to Gauss-Legendre error in F alone.
-    The normalized bumps sum to exactly one across the union of their
-    supports (including the exposed collar where a single bump survives),
-    so the partition pairing of F is the integral of F over that union;
-    the union of dilated cubes is decomposed into disjoint axis boxes and
-    F is integrated there directly, which sidesteps the discontinuity of
-    the truncated partition at the edge of the collar.
+    Returns (points, weights, decomposition): ambient points and weights
+    such that sum(weights * F(points)) equals sum_i of the integral of
+    F * phi_i up to Gauss-Legendre error in F alone, and the
+    `whitney_cubes(simplex, n_max)` the partition is built on. The
+    normalized bumps sum to exactly one across the union of their supports
+    (including the exposed collar where a single bump survives), so the
+    pairing is the integral of F over that union: the dilated cubes are
+    merged into disjoint axis boxes in the flat chart and F is integrated
+    on those with `gauss_legendre_boxes`, which sidesteps the
+    discontinuity of the truncated partition at the edge of the collar.
+    The weights sum to the volume of the union.
     """
     if simplex.k != simplex.d or simplex.k > 2:
         raise UnsupportedDimensionError(
             "partition_quadrature requires k = d <= 2"
         )
     dec = whitney_cubes(simplex, n_max)
-    k = simplex.k
-    if not dec.cubes:
+    if not len(dec.levels):
         return np.empty((0, simplex.d)), np.empty(0), dec
-    centers, sides = _centers_and_sides(dec)
-    reach = ((2.0 / 3.0) * sides)[:, None]
+    centers = dec.centers
+    reach = ((2.0 / 3.0) * dec.sides)[:, None]
     boxes = _disjoint_boxes(centers - reach, centers + reach)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    lo = boxes[:, 0, :]
-    hi = boxes[:, 1, :]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    # tensor nodes for every box at once: (m, nodes^k, k)
-    grids = np.meshgrid(*([x] * k), indexing="ij")
-    offs = np.stack([g.ravel() for g in grids], axis=-1)
-    wg = np.meshgrid(*([w] * k), indexing="ij")
-    tw = np.ones(offs.shape[0])
-    for g in wg:
-        tw = tw * g.ravel()
-    pts = mid[:, None, :] + half[:, None, :] * offs[None, :, :]
-    weights = np.prod(half, axis=1)[:, None] * tw[None, :]
-    flat_pts = pts.reshape(-1, k)
-    return (
-        simplex.vertices[0] + flat_pts @ dec.basis,
-        weights.reshape(-1),
-        dec,
-    )
+    flat_pts, weights = gauss_legendre_boxes(boxes[:, 0], boxes[:, 1], nodes)
+    return simplex.vertices[0] + flat_pts @ dec.basis, weights, dec

@@ -2,9 +2,13 @@
 payloads and reproducible output files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import roughforms
 from roughforms.cli import main, run_command
 
 TRIANGLE_LOOP = {
@@ -80,6 +84,34 @@ def test_domain_errors_exit_2_with_their_type(
 def test_unreachable_tolerance_exits_3(tmp_path, capsys):
     assert run(tmp_path, "integrate", {**GAUSSIAN_SEGMENT, "tol": 1e-17}) == 3
     assert error_of(capsys)["type"] == "BudgetExceededError"
+
+
+def test_sampler_that_rejects_every_draw_exits_3(tmp_path, capsys):
+    # no simplex has an eccentricity under 1/2
+    config = {
+        "form": {"catalog": "x_dy"},
+        "region": {"lo": [0, 0], "hi": [1, 1]},
+        "sampler": {"ecc_cap": 0.5, "max_attempts": 50},
+    }
+    assert run(tmp_path, "norms", config) == 3
+    assert error_of(capsys)["type"] == "BudgetExceededError"
+
+
+def test_package_runs_as_a_module_with_runtime_warnings_as_errors(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TRIANGLE_LOOP))
+    src = os.path.dirname(os.path.dirname(roughforms.__file__))
+    python = [sys.executable, "-W", "error::RuntimeWarning"]
+    done = subprocess.run(
+        [*python, "-m", "roughforms", "integrate", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["passed"] is True
 
 
 def test_failed_expectation_exits_4_under_assert(tmp_path, capsys):

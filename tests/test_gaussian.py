@@ -9,6 +9,7 @@ is assembled here from scratch.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -546,6 +547,29 @@ def test_gaussian_batch_across_chunks_equals_single_rows(k, d):
     want, want_tails = (np.concatenate(col) for col in zip(*rows))
     assert_rounding_close(values, want)
     assert_rounding_close(tails, want_tails)
+
+
+def test_a_row_above_the_chunk_size_is_taken_in_node_slices():
+    # coarse order 24: one row holds 24^3 + 48^3 = 124416 Duffy nodes, about
+    # 100 times the chunk of a d = 3, N = 8 form
+    spec = G.SpectralFieldSpec(d=3, theta=2.0, N=8, seed=1)
+    a = G.sample_form(spec, 3)
+    pts = np.array(
+        [[[0.1, 0.1, 0.1], [0.9, 0.2, 0.1], [0.2, 0.8, 0.3], [0.3, 0.2, 0.9]]]
+    )
+    assert a._coarse_orders(pts)[0] == 24
+    tols = np.ones(1)
+    a.eval_batch(pts, tols)  # warm the rule and field caches
+    tracemalloc.start()
+    try:
+        sliced = a.eval_batch(pts, tols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    a.chunk_points = 2 * sum(len(_duffy_rule(3, n)[1]) for n in (24, 48))
+    whole = a.eval_batch(pts, tols)
+    assert_rounding_close(sliced, whole)
 
 
 @pytest.mark.parametrize("d, k", [(2, 2), (3, 2), (3, 3)])

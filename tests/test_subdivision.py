@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from roughforms import geometry as G
 from roughforms import subdivision as S
 from roughforms.errors import BudgetExceededError, UnsupportedDimensionError
+
+from conftest import assert_rounding_close
 
 
 def equilateral_triangle():
@@ -330,13 +333,9 @@ def sampled_center_distance(flat_vertices, center, m=4000):
 def test_whitney_distance_sandwich():
     tri = unit_right_triangle()
     dec = S.whitney_cubes(tri, 6)
-    assert len(dec.cubes) > 0
+    assert len(dec.levels) > 0
     rt_k = math.sqrt(2)
-    for (n, _), (n2, corner), dist in zip(
-        dec.cubes, dec.flat_corners, dec.distances
-    ):
-        assert n == n2
-        side = 2.0**-n
+    for corner, side, dist in zip(dec.corners, dec.sides, dec.distances):
         assert side * rt_k <= dist <= 4 * side * rt_k
         center = corner + side / 2
         est = sampled_center_distance(dec.flat_vertices, center)
@@ -353,8 +352,7 @@ def test_whitney_cubes_disjoint_and_inside():
     bary = e / e.sum(axis=1, keepdims=True)
     pts = bary @ dec.flat_vertices
     hits = np.zeros(len(pts), dtype=int)
-    for (n, _), (_, corner) in zip(dec.cubes, dec.flat_corners):
-        side = 2.0**-n
+    for corner, side in zip(dec.corners, dec.sides):
         inside = np.all((pts > corner) & (pts < corner + side), axis=1)
         hits += inside
     assert hits.max() <= 1
@@ -373,10 +371,10 @@ def test_whitney_segment_is_dyadic():
         assert dec.level_counts[n] <= 4
     assert dec.covered_volume < 1.0
     assert dec.covered_volume > 0.98
-    for (n, cube), dist in zip(dec.cubes, dec.distances):
-        assert 2.0**-n <= dist <= 4 * 2.0**-n
+    for side, dist in zip(dec.sides, dec.distances):
+        assert side <= dist <= 4 * side
     # intervals tile without overlap
-    ends = sorted((c[0], c[0] + 2.0**-n) for n, c in dec.flat_corners)
+    ends = sorted((c[0], c[0] + s) for c, s in zip(dec.corners, dec.sides))
     for (a0, a1), (b0, b1) in zip(ends, ends[1:]):
         assert b0 >= a1 - 1e-12
 
@@ -385,9 +383,45 @@ def test_whitney_ambient_cubes_sit_in_the_simplex_plane():
     # a tilted segment in R^2: cube bases must lie on it
     seg = G.Simplex([[0.0, 0.0], [1.0, 1.0]])
     dec = S.whitney_cubes(seg, 6)
-    for (n, cube) in dec.cubes:
+    for cube in dec.cubes():
         assert cube.base[0] == pytest.approx(cube.base[1], abs=1e-12)
         assert cube.frame.shape == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "simplex, n_max",
+    [
+        (G.Simplex([[0.3], [1.7]]), 9),
+        (unit_right_triangle(), 6),
+        (G.Simplex([[2.0, -1.0], [3.1, 0.4], [1.2, 0.9]]), 5),
+        (G.Simplex([[0.0, 0.0], [1.0, 1.0]]), 6),
+    ],
+    ids=["segment", "right_triangle", "shifted_triangle", "tilted_segment"],
+)
+def test_whitney_rows_go_coarsest_first_then_lexicographically(
+    simplex, n_max
+):
+    # the cell index of _RawBumps adds each point's bumps in this order,
+    # which keeps its sums bitwise equal to a loop over the rows
+    dec = S.whitney_cubes(simplex, n_max)
+    k = simplex.k
+    m = len(dec.levels)
+    assert m > 0
+    assert dec.corners.shape == (m, k) and dec.distances.shape == (m,)
+    assert np.all(np.diff(dec.levels) >= 0)
+    for n in np.unique(dec.levels):
+        rows = [tuple(c) for c in dec.corners[dec.levels == n]]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert dec.level_counts == Counter(dec.levels.tolist())
+    assert dec.covered_volume == math.fsum(2.0 ** (-n * k) for n in dec.levels)
+    cubes = dec.cubes()
+    assert_rounding_close(
+        [c.base for c in cubes],
+        simplex.vertices[0] + dec.corners @ dec.basis,
+    )
+    for cube, n in zip(cubes, dec.levels):
+        assert np.array_equal(cube.frame, dec.basis)
+        assert type(cube.side) is float and cube.side == 2.0**-n
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +435,7 @@ def test_partition_of_unity_sums_to_one():
     rng = np.random.default_rng(13)
     # draw points inside covered cubes only
     pts = []
-    for (n, _), (_, corner) in zip(dec.cubes, dec.flat_corners):
-        side = 2.0**-n
+    for corner, side in zip(dec.corners, dec.sides):
         pts.append(corner + rng.random(2) * side)
         if len(pts) >= 100:
             break
@@ -419,10 +452,7 @@ def test_partition_vanishes_outside_dilated_cube():
     dec = S.whitney_cubes(tri, 5)
     rng = np.random.default_rng(17)
     probe = rng.random((500, 2))
-    for ((n, cube), (_, corner)), (_, weight) in zip(
-        zip(dec.cubes, dec.flat_corners), parts
-    ):
-        side = 2.0**-n
+    for corner, side, (_, weight) in zip(dec.corners, dec.sides, parts):
         center = corner + side / 2
         vals = weight(probe)
         outside = np.any(np.abs(probe - center) >= (2.0 / 3.0) * side, axis=1)
@@ -477,7 +507,7 @@ def test_whitney_total_matches_per_cube_loop(simplex, n_max):
         on_grid += [snapped, np.where(some, snapped, boxed[:200])]
     # one coordinate on a cube's 2/3-side dilation boundary, or a float off it
     rows = np.arange(200)
-    pick = rng.integers(len(dec.cubes), size=200)
+    pick = rng.integers(len(dec.levels), size=200)
     centers, sides = bumps.centers[pick], bumps.sides[pick, None]
     axis = rng.integers(k, size=200)
     edge = centers + rng.uniform(-0.5, 0.5, (200, k)) * sides
@@ -510,8 +540,7 @@ def test_partition_gradient_scales_like_level():
     tri = unit_right_triangle()
     parts = S.whitney_partition(tri, 7)
     dec = S.whitney_cubes(tri, 7)
-    corners = np.array([c for _, c in dec.flat_corners])
-    sides = np.array([2.0**-n for n, _ in dec.flat_corners])
+    corners, sides = dec.corners, dec.sides
 
     def covered(pts):
         p = pts[:, None, :]
@@ -521,10 +550,9 @@ def test_partition_gradient_scales_like_level():
     rng = np.random.default_rng(19)
     by_level = {}
     h = 1e-6
-    for ((n, _), (_, corner)), (_, weight) in zip(
-        zip(dec.cubes, dec.flat_corners), parts
+    for n, corner, side, (_, weight) in zip(
+        dec.levels, dec.corners, dec.sides, parts
     ):
-        side = 2.0**-n
         base = corner - side / 6 + rng.random((60, 2)) * side * (4 / 3)
         base = base[covered(base)]
         if len(base) == 0:
