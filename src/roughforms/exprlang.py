@@ -546,18 +546,6 @@ def _pow(a, b):
     return Bin("^", a, b)
 
 
-def _has_var(e):
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Lit):
-        return False
-    if isinstance(e, Neg):
-        return _has_var(e.arg)
-    if isinstance(e, Bin):
-        return _has_var(e.left) or _has_var(e.right)
-    return _has_var(e.arg)
-
-
 def _contains_var(e, index):
     if isinstance(e, Var):
         return e.index == index
@@ -573,7 +561,7 @@ def _contains_var(e, index):
 def _constant_value(e):
     """Value of a variable-free subexpression, else None."""
 
-    if _has_var(e):
+    if expr_dimension(e) > 0:
         return None
     return float(evaluate(e, np.zeros(1)))
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -1010,15 +1010,7 @@ def norm_estimate(a, alpha, beta, region, spec, tol=1e-7):
     sup_bdry = 0.0
     n = 0
     banded = sampling.sample_band_simplices(region, k, spec)
-    bdry_spec = sampling.SamplerSpec(
-        samples_per_band=spec.samples_per_band,
-        n_bands=spec.n_bands,
-        diam_max=spec.diam_max,
-        ecc_cap=spec.ecc_cap,
-        n_splits=spec.n_splits,
-        seed=spec.seed + 1,
-        max_attempts=spec.max_attempts,
-    )
+    bdry_spec = replace(spec, seed=spec.seed + 1)
     banded_up = (
         sampling.sample_band_simplices(region, k + 1, bdry_spec)
         if k + 1 <= a.d

@@ -18,7 +18,10 @@ pairings of the band-limited field with arbitrarily placed cubes.
 The moment harness fits log-log slopes of E|A(Q)|^q over dyadic side
 lengths against the predicted exponents q(k-1+alpha_bar) for cubes and
 q(k+beta_bar) for cube boundaries, where alpha_bar = min(theta-d/2+1, 1)
-and beta_bar = min(theta-d/2, 1).
+and beta_bar = min(theta-d/2, 1). Every (d, k) takes its draws through one
+batched kernel of those exact pairings: per draw, the pairing with a
+randomly placed and rotated k-cube and with the boundary of a (k+1)-cube,
+evaluated for a chunk of draws at a time so memory stays bounded.
 """
 
 import itertools
@@ -39,6 +42,9 @@ from .forms import QUAD_CHUNK_POINTS, SmoothFormCochain
 from .geometry import diameter_array
 
 TWO_PI = 2.0 * math.pi
+# kolmogorov_fit evaluates its draws in chunks of samples, so that the
+# samples x (2k + 3) x modes complex kernel array stays under this count
+PAIRING_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -95,21 +101,20 @@ def component_indices(d, k):
     return list(itertools.combinations(range(1, d + 1), k))
 
 
-def _draw_coeffs(spec, rng, dtype=np.float64):
+def _draw_coeffs(symbol, rng):
     """Hermitian-symmetric Gaussian mode amplitudes under the symbol.
 
-    The symmetrization (zeta + conj(reversed zeta)) / 2 keeps every mode,
+    symbol is `spec.symbol()` in the precision of the draw. The
+    symmetrization (zeta + conj(reversed zeta)) / 2 keeps every mode,
     including the self-conjugate origin, at unit variance while making the
     synthesized field exactly real.
     """
-    n = spec.N - 1
-    count = n**spec.d
-    z = rng.standard_normal(2 * count, dtype=dtype)
-    shape = (n,) * spec.d
-    zeta = (z[:count] + 1j * z[count:]).reshape(shape)
-    flip = tuple(slice(None, None, -1) for _ in range(spec.d))
+    count = symbol.size
+    z = rng.standard_normal(2 * count, dtype=symbol.dtype)
+    zeta = (z[:count] + 1j * z[count:]).reshape(symbol.shape)
+    flip = (slice(None, None, -1),) * symbol.ndim
     sym = (zeta + np.conj(zeta[flip])) * 0.5
-    return sym * spec.symbol().astype(dtype)
+    return sym * symbol
 
 
 class FieldSample:
@@ -234,7 +239,7 @@ def sample_field(spec, component=None, dtype=np.float64):
             raise ValueError(f"unknown component index set {component}")
         entropy = (spec.seed, 1 + comps.index(key))
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
-    coeffs = _draw_coeffs(spec, rng, dtype=dtype)
+    coeffs = _draw_coeffs(spec.symbol().astype(dtype), rng)
     return FieldSample(spec, coeffs, component=component)
 
 
@@ -525,151 +530,61 @@ def _random_rotation(rng, d):
     return q * np.sign(np.diag(r))
 
 
-class _HalfSpectrum:
-    """Half-lattice bookkeeping for the fast d = 2 sampler.
+def _moment_pairings(spec, k, r, coeffs, rot, x0, xc):
+    """A(cube) and A(boundary of the (k+1)-cube) for a batch of n draws.
 
-    A Hermitian field pairs a kernel w with w(-p) = conj(w(p)) as
-    2 sum_half s_p Re(eta_p w_p) plus the real origin mode, where eta are
-    independent standard complex Gaussians on the half lattice (rows with
-    p1 >= 1, plus the half line p1 = 0, p2 >= 1). This halves both the
-    draws and the kernel arrays relative to the full lattice.
+    coeffs (n, C, M) holds the flattened amplitudes of the component fields
+    in component_indices(d, k) order, rot (n, d, d) rotations whose columns
+    u_0..u_k span the cubes, and x0, xc (n, d) corners. The cube has side r
+    at xc and rows u_0..u_(k-1); the (k+1)-cube has side r at x0, and its
+    face a, spanned by every row but u_a, is paired at x0 + r u_a and at x0.
+    Each pairing is the exact mode sum of FieldSample.integral_cube,
+    sum_I minor_I(frame) sum_p c_I[p] e^(2 pi i z.p / L) prod_rows D(u.p)
+    with D(w) = (e^(2 pi i w r / L) - 1) / (2 pi i w / L) and D(0) = r.
     """
-
-    def __init__(self, spec, dtype=np.float32):
-        self.spec = spec
-        self.dtype = np.dtype(dtype).type
-        self.ctype = (
-            np.complex64 if self.dtype == np.float32 else np.complex128
-        )
-        N, L = spec.N, spec.L
-        f = self.dtype
-        self.h = np.arange(-(N // 2) + 1, N // 2, dtype=f)
-        self.hpos = np.arange(1, N // 2, dtype=f)
-        rad = np.hypot(self.hpos[:, None], self.h[None, :])
-        norm = f(L ** (-spec.d / 2.0))
-        self.s_block = ((1.0 + rad / f(L)) ** f(-spec.theta)) * norm
-        self.s_line = ((1.0 + self.hpos / f(L)) ** f(-spec.theta)) * norm
-        self.s_origin = float(norm)
-
-    def draw(self, rng):
-        nb = self.s_block.size
-        nl = self.s_line.size
-        z = rng.standard_normal(2 * (nb + nl) + 1, dtype=self.dtype)
-        root = self.dtype(1.0 / math.sqrt(2.0))
-        eta_b = np.empty(self.s_block.shape, dtype=self.ctype)
-        eta_b.real = (z[:nb] * root).reshape(self.s_block.shape)
-        eta_b.imag = (z[nb : 2 * nb] * root).reshape(self.s_block.shape)
-        eta_l = (z[2 * nb : 2 * nb + nl] + 1j * z[2 * nb + nl : -1]) * root
-        return eta_b, eta_l.astype(self.ctype), float(z[-1])
-
-
-def _d2k1_observables(half, fields, r, x0, xc, rot):
-    """One draw of (A(segment), A(boundary square)) for d = 2, k = 1.
-
-    The segment has length r from xc along the first rotated axis; the
-    square sits at x0 spanned by both rotated axes. All mode sums are
-    exact for the band-limited field.
-    """
-    L = half.spec.L
-    f, ctype = half.dtype, half.ctype
-    h, hpos = half.h, half.hpos
-    u = rot[:, 0].astype(f)
-    v = rot[:, 1].astype(f)
-
-    def eix(phase):
-        out = np.empty(phase.shape, dtype=ctype)
-        np.cos(phase, out=out.real)
-        np.sin(phase, out=out.imag)
-        return out
-
-    def projections(direction, block):
-        if block:
-            omega = direction[0] * hpos[:, None] + direction[1] * h[None, :]
-        else:
-            omega = direction[1] * hpos
-        phase = omega * f(r * TWO_PI / L)
-        E = eix(phase)
-        safe = np.where(np.abs(omega) < f(1e-25), f(1.0), omega)
-        inv = f(L / TWO_PI) / safe
-        # D = (E - 1) / (i (2 pi / L) omega), elementwise in real pieces
-        D = np.empty(omega.shape, dtype=ctype)
-        np.multiply(E.imag, inv, out=D.real)
-        np.multiply(f(1.0) - E.real, inv, out=D.imag)
-        return omega, D
-
-    def outer_phase(pts):
-        ca = np.exp((2j * np.pi / L) * pts[0] * hpos.astype(float))
-        cb = np.exp((2j * np.pi / L) * pts[1] * h.astype(float))
-        return np.multiply.outer(ca.astype(ctype), cb.astype(ctype))
-
-    def line_phase(pts):
-        out = np.exp((2j * np.pi / L) * pts[1] * hpos.astype(float))
-        return out.astype(ctype)
-
-    (eta1_b, eta1_l, z1), (eta2_b, eta2_l, z2) = fields
-
-    def both_parts(block):
-        pu, Du = projections(u, block)
-        pv, Dv = projections(v, block)
-        if block:
-            E0, Ec = outer_phase(x0), outer_phase(xc)
-            s, eta1, eta2 = half.s_block, eta1_b, eta2_b
-        else:
-            E0, Ec = line_phase(x0), line_phase(xc)
-            s, eta1, eta2 = half.s_line, eta1_l, eta2_l
-        # boundary kernels i (2 pi / L) E0 Du Dv (pu v_i - pv u_i); using
-        # Re(eta i z) = -Im(eta z) defers the scalar prefactor to the end
-        base = E0 * Du
-        base *= Dv
-        g1 = eta1 * base
-        g2 = eta2 * base
-        w1 = pu * v[0]
-        w1 -= pv * u[0]
-        w2 = pu * v[1]
-        w2 -= pv * u[1]
-        t = g1.imag * w1
-        t += g2.imag * w2
-        t *= s
-        bdry = -2.0 * (TWO_PI / L) * float(t.sum())
-        # segment kernels Ec Du, weighted by the direction components
-        seg = Ec * Du
-        etac = u[0] * eta1
-        etac += u[1] * eta2
-        t2 = etac.real * seg.real
-        t2 -= etac.imag * seg.imag
-        t2 *= s
-        cube = 2.0 * float(t2.sum())
-        return cube, bdry
-
-    cube_b, bdry_b = both_parts(True)
-    cube_l, bdry_l = both_parts(False)
-    # the origin mode is constant in space: it drops from the boundary and
-    # adds its value times the oriented segment extent to the cube part
-    cube_o = half.s_origin * r * (float(u[0]) * z1 + float(u[1]) * z2)
-    return cube_b + cube_l + cube_o, bdry_b + bdry_l
-
-
-def _cube_observables(fields, k, r, rot, x0, xc):
-    """Cube and face-sum boundary pairings for given fields and geometry."""
-
-    def form_on_cube(corner, frame):
-        total = 0.0
-        for I, sample in fields.items():
-            minor = float(np.linalg.det(frame[:, [a - 1 for a in I]]))
-            if abs(minor) < 1e-15:
-                continue
-            total += minor * sample.integral_cube(corner, frame, r)
-        return total
-
-    a_cube = form_on_cube(xc, rot[:, :k].T)
-    big = rot[:, : k + 1].T
-    a_bdry = 0.0
-    for a in range(k + 1):
-        face = np.delete(big, a, axis=0)
-        a_bdry += (-1.0) ** a * (
-            form_on_cube(x0 + r * big[a], face) - form_on_cube(x0, face)
-        )
-    return a_cube, a_bdry
+    d, L = spec.d, spec.L
+    grids = np.meshgrid(*([spec.modes()] * d), indexing="ij")
+    modes = np.stack(grids, axis=-1).reshape(-1, d)
+    rows = np.swapaxes(rot[:, :, : k + 1], 1, 2)
+    omega = rows @ modes.T
+    zero = np.abs(omega) < 1e-12
+    denom = 2j * np.pi * np.where(zero, 1.0, omega) / L
+    D = np.where(zero, r, (np.exp(denom * r) - 1.0) / denom)
+    faces = [[j for j in range(k + 1) if j != a] for a in range(k + 1)]
+    frames = np.stack([np.prod(D[:, f], axis=1) for f in faces], axis=1)
+    axes = [[i - 1 for i in I] for I in component_indices(d, k)]
+    minors = np.stack(
+        [
+            np.stack([np.linalg.det(rows[:, f][..., I]) for I in axes], -1)
+            for f in faces
+        ],
+        axis=1,
+    )
+    corners = np.concatenate(
+        [xc[:, None], x0[:, None] + r * rows, x0[:, None]], axis=1
+    )
+    # e^(2 pi i z.p / L) is a product of one factor per axis
+    axis_phases = np.exp((2j * np.pi / L) * corners[..., None] * spec.modes())
+    phases = axis_phases[:, :, 0]
+    for a in range(1, d):
+        phases = phases[..., :, None] * axis_phases[:, :, a, None, :]
+        phases = phases.reshape(*corners.shape[:2], -1)
+    # (corner, frame) pairs: the cube, then every face at x0 + r u_a and
+    # at x0; the cube's frame is face k's
+    kernels = np.concatenate(
+        [
+            phases[:, :1] * frames[:, k:],
+            phases[:, 1 : k + 2] * frames,
+            phases[:, k + 2 :] * frames,
+        ],
+        axis=1,
+    )
+    sums = (kernels @ np.swapaxes(coeffs, 1, 2)).real
+    pair_minors = np.concatenate([minors[:, k:], minors, minors], axis=1)
+    values = np.sum(sums * pair_minors, axis=-1)
+    signs = (-1.0) ** np.arange(k + 1)
+    bdry = (values[:, 1 : k + 2] - values[:, k + 2 :]) @ signs
+    return values[:, 0], bdry
 
 
 def kolmogorov_fit(
@@ -685,11 +600,15 @@ def kolmogorov_fit(
     """Fit moment scalings of the Gaussian k-form over dyadic cube sides.
 
     Returns (cube fit, boundary fit). Every (scale, sample) pair gets its
-    own derived stream, so results do not depend on evaluation order. In
-    "fixed" mode one field per scale is reused across samples (faster but
-    spatially correlated, and flagged in the output). Predictions are
-    refused (left as None, with passed None) when theta - d/2 <= 0 makes
-    the boundary exponent degenerate; the slopes are still reported.
+    own derived stream, which draws a rotation, the two corners and then
+    one amplitude set per component, so results do not depend on
+    evaluation order. In "fixed" mode one set of fields per scale is reused
+    across samples (spatially correlated, and flagged in the output). dtype
+    is the precision of the amplitude draws; the pairings are exact mode
+    sums in float64 for every (d, k), taken by `_moment_pairings` over
+    chunks of samples of at most PAIRING_CHUNK kernel entries. Predictions
+    are refused (left as None, with passed None) when theta - d/2 <= 0
+    makes the boundary exponent degenerate; the slopes are still reported.
     """
     if q < 1 or q % 2:
         raise ValueError("q must be a positive even integer")
@@ -715,55 +634,42 @@ def kolmogorov_fit(
     pred_cube = None if degenerate else q * (k - 1 + alpha_bar)
     pred_bdry = None if degenerate else q * (k + beta_bar)
 
-    fast = spec.d == 2 and k == 1
-    half = _HalfSpectrum(spec, dtype) if fast else None
+    d, L = spec.d, spec.L
+    symbol = spec.symbol().astype(dtype)
+    n_comps = len(component_indices(d, k))
+    chunk = max(1, PAIRING_CHUNK // ((2 * k + 3) * symbol.size))
+
+    def draw_fields(rng):
+        return [_draw_coeffs(symbol, rng).ravel() for _ in range(n_comps)]
 
     mom_c, se_c, mom_b, se_b = [], [], [], []
     for si, r in enumerate(scales):
-        fixed_fields = None
+        fixed = None
         if mode == "fixed":
-            frng = np.random.Generator(
-                np.random.SFC64(np.random.SeedSequence((spec.seed, si)))
+            fixed = draw_fields(
+                np.random.Generator(
+                    np.random.SFC64(np.random.SeedSequence((spec.seed, si)))
+                )
             )
-            if fast:
-                fixed_fields = (half.draw(frng), half.draw(frng))
-            else:
-                fixed_fields = {
-                    I: FieldSample(spec, _draw_coeffs(spec, frng, dtype=dtype))
-                    for I in component_indices(spec.d, k)
-                }
         vals_c = np.empty(n_samples)
         vals_b = np.empty(n_samples)
-        for j in range(n_samples):
-            ss = np.random.SeedSequence((spec.seed, si, j))
-            rng = np.random.Generator(np.random.SFC64(ss))
-            if fast:
-                rot = _random_rotation(rng, 2)
-                x0 = rng.uniform(0.0, spec.L, 2)
-                xc = rng.uniform(0.0, spec.L, 2)
-                fields = (
-                    fixed_fields
-                    if fixed_fields is not None
-                    else (half.draw(rng), half.draw(rng))
-                )
-                a_cube, a_bdry = _d2k1_observables(half, fields, r, x0, xc, rot)
-            else:
-                rot = _random_rotation(rng, spec.d)
-                x0 = rng.uniform(0.0, spec.L, spec.d)
-                xc = rng.uniform(0.0, spec.L, spec.d)
-                fields = (
-                    fixed_fields
-                    if fixed_fields is not None
-                    else {
-                        I: FieldSample(
-                            spec, _draw_coeffs(spec, rng, dtype=dtype)
-                        )
-                        for I in component_indices(spec.d, k)
-                    }
-                )
-                a_cube, a_bdry = _cube_observables(fields, k, r, rot, x0, xc)
-            vals_c[j] = a_cube
-            vals_b[j] = a_bdry
+        for start in range(0, n_samples, chunk):
+            n = min(chunk, n_samples - start)
+            rot = np.empty((n, d, d))
+            x0 = np.empty((n, d))
+            xc = np.empty((n, d))
+            coeffs = np.empty((n, n_comps, symbol.size), dtype=complex)
+            for i in range(n):
+                ss = np.random.SeedSequence((spec.seed, si, start + i))
+                rng = np.random.Generator(np.random.SFC64(ss))
+                rot[i] = _random_rotation(rng, d)
+                x0[i] = rng.uniform(0.0, L, d)
+                xc[i] = rng.uniform(0.0, L, d)
+                coeffs[i] = fixed if fixed is not None else draw_fields(rng)
+            part = slice(start, start + n)
+            vals_c[part], vals_b[part] = _moment_pairings(
+                spec, k, r, coeffs, rot, x0, xc
+            )
         pc = np.abs(vals_c) ** q
         pb = np.abs(vals_b) ** q
         mom_c.append(float(np.mean(pc)))

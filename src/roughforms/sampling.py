@@ -78,16 +78,6 @@ class SamplerSpec:
     def bands(self):
         return dyadic_bands(self.diam_max, self.n_bands)
 
-    def to_json(self):
-        return {
-            "samples_per_band": self.samples_per_band,
-            "n_bands": self.n_bands,
-            "diam_max": self.diam_max,
-            "ecc_cap": self.ecc_cap,
-            "n_splits": self.n_splits,
-            "seed": self.seed,
-        }
-
 
 def sample_simplex(region, k, band, ecc_cap, rng, max_attempts=20_000):
     """One random k-simplex in the region with diameter in (lo, hi].

@@ -134,3 +134,32 @@ def test_tight_pullback_of_a_smooth_form_is_one_third():
     result, _, _ = run_command("pullback", config)
     assert result["tail_bound"] <= 1e-4
     assert abs(result["value"] - 1 / 3) <= result["tail_bound"] + 1e-15
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {
+            "spec": {"d": 2, "theta": 4.0, "N": 16, "seed": 2},
+            "k": 1,
+            "scales": [2.0**-e for e in range(4, 8)],
+            "n_samples": 60,
+            "tolerance": 0.3,
+        },
+        {
+            "spec": {"d": 3, "theta": 3.0, "N": 8, "seed": 0},
+            "k": 2,
+            "scales": [2.0**-e for e in range(4, 8)],
+            "n_samples": 120,
+            "tolerance": 0.3,
+            "dtype": "float64",
+        },
+    ],
+)
+def test_kolmogorov_fit_writes_passing_moments(tmp_path, capsys, config):
+    out = tmp_path / "out"
+    assert run(tmp_path, "kolmogorov-fit", config, "--out", str(out)) == 0
+    assert json.loads((out / "result.json").read_text())["passed"] is True
+    for name in ("moments_cube.csv", "moments_boundary.csv"):
+        rows = (out / name).read_text().splitlines()
+        assert len(rows) == 1 + len(config["scales"])

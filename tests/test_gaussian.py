@@ -626,11 +626,66 @@ def test_gaussian_forms_keep_the_tolerance_contract():
 # the moment-scaling harness
 
 
+def _pairing_reference(spec, k, r, coeffs, rot, x0, xc):
+    """Cube and face-sum boundary pairings, one integral_cube per frame."""
+    comps = G.component_indices(spec.d, k)
+    shape = (spec.N - 1,) * spec.d
+    cubes, bdrys = [], []
+    for c, R, a0, ac in zip(coeffs, rot, x0, xc):
+        fields = {
+            I: G.FieldSample(spec, f.reshape(shape)) for I, f in zip(comps, c)
+        }
+
+        def form_on_cube(corner, frame):
+            return sum(
+                np.linalg.det(frame[:, [a - 1 for a in I]])
+                * f.integral_cube(corner, frame, r)
+                for I, f in fields.items()
+            )
+
+        big = R[:, : k + 1].T
+        cubes.append(form_on_cube(ac, R[:, :k].T))
+        bdrys.append(
+            sum(
+                (-1.0) ** a
+                * (
+                    form_on_cube(a0 + r * big[a], np.delete(big, a, axis=0))
+                    - form_on_cube(a0, np.delete(big, a, axis=0))
+                )
+                for a in range(k + 1)
+            )
+        )
+    return np.array(cubes), np.array(bdrys)
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (3, 2)])
+def test_moment_kernel_matches_integral_cube(d, k):
+    spec = G.SpectralFieldSpec(d=d, theta=1.7, N=8, seed=4)
+    rng = np.random.default_rng(3)
+    n = 5
+    symbol = spec.symbol()
+    n_comps = len(G.component_indices(d, k))
+    coeffs = np.array(
+        [
+            [G._draw_coeffs(symbol, rng).ravel() for _ in range(n_comps)]
+            for _ in range(n)
+        ]
+    )
+    rot = np.array([G._random_rotation(rng, d) for _ in range(n)])
+    x0 = rng.uniform(0.0, 1.0, (n, d))
+    xc = rng.uniform(0.0, 1.0, (n, d))
+    for r in (0.125, 2.0**-8):
+        got = G._moment_pairings(spec, k, r, coeffs, rot, x0, xc)
+        want = _pairing_reference(spec, k, r, coeffs, rot, x0, xc)
+        assert_rounding_close(got[0], want[0])
+        assert_rounding_close(got[1], want[1])
+
+
 def test_fast_sampler_matches_exact_pairing_law():
-    # frozen geometry: Monte Carlo second moments through the half-lattice
-    # sampler must match the exact lattice sums for both observables
+    # frozen geometry: Monte Carlo second moments through the moment kernel
+    # must match the exact lattice sums for both observables
     spec = G.SpectralFieldSpec(d=2, theta=1.5, N=16, seed=0)
-    half = G._HalfSpectrum(spec, np.float64)
+    symbol = spec.symbol()
     r = 0.125
     ang = 0.7
     rot = np.array(
@@ -639,7 +694,7 @@ def test_fast_sampler_matches_exact_pairing_law():
     x0 = np.array([0.31, 0.62])
     xc = np.array([0.55, 0.18])
     h = spec.modes()
-    s2 = spec.symbol() ** 2
+    s2 = symbol**2
     u, v = rot[:, 0], rot[:, 1]
 
     def dfac(om):
@@ -672,8 +727,10 @@ def test_fast_sampler_matches_exact_pairing_law():
         rng = np.random.Generator(
             np.random.SFC64(np.random.SeedSequence((99, j)))
         )
-        fields = (half.draw(rng), half.draw(rng))
-        vc[j], vb[j] = G._d2k1_observables(half, fields, r, x0, xc, rot)
+        coeffs = [G._draw_coeffs(symbol, rng).ravel() for _ in range(2)]
+        (vc[j],), (vb[j],) = G._moment_pairings(
+            spec, 1, r, np.array([coeffs]), rot[None], x0[None], xc[None]
+        )
     assert np.mean(vc**2) == pytest.approx(var_cube, rel=0.08)
     assert np.mean(vb**2) == pytest.approx(var_bdry, rel=0.08)
 
@@ -686,13 +743,18 @@ def test_boundary_kernel_annihilates_gradients():
     h = spec.modes()
     pot = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
     pot = (pot + np.conj(pot[::-1, ::-1])) * 0.5
-    fields = {
-        (1,): G.FieldSample(spec, 2j * np.pi * h[:, None] * pot),
-        (2,): G.FieldSample(spec, 2j * np.pi * h[None, :] * pot),
-    }
+    coeffs = np.array(
+        [[2j * np.pi * h[:, None] * pot, 2j * np.pi * h[None, :] * pot]]
+    ).reshape(1, 2, -1)
     rot = G._random_rotation(np.random.default_rng(5), 2)
-    _, a_bdry = G._cube_observables(
-        fields, 1, 0.2, rot, np.array([0.3, 0.4]), np.array([0.1, 0.9])
+    _, (a_bdry,) = G._moment_pairings(
+        spec,
+        1,
+        0.2,
+        coeffs,
+        rot[None],
+        np.array([[0.3, 0.4]]),
+        np.array([[0.1, 0.9]]),
     )
     assert abs(a_bdry) < 1e-10
 
@@ -709,6 +771,34 @@ def test_kolmogorov_smooth_field_scalings():
     assert abs(fc.slope - 2.0) <= 0.3
     assert abs(fb.slope - 4.0) <= 0.3
     assert fc.passed and fb.passed
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_kolmogorov_d3_scalings(k):
+    # theta = 3 caps both exponents in d = 3: slopes 2k and 2(k + 1)
+    spec = G.SpectralFieldSpec(d=3, theta=3.0, N=8, seed=0)
+    scales = [2.0**-e for e in range(4, 8)]
+    fc, fb = G.kolmogorov_fit(
+        spec, k, scales=scales, n_samples=120, tolerance=0.3
+    )
+    assert fc.predicted == pytest.approx(2.0 * k)
+    assert fb.predicted == pytest.approx(2.0 * (k + 1))
+    assert abs(fc.slope - fc.predicted) <= 0.3
+    assert abs(fb.slope - fb.predicted) <= 0.3
+
+
+def test_kolmogorov_draws_in_chunks_of_samples():
+    # one scale of 200 draws at d = 3, N = 16 holds 200 x 7 x 3375 complex
+    # kernel entries, about 76 MB, when batched at once
+    spec = G.SpectralFieldSpec(d=3, theta=3.0, N=16, seed=0)
+    scales = [2.0**-e for e in range(4, 7)]
+    tracemalloc.start()
+    try:
+        G.kolmogorov_fit(spec, 2, scales=scales, n_samples=200, tolerance=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_kolmogorov_is_deterministic():
@@ -743,8 +833,8 @@ def test_kolmogorov_ci_shrinks_with_samples():
 
 def test_kolmogorov_gaussianity_kurtosis():
     spec = G.SpectralFieldSpec(d=2, theta=1.5, N=16, seed=0)
-    half = G._HalfSpectrum(spec, np.float64)
-    rot = np.eye(2)
+    symbol = spec.symbol()
+    rot = np.eye(2)[None]
     vals = np.empty(500)
     for j in range(500):
         rng = np.random.Generator(
@@ -752,8 +842,10 @@ def test_kolmogorov_gaussianity_kurtosis():
         )
         x0 = rng.uniform(0, 1, 2)
         xc = rng.uniform(0, 1, 2)
-        fields = (half.draw(rng), half.draw(rng))
-        vals[j], _ = G._d2k1_observables(half, fields, 0.125, x0, xc, rot)
+        coeffs = [G._draw_coeffs(symbol, rng).ravel() for _ in range(2)]
+        (vals[j],), _ = G._moment_pairings(
+            spec, 1, 0.125, np.array([coeffs]), rot, x0[None], xc[None]
+        )
     kurt = float(np.mean(vals**4) / np.mean(vals**2) ** 2)
     assert abs(kurt - 3.0) <= 0.3
 
