@@ -36,7 +36,6 @@ from . import __version__
 from .embedding import TestFunction, iota, pi_J, scaling_probe
 from .errors import (
     BudgetExceededError,
-    DegenerateFitError,
     ExprSyntaxError,
     InsufficientSamplesError,
     NoConvergenceError,
@@ -122,7 +121,7 @@ _GEOMETRY = {
                 "additionalProperties": False,
                 "required": ["simplex"],
                 "properties": {
-                    "coeff": {"type": "number"},
+                    "coeff": {"type": "integer"},
                     "simplex": _SIMPLEX,
                 },
             },
@@ -1226,7 +1225,6 @@ def main(argv=None):
         QuadratureBudgetError,
         TruncationTailError,
         InsufficientSamplesError,
-        DegenerateFitError,
     ) as exc:
         return _emit_error(3, type(exc).__name__, str(exc))
     except (ValueError, TypeError, KeyError, OSError, RoughFormsError) as exc:

@@ -27,25 +27,12 @@ class BudgetExceededError(RoughFormsError):
         self.partial = partial
 
 
-class NotASubdivisionError(RoughFormsError):
-    """The proposed family of simplices does not subdivide the parent."""
-
-
 class NoConvergenceError(RoughFormsError):
     """Level increments of a sewing iteration stopped decreasing."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-
-
-class DegenerateFitError(RoughFormsError):
-    """A regression has too few usable points, e.g. increments hit the
-    floating-point floor early."""
-
-    def __init__(self, message, floor_level=None):
-        super().__init__(message)
-        self.floor_level = floor_level
 
 
 class ExponentViolationError(RoughFormsError):

@@ -1,4 +1,4 @@
-"""Least-squares slope fits used by rate probes and diagnostics."""
+"""Least-squares slope fits: sewing increment rates, scaling exponents."""
 
 from __future__ import annotations
 
@@ -32,12 +32,17 @@ def loglog_slope(x, y):
     return s
 
 
-def decay_rate(values):
-    """Fitted log-linear rate of a positive sequence against its index."""
-    v = np.asarray(values, dtype=float)
-    idx = np.arange(len(v), dtype=float)
-    keep = v > 0
-    if keep.sum() < 2:
+def increment_rate(sums):
+    """Fitted log-linear rate of |increments| of partial sums against index.
+
+    Increments at or below the floating-point floor
+    1e-13 * max(1, max |sum|) are rounding noise and are left out; the
+    rate is NaN when fewer than two are above it.
+    """
+    sums = np.asarray(sums, dtype=float)
+    inc = np.abs(np.diff(sums))
+    keep = np.flatnonzero(inc > 1e-13 * max(1.0, float(np.abs(sums).max())))
+    if keep.size < 2:
         return float("nan")
-    s, _ = line_fit(idx[keep], np.log(v[keep]))
+    s, _ = line_fit(keep, np.log(inc[keep]))
     return s

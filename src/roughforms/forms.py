@@ -49,7 +49,6 @@ import numpy as np
 from . import sampling
 from .errors import (
     BudgetExceededError,
-    DegenerateFitError,
     ExponentViolationError,
     NoConvergenceError,
 )
@@ -67,7 +66,7 @@ from .geometry import (
     minimal_enclosing_ball,
 )
 from .sewing import DEPTH_MAX_BY_K, FunctionGerm, sew
-from .subdivision import EDGEWISE, iterate_array
+from .subdivision import EDGEWISE
 
 MEMO_QUANTUM = 1e-12
 # quadrature points per coefficient call of a smooth-form quadrature; a
@@ -1070,94 +1069,6 @@ def flat_norm_upper(s1, s2, alpha, beta):
         if m > 0:
             total += k * r ** (k - 1) * m**alpha + r**k * m**beta
     return total
-
-
-# ---------------------------------------------------------------------------
-# pullback regularity probe
-
-
-@dataclass
-class RegularityProbe:
-    """Fitted scale exponent of the affine-interpolant pullback error."""
-
-    exponent: float
-    gamma_bar: float
-    diameters: list
-    deviations: list
-
-    def to_json(self):
-        return {
-            "exponent": self.exponent,
-            "gamma_bar": self.gamma_bar,
-            "diameters": list(self.diameters),
-            "deviations": list(self.deviations),
-        }
-
-
-def pullback_regularity_probe(f_map, k, alpha, beta, region, samples):
-    """Exponent of max_children |F^sigma_* child - F_* child|_(alpha,beta).
-
-    F^sigma is the affine interpolant of F on sigma. For each sampled
-    sigma the children are one edgewise step; the flat-norm upper bound
-    of the difference is regressed against diam(sigma) in log-log form
-    and compared to gamma_bar = (k-1+alpha(1+eta)) ^ (k+beta(1+eta)).
-    `samples` is a total sample count or a full SamplerSpec.
-    """
-    from . import fitting
-
-    if isinstance(samples, int):
-        spec = sampling.SamplerSpec(
-            samples_per_band=max(1, samples // 4), n_bands=4
-        )
-    else:
-        spec = samples
-    gamma_bar = min(
-        k - 1 + alpha * (1 + f_map.eta), k + beta * (1 + f_map.eta)
-    )
-    diams = []
-    devs = []
-    for _, samples in sampling.sample_band_simplices(region, k, spec):
-        for s in samples:
-            verts = s.vertices
-            children = iterate_array(EDGEWISE, verts[None], 1)
-            # barycentric coordinates of child vertices within sigma
-            flat = children.reshape(-1, s.d)
-            aug = np.vstack([verts.T, np.ones(k + 1)])
-            rhs = np.vstack([flat.T, np.ones(flat.shape[0])])
-            lam, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-            f_verts = f_map(verts)
-            interp = (lam.T @ f_verts).reshape(
-                children.shape[:-1] + (f_map.d,)
-            )
-            worst = 0.0
-            for child, child_i in zip(children, interp):
-                worst = max(
-                    worst,
-                    flat_norm_upper(
-                        Simplex(f_map(child)),
-                        Simplex(child_i),
-                        alpha,
-                        beta,
-                    ),
-                )
-            diams.append(diameter(s))
-            devs.append(worst)
-    diams = np.asarray(diams)
-    devs = np.asarray(devs)
-    floor = 1e-13 * max(1.0, devs.max() if devs.size else 0.0)
-    usable = devs > floor
-    if usable.sum() < 3:
-        raise DegenerateFitError(
-            "affine interpolant matches the map at all sampled scales",
-            floor_level=int(usable.sum()),
-        )
-    slope = fitting.loglog_slope(diams[usable], devs[usable])
-    return RegularityProbe(
-        exponent=float(slope),
-        gamma_bar=gamma_bar,
-        diameters=diams.tolist(),
-        deviations=devs.tolist(),
-    )
 
 
 # ---------------------------------------------------------------------------

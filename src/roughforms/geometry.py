@@ -88,7 +88,11 @@ class Simplex:
 
 
 class Chain:
-    """A formal integer combination of k-simplices of a common (k, d)."""
+    """A formal integer combination of k-simplices of a common (k, d).
+
+    Coefficients must be integral; 2.0 is taken as 2, and 0.5 raises
+    ValueError.
+    """
 
     __slots__ = ("_terms",)
 
@@ -97,6 +101,10 @@ class Chain:
         shape = None
         for coeff, simplex in terms:
             c = int(coeff)
+            if c != coeff:
+                raise ValueError(
+                    f"chain coefficients must be integers, got {coeff}"
+                )
             if c == 0:
                 continue
             if shape is None:

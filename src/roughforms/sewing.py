@@ -1,12 +1,13 @@
-"""Germs of cochains, defects, norm estimation, and the sewing operator.
+"""Germs of cochains, the sewing operator, and empirical germ norms.
 
 A germ assigns a number to every small simplex; its defect measures the
 failure of additivity under subdivision. When the defect is
 Hoelder-controlled with exponent gamma > k, iterated subdivision level sums
 converge geometrically and their limit (the sewing) is the unique additive
-repair of the germ. A germ is a batch function: it maps an (n, k+1, d)
-vertex array to n values, so every subdivision level is one call and deep
-levels stay vectorized.
+repair of the germ. `estimate_germ_norms` samples the defect, an empirical
+check of the exponent and constant a germ declares. A germ is a batch
+function: it maps an (n, k+1, d) vertex array to n values, so every
+subdivision level is one call and deep levels stay vectorized.
 
 Sewing walks the edgewise levels on the dyadic lattice of the root: the
 vertices of level n are the points with barycentric coordinates in
@@ -27,13 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitting, sampling
-from .errors import (
-    BudgetExceededError,
-    DegenerateFitError,
-    NoConvergenceError,
-    NotASubdivisionError,
-)
-from .geometry import diameter, diameter_array, volume
+from .errors import BudgetExceededError, NoConvergenceError
+from .geometry import diameter, diameter_array
 from .subdivision import EDGEWISE, edgewise_lattice, iterate_array
 
 # per-degree depth defaults keep worst-case evaluation counts near 10^6
@@ -90,28 +86,13 @@ class FunctionGerm(Germ):
         return np.asarray(self._batch_fn(pts, vertex_values))
 
 
-def defect(germ, simplex, pieces):
-    """germ(sigma) minus the sum of germ over the pieces.
-
-    The pieces must subdivide sigma; a volume-sum mismatch beyond 1e-8
-    relative raises NotASubdivision (a cheap necessary condition; geometric
-    partition checking is sampled in the test suite instead).
-    """
-    vol = volume(simplex)
-    vol_parts = sum(volume(p) for p in pieces)
-    if abs(vol_parts - vol) > 1e-8 * max(vol, vol_parts):
-        raise NotASubdivisionError(
-            f"child volumes sum to {vol_parts}, parent has {vol}"
-        )
-    return germ.eval(simplex) - float(
-        np.sum(germ.eval_batch(np.array([p.vertices for p in pieces])))
-    )
-
-
 @dataclass
 class SewingResult:
     """Limit value of subdivision level sums with a posteriori control.
 
+    `increment_rate` is the least-squares slope of log |level increment|
+    against the level, over the increments above the floating-point floor
+    1e-13 * max(1, max |level sum|); NaN when fewer than two are above it.
     `depth_capped` says that the sew stopped at its depth cap because no
     stopping rule fired earlier.
     """
@@ -232,7 +213,7 @@ def sew(germ, simplex, tol, *, depth_max=None):
             tail_bound=tail,
             depth_used=n,
             level_values=level_values,
-            increment_rate=fitting.decay_rate([abs(x) for x in increments]),
+            increment_rate=fitting.increment_rate(level_values),
             depth_capped=depth_capped,
         )
 
@@ -291,22 +272,6 @@ def sew(germ, simplex, tol, *, depth_max=None):
             )
 
 
-def sew_chain(germ, chain, tol, *, depth_max=None):
-    """Coefficient-weighted sum of sew over the chain's terms.
-
-    The tolerance is split evenly across unit coefficients.
-    """
-    terms = list(chain)
-    if not terms:
-        return 0.0
-    total_weight = sum(abs(c) for c, _ in terms)
-    out = 0.0
-    for c, s in terms:
-        res = sew(germ, s, tol * abs(c) / total_weight, depth_max=depth_max)
-        out += c * res.value
-    return out
-
-
 @dataclass
 class GermNormEstimate:
     """Empirical eta / delta-gamma germ norms with sample bookkeeping."""
@@ -320,19 +285,6 @@ class GermNormEstimate:
     bands: list = field(default_factory=list)
     per_band: list = field(default_factory=list)
     families: str = "scheme children depths 1-3 + random two-piece splits"
-
-    def to_json(self):
-        return {
-            "eta": self.eta,
-            "gamma": self.gamma,
-            "eta_norm": self.eta_norm,
-            "delta_gamma_norm": self.delta_gamma_norm,
-            "n_samples": self.n_samples,
-            "n_families": self.n_families,
-            "bands": [list(b) for b in self.bands],
-            "per_band": list(self.per_band),
-            "families": self.families,
-        }
 
 
 def estimate_germ_norms(germ, region, k, eta, gamma, spec):
@@ -393,58 +345,4 @@ def estimate_germ_norms(germ, region, k, eta, gamma, spec):
         n_families=n_families,
         bands=spec.bands(),
         per_band=per_band,
-    )
-
-
-@dataclass
-class ProbeResult:
-    """Fitted geometric decay rate of sewing level increments."""
-
-    rate: float
-    reference: float
-    levels_used: int
-    increments: list
-
-    def to_json(self):
-        return {
-            "rate": self.rate,
-            "reference": self.reference,
-            "levels_used": self.levels_used,
-            "increments": list(self.increments),
-        }
-
-
-def convergence_probe(germ, simplex, depth):
-    """Least-squares slope of log |level increment| against level.
-
-    The level sums are sew's, on the edgewise lattice. The reference value
-    is (gamma - k) log c for the edgewise scheme's measured contraction c
-    when the germ declares gamma. Raises DegenerateFit when fewer than 3
-    increments sit above the floating-point floor.
-    """
-    if depth < 4:
-        raise ValueError("probe needs depth >= 4")
-    k = simplex.k
-    gamma = germ.gamma
-    level_sums = _level_sums(germ, simplex)
-    sums = [next(level_sums) for _ in range(depth + 1)]
-    increments = np.abs(np.diff(sums))
-    floor = 1e-13 * max(1.0, max(abs(v) for v in sums))
-    usable = increments > floor
-    if usable.sum() < 3:
-        floor_level = int(np.argmax(~usable)) + 1 if (~usable).any() else depth
-        raise DegenerateFitError(
-            f"only {int(usable.sum())} increments above the fp floor",
-            floor_level=floor_level,
-        )
-    levels = np.arange(1, depth + 1, dtype=float)
-    rate, _ = fitting.line_fit(levels[usable], np.log(increments[usable]))
-    reference = float("nan")
-    if gamma is not None:
-        reference = (gamma - k) * math.log(_edgewise_contraction(simplex))
-    return ProbeResult(
-        rate=rate,
-        reference=reference,
-        levels_used=int(usable.sum()),
-        increments=increments.tolist(),
     )

@@ -63,6 +63,25 @@ def test_geometry_outside_the_form_dimension_is_a_config_error(
     assert err["field"] == "geometry"
 
 
+def test_fractional_chain_coefficient_names_its_field(tmp_path, capsys):
+    config = {
+        "form": {"catalog": "dx"},
+        "geometry": {
+            "chain": [
+                {"coeff": 0.5, "simplex": [[0, 0], [1, 0]]},
+                {"coeff": 2.5, "simplex": [[0, 0], [0, 1]]},
+            ]
+        },
+    }
+    assert run(tmp_path, "integrate", config) == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == "geometry.chain.0.coeff"
+    # an integral float is an integer
+    config["geometry"]["chain"] = [{"coeff": 2.0, "simplex": [[0, 0], [1, 0]]}]
+    assert run_command("integrate", config)[0]["value"] == pytest.approx(2.0)
+
+
 @pytest.mark.parametrize(
     "command, config, kind",
     [

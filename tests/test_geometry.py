@@ -350,6 +350,15 @@ def test_chain_algebra():
         G.Chain([(1, s), (1, G.Simplex([[0.0, 0.0], [1.0, 1.0]]))])
 
 
+def test_chain_coefficients_must_be_integral():
+    s = unit_right_triangle()
+    assert G.Chain([(2.0, s)]).terms == ((2, s),)
+    with pytest.raises(ValueError):
+        G.Chain([(0.5, s)])
+    with pytest.raises(ValueError):
+        2.5 * G.Chain([(1, s)])
+
+
 def test_chain_json_round_trip():
     s = unit_right_triangle()
     ch = G.Chain([(3, s), (-2, G.Simplex(np.array(s.vertices) + 0.5))])

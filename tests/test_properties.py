@@ -1,10 +1,13 @@
-"""Property tests of smooth forms, Gaussian forms and closed-form pullbacks.
+"""Property tests of smooth forms, Gaussian forms, closed-form pullbacks
+and the declared germs of Young products.
 
 Hypothesis draws well-shaped simplices in R^2 and R^3. The properties are
 the paper's invariants for additive cochains: additivity under
 subdivision, oddness under a vertex transposition (through the memo, in
 either evaluation order), and boundary of boundary = 0 for the coboundary
-of a pulled-back form.
+of a pulled-back form. For Young products, the sampled germ norms of
+`sewing.estimate_germ_norms` check the defect exponent and constant that
+the product declares and that sewing's analytic tail trusts.
 """
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from roughforms import forms, gaussian, sampling
+from roughforms import forms, gaussian, sampling, sewing
 from roughforms.geometry import Simplex, diameter, gram_determinant
 
 TOL = 1e-9
@@ -150,3 +153,60 @@ def test_boundary_of_boundary_of_a_pullback_vanishes(d, data):
     dd = forms.coboundary(forms.coboundary(pb))
     v, tail = dd.eval_with_tail(s, TOL)
     assert abs(v) <= tail + SLACK
+
+
+def _product(gamma, alpha, d, seeds):
+    f = forms.WeierstrassFunction(gamma, d, seed=seeds[0])
+    g = forms.WeierstrassFunction(alpha, d, seed=seeds[1])
+    p = forms.product(f, forms.increment_form(g))
+    assert isinstance(p, forms.ProductCochain)
+    return p
+
+
+def _sewn_germ(p):
+    """The germ SewnCochain._eval_simplex sews for the product p.
+
+    Inner tolerances are those of a unit root; a product with an
+    increment base has exact inner values, so they do not matter.
+    """
+    return sewing.FunctionGerm(
+        lambda pts, vals=None: p._germ_rows(pts, vals, TOL, 1.0)[0],
+        gamma=p.germ_gamma,
+        delta_norm=p.delta_norm,
+        vertex_fn=p.vertex_fn,
+    )
+
+
+def _germ_norms(p, spec):
+    return sewing.estimate_germ_norms(
+        _sewn_germ(p), sampling.Box.unit(p.d), 1, p.alpha, p.germ_gamma, spec
+    )
+
+
+@settings(max_examples=20)
+@given(
+    d=st.sampled_from([1, 2]),
+    gamma=st.floats(0.3, 1.0),
+    excess=st.floats(0.05, 0.7),
+    seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    spec_seed=st.integers(0, 2**16),
+)
+def test_product_germ_defects_stay_under_the_declared_norm(
+    d, gamma, excess, seeds, spec_seed
+):
+    # gamma + alpha = 1 + excess > 1: the Young regime
+    alpha = 1.0 + excess - gamma
+    assume(alpha <= 1.0)
+    p = _product(gamma, alpha, d, seeds)
+    spec = sampling.SamplerSpec(samples_per_band=5, n_bands=3, seed=spec_seed)
+    assert _germ_norms(p, spec).delta_gamma_norm <= p.delta_norm
+
+
+def test_product_germ_norms_do_not_grow_at_the_declared_exponent():
+    # at the defect exponent germ_gamma, band sups of |defect| / diam^gamma
+    # stay bounded as the bands shrink; an exponent too large by 1/2 would
+    # grow them by 2^(1/2) per band, 4x from the coarsest band to the finest
+    p = _product(0.6, 0.7, 2, (11, 12))
+    spec = sampling.SamplerSpec(samples_per_band=15, n_bands=5, seed=3)
+    bands = [b["delta_gamma_norm"] for b in _germ_norms(p, spec).per_band]
+    assert bands[-1] < 4.0 * bands[0]

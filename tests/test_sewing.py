@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from roughforms import forms, sampling, sewing, subdivision
-from roughforms.errors import (
-    BudgetExceededError,
-    DegenerateFitError,
-    NoConvergenceError,
-    NotASubdivisionError,
-)
-from roughforms.geometry import Chain, Simplex, axis_box_chain, diameter
-from roughforms.sewing import FunctionGerm, convergence_probe, defect, sew, sew_chain
+from roughforms.errors import BudgetExceededError, NoConvergenceError
+from roughforms.geometry import Simplex, diameter
+from roughforms.sewing import FunctionGerm, sew
 from roughforms.subdivision import EDGEWISE, edgewise_children
 
 from conftest import assert_rounding_close
@@ -75,42 +70,6 @@ def tri_diameter_cubed_germ():
         return np.maximum(d01, np.maximum(d02, d12)) ** 3
 
     return FunctionGerm(batch, gamma=3.0, delta_norm=0.125)
-
-
-# ---------------------------------------------------------------------------
-# defect
-
-
-def test_defect_of_additive_germ_vanishes():
-    germ = dx_germ()
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        pieces = sampling.two_piece_split(UNIT, rng)
-        assert abs(defect(germ, UNIT, pieces)) < 1e-12
-    assert abs(defect(germ, UNIT, edgewise_children(UNIT))) < 1e-15
-
-
-def test_defect_of_square_diameter_germ_on_halves():
-    # diam^2 on [0,1] is 1; each half contributes 1/4, so the defect is 1/2
-    germ = square_diameter_germ()
-    halves = edgewise_children(UNIT)
-    assert defect(germ, UNIT, halves) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_defect_is_odd_under_orientation_flip():
-    germ = square_diameter_germ()
-    halves = edgewise_children(UNIT)
-    flipped = Simplex(UNIT.vertices[::-1])
-    flipped_halves = [Simplex(h.vertices[::-1]) for h in halves]
-    assert defect(germ, flipped, flipped_halves) == pytest.approx(
-        -defect(germ, UNIT, halves), abs=1e-15
-    )
-
-
-def test_defect_rejects_volume_mismatch():
-    germ = dx_germ()
-    with pytest.raises(NotASubdivisionError):
-        defect(germ, UNIT, [seg(0.0, 0.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -196,38 +155,6 @@ def test_sewing_result_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# sew_chain
-
-
-def test_sew_chain_empty_is_zero():
-    assert sew_chain(dx_germ(), Chain([]), tol=1e-8) == 0.0
-
-
-def test_sew_chain_cancelling_pair_is_zero():
-    chain = Chain([(1, UNIT), (-1, UNIT)])
-    assert sew_chain(dx_germ(), chain, tol=1e-8) == pytest.approx(
-        0.0, abs=1e-15
-    )
-
-
-def test_sew_chain_unit_square_linear_integrand():
-    # integral of x + y over the unit square is 1; the centroid rule is
-    # exact on linear integrands
-    chain = axis_box_chain(np.zeros(2), (1, 2), (1.0, 1.0))
-    germ = centroid_area_germ(lambda x, y: x + y)
-    val = sew_chain(germ, chain, tol=1e-8)
-    assert val == pytest.approx(1.0, abs=1e-8)
-
-
-def test_sew_chain_splits_tolerance_by_weight():
-    chain = Chain([(2, UNIT), (1, seg(1.0, 3.0))])
-    germ = midpoint_germ(lambda x: np.cos(x))
-    val = sew_chain(germ, chain, tol=1e-7)
-    expected = 2 * math.sin(1.0) + (math.sin(3.0) - math.sin(1.0))
-    assert val == pytest.approx(expected, abs=1e-7)
-
-
-# ---------------------------------------------------------------------------
 # germ norm estimation
 
 
@@ -272,52 +199,33 @@ def test_norm_estimates_monotone_in_sample_count():
     assert est_l.delta_gamma_norm >= est_s.delta_gamma_norm - 1e-15
 
 
-def test_norm_estimate_json_fields():
-    spec = sampling.SamplerSpec(samples_per_band=5, n_bands=2, seed=1)
-    est = sewing.estimate_germ_norms(
-        dx_germ(), sampling.Box.unit(1), 1, eta=1.0, gamma=2.0, spec=spec
-    )
-    obj = est.to_json()
-    for key in ("eta", "gamma", "eta_norm", "delta_gamma_norm", "bands"):
-        assert key in obj
-    assert len(obj["per_band"]) == 2
-
-
 # ---------------------------------------------------------------------------
-# convergence probe
+# increment rate
 
 
-def test_probe_left_riemann_rate_is_log_half():
+def _capped_sew(germ, depth_max):
+    """sew at tol 0 to depth_max: the partial result at the cap."""
+    with pytest.raises(BudgetExceededError) as exc:
+        sew(germ, UNIT, tol=0.0, depth_max=depth_max)
+    return exc.value.partial
+
+
+def test_increment_rate_left_riemann_is_log_half():
     # left endpoint quadrature for f(x) = x has first order error, so the
     # level increments shrink by 1/2: rate log(1/2) = -0.693
-    germ = left_anchor_germ(lambda x: x)
-    probe = convergence_probe(germ, UNIT, depth=8)
-    assert probe.rate == pytest.approx(-math.log(2.0), abs=0.2)
+    res = _capped_sew(left_anchor_germ(lambda x: x), 8)
+    assert res.increment_rate == pytest.approx(-math.log(2.0), abs=0.2)
 
 
-def test_probe_additive_germ_degenerates():
-    with pytest.raises(DegenerateFitError) as exc:
-        convergence_probe(dx_germ(), UNIT, depth=6)
-    assert exc.value.floor_level >= 1
-
-
-def test_probe_perturbed_additive_rate():
+def test_increment_rate_perturbed_additive():
     # dx plus signed diam^1.5 has level sums 1 + 2^(-n/2): increments form
     # an exact geometric sequence with ratio 2^(-1/2)
     def batch(p):
         e = p[:, 1, 0] - p[:, 0, 0]
         return e + e * np.sqrt(np.abs(e))
 
-    germ = FunctionGerm(batch, gamma=1.5)
-    probe = convergence_probe(germ, UNIT, depth=8)
-    assert probe.rate == pytest.approx(-0.5 * math.log(2.0), abs=1e-4)
-    assert probe.reference == pytest.approx(-0.5 * math.log(2.0), abs=1e-9)
-    assert probe.levels_used == 8
-
-
-def test_probe_requires_depth_four():
-    with pytest.raises(ValueError):
-        convergence_probe(dx_germ(), UNIT, depth=3)
+    res = _capped_sew(FunctionGerm(batch, gamma=1.5), 8)
+    assert res.increment_rate == pytest.approx(-0.5 * math.log(2.0), abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
