@@ -22,7 +22,6 @@ from roughforms.geometry import (
     Chain,
     Cube,
     Simplex,
-    axis_box_chain,
     boundary,
     coordinate_projection_array,
     diameter,
@@ -243,22 +242,6 @@ def test_chain_and_cube_evaluation():
     assert a.eval(chain, 1e-9) == pytest.approx(a.eval(s, 1e-9))
     cube = Cube([0.2, 0.3], [[1.0, 0.0]], 0.5)
     assert a.eval(cube, 1e-9) == pytest.approx(0.5)
-    unit = Simplex([[0.0], [1.0]])
-    dx = forms.smooth_form({(1,): 1.0}, 1)
-    assert dx.eval_with_tail(Chain([]), 1e-8) == (0.0, 0.0)
-    cancelling = Chain([(1, unit), (-1, unit)])
-    assert dx.eval(cancelling, 1e-8) == pytest.approx(0.0, abs=1e-15)
-    # the integral of x + y over the unit square is 1
-    xy = forms.smooth_form({(1, 2): lambda p: p[..., 0] + p[..., 1]}, 2)
-    square = axis_box_chain(np.zeros(2), (1, 2), (1.0, 1.0))
-    assert xy.eval(square, 1e-8) == pytest.approx(1.0, abs=1e-8)
-    # the terms share tol by coefficient weight, so the tail meets it
-    cos = forms.smooth_form({(1,): lambda p: np.cos(p[..., 0])}, 1)
-    weighted = Chain([(2, unit), (1, Simplex([[1.0], [3.0]]))])
-    value, tail = cos.eval_with_tail(weighted, 1e-7)
-    expected = 2 * math.sin(1.0) + (math.sin(3.0) - math.sin(1.0))
-    assert value == pytest.approx(expected, abs=1e-7)
-    assert tail <= 1e-7
 
 
 def test_eval_rejects_wrong_dimensions():

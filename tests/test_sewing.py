@@ -5,7 +5,7 @@ import pytest
 
 from roughforms import forms, sampling, sewing, subdivision
 from roughforms.errors import BudgetExceededError, NoConvergenceError
-from roughforms.geometry import Simplex, diameter
+from roughforms.geometry import Chain, Simplex, axis_box_chain, diameter
 from roughforms.sewing import FunctionGerm, sew
 from roughforms.subdivision import EDGEWISE, edgewise_children
 
@@ -152,6 +152,38 @@ def test_sewing_result_json_round_trip():
     assert set(obj) == {"value", "tail_bound", "depth", "level_values"}
     assert obj["depth"] == res.depth_used
     assert obj["level_values"][0] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# sewing over a chain: Cochain.eval_with_tail sums the terms and splits
+# tol among them by |coefficient| / sum |coefficient|
+
+
+def test_sew_chain_empty_is_zero():
+    dx = forms.smooth_form({(1,): 1.0}, 1)
+    assert dx.eval_with_tail(Chain([]), 1e-8) == (0.0, 0.0)
+
+
+def test_sew_chain_cancelling_pair_is_zero():
+    dx = forms.smooth_form({(1,): 1.0}, 1)
+    chain = Chain([(1, UNIT), (-1, UNIT)])
+    assert dx.eval(chain, 1e-8) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_sew_chain_unit_square_linear_integrand():
+    # the integral of x + y over the unit square is 1
+    chain = axis_box_chain(np.zeros(2), (1, 2), (1.0, 1.0))
+    xy = forms.smooth_form({(1, 2): lambda p: p[..., 0] + p[..., 1]}, 2)
+    assert xy.eval(chain, 1e-8) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_sew_chain_splits_tolerance_by_weight():
+    chain = Chain([(2, UNIT), (1, seg(1.0, 3.0))])
+    cos = forms.smooth_form({(1,): lambda p: np.cos(p[..., 0])}, 1)
+    value, tail = cos.eval_with_tail(chain, 1e-7)
+    expected = 2 * math.sin(1.0) + (math.sin(3.0) - math.sin(1.0))
+    assert value == pytest.approx(expected, abs=1e-7)
+    assert tail <= 1e-7
 
 
 # ---------------------------------------------------------------------------
