@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import QuadratureBudgetError
 from .fitting import line_fit
-from .forms import Cochain
+from .forms import Cochain, linear_sum
 from .geometry import staircase_blocks
 from .subdivision import gauss_legendre_boxes, partition_quadrature
 
@@ -140,7 +140,7 @@ def _box_values(a, pts, J, tol):
 
     Degenerate boxes (some u_j ~ 0) evaluate to zero; orientation is the
     product of the signs of the spanned coordinates. Every box gets an
-    even share of tol, split evenly over its k! staircase simplices.
+    even share of tol, split by linear_sum over its k! staircase simplices.
     """
     axes = [j - 1 for j in J]
     span = pts[:, axes]
@@ -154,10 +154,12 @@ def _box_values(a, pts, J, tol):
     base[:, axes] = np.minimum(span[idx], 0.0)
     steps = np.zeros((idx.size, len(axes), pts.shape[1]))
     steps[:, range(len(axes)), axes] = np.abs(span[idx])
-    tols = np.full(idx.size, tol / idx.size / math.factorial(len(axes)))
-    acc = np.zeros(idx.size)
-    for sign, verts in staircase_blocks(base, steps):
-        acc += sign * a.eval_batch(verts, tols)[0]
+    blocks = staircase_blocks(base, steps)
+    acc, _ = linear_sum(
+        [sign for sign, _ in blocks],
+        lambda share: (a.eval_batch(verts, share) for _, verts in blocks),
+        np.full(idx.size, tol / idx.size),
+    )
     values[idx] = box_sign[idx] * acc
     return values
 

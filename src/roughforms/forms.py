@@ -25,8 +25,9 @@ Batches of simplices have one protocol: eval_batch(pts, tols) takes an
 tails, best effort. The default evaluates row by row through the memo;
 closed forms override it with exact vectorized formulas (zero tails),
 smooth forms, Gaussian forms among them, with adaptive two-order
-quadrature (estimated tails), and combinations and coboundaries forward
-it to their parts.
+quadrature (estimated tails), and sums of parts (combinations, signed
+faces, chains, staircase boxes) go through linear_sum, the one tolerance
+split: each part at tol / sum |c_j|, its tail counted |c_j| times.
 
 Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
 writes its germ once, as _germ_rows(pts, vals, tol, root_diam) returning
@@ -241,22 +242,38 @@ def _canonical_orientation(simplex):
     return Simplex(rows[0]), int(signs[0])
 
 
+def linear_sum(coeffs, parts, tols):
+    """sum_j c_j X_j row by row: the one tolerance split of a sum.
+
+    parts(share) yields the (values, tails) of the X_j in the order of
+    coeffs, each at tolerances share = tols / sum |c_j|; the tails of X_j
+    count |c_j| times, so they add up to at most tols when every part meets
+    its share. Callers leave out zero coefficients; an all-zero sum is zero.
+    """
+    values, tails = np.zeros((2,) + np.shape(tols))
+    weight = sum(abs(c) for c in coeffs)
+    if weight:
+        for c, (v, t) in zip(coeffs, parts(np.asarray(tols) / weight)):
+            values += c * v
+            tails += abs(c) * t
+    return values, tails
+
+
 class Cochain:
     """Additive, orientation-odd evaluation on k-simplices in R^d.
 
-    eval() accepts a Simplex, Chain, or Cube; chains split the tolerance
-    across terms, cubes triangulate first. eval_with_tail() also returns
-    an a posteriori error bound; with best_effort=True an exhausted
+    eval() accepts a Simplex, Chain, or Cube; cubes triangulate first, and
+    a chain is one eval_batch of its simplices summed by linear_sum, which
+    raises once if the summed tail exceeds tol. eval_with_tail() also
+    returns an a posteriori error bound; with best_effort=True an exhausted
     evaluation budget yields the partial value instead of raising.
 
     eval_batch(pts, tols) is the one way to evaluate many simplices: it
     maps an (n, k+1, d) vertex array and n tolerances to n values and n
     tails, always best effort. Subclasses implement _eval_simplex() and
     override eval_batch() when they can do better than one memoized
-    evaluation per row: zero forms, increments, zero cochains, smooth
-    forms (Gaussian forms among them), combinations and coboundaries do.
-    The last three take _eval_row, the one-row batch, as their
-    _eval_simplex.
+    evaluation per row (closed forms, smooth forms, sums of parts), and
+    then take _eval_row, the one-row batch, as their _eval_simplex.
     """
 
     provenance = "smooth"
@@ -297,43 +314,41 @@ class Cochain:
     def eval_with_tail(self, target, tol=1e-6, best_effort=False):
         if isinstance(target, Cube):
             target = cube_to_chain(target)
-        if isinstance(target, Chain):
-            terms = list(target)
-            if not terms:
-                return 0.0, 0.0
-            weight = sum(abs(c) for c, _ in terms)
-            value = 0.0
-            tail = 0.0
-            for c, s in terms:
-                v, t = self.eval_with_tail(
-                    s, tol * abs(c) / weight, best_effort=best_effort
-                )
-                value += c * v
-                tail += abs(c) * t
-            return value, tail
-        simplex = target
+        terms = list(target) if isinstance(target, Chain) else [(1, target)]
+        if not terms:
+            return 0.0, 0.0
+        simplex = terms[0][1]
         if simplex.k != self.k or simplex.d != self.d:
             raise ValueError(
                 f"expected a {self.k}-simplex in R^{self.d}, "
                 f"got k={simplex.k}, d={simplex.d}"
             )
-        canon, sign = _canonical_orientation(simplex)
-        key = _memo_key(canon)
-        hit = self._memo.get(key)
-        # an entry serves requests its tail meets and requests no tighter
-        # than its own; a tighter one is recomputed and replaces it, unless
-        # the entry is final, which serves every request
-        if hit is None or (hit[2] > tol and tol < hit[0]):
-            value, tail, _, *final = self._eval_simplex(canon, tol)
-            hit = (0.0 if any(final) else tol, value, tail)
-            self._memo[key] = hit
-        _, value, tail = hit
+        if isinstance(target, Chain):
+            pts = np.stack([s.vertices for _, s in terms])
+
+            def rows(share):
+                return zip(*self.eval_batch(pts, np.full(len(pts), share)))
+
+            coeffs = [c for c, _ in terms]
+            value, tail = map(float, linear_sum(coeffs, rows, tol))
+        else:
+            canon, sign = _canonical_orientation(simplex)
+            key = _memo_key(canon)
+            hit = self._memo.get(key)
+            # an entry serves requests its tail meets or no tighter than
+            # its own; a tighter one is recomputed and replaces it, unless
+            # the entry is final, which serves every request
+            if hit is None or (hit[2] > tol and tol < hit[0]):
+                value, tail, _, *final = self._eval_simplex(canon, tol)
+                hit = (0.0 if any(final) else tol, value, tail)
+                self._memo[key] = hit
+            value, tail = sign * hit[1], hit[2]
         if tail > tol and not best_effort:
             raise BudgetExceededError(
                 f"evaluation tail {tail:.3g} exceeds tol {tol:.3g}",
-                partial=(sign * value, tail),
+                partial=(value, tail),
             )
-        return sign * value, tail
+        return value, tail
 
     def __neg__(self):
         return combination([(-1.0, self)])
@@ -416,8 +431,7 @@ class ZeroFormCochain(Cochain):
         super().__init__(0, d, 0.0, f.gamma)
         self.f = f
 
-    def _eval_simplex(self, simplex, tol):
-        return float(self.f(simplex.vertices[0])), 0.0, False
+    _eval_simplex = Cochain._eval_row
 
     def eval_batch(self, pts, tols):
         return self.f(pts[:, 0, :]), np.zeros(len(pts))
@@ -574,9 +588,7 @@ class IncrementCochain(Cochain):
         self.g = g
         self.alpha_norm_bound = g.constant
 
-    def _eval_simplex(self, simplex, tol):
-        v = simplex.vertices
-        return float(self.g(v[1]) - self.g(v[0])), 0.0, False
+    _eval_simplex = Cochain._eval_row
 
     def eval_batch(self, pts, tols):
         return self.g(pts[:, 1, :]) - self.g(pts[:, 0, :]), np.zeros(len(pts))
@@ -609,17 +621,13 @@ class CombinationCochain(Cochain):
     _eval_simplex = Cochain._eval_row
 
     def eval_batch(self, pts, tols):
-        """Term batches at tolerance shares proportional to |c|."""
-        values = np.zeros(len(pts))
-        tails = np.zeros(len(pts))
-        weight = sum(abs(c) for c, _ in self.terms)
-        for c, a in self.terms:
-            if c == 0.0:
-                continue
-            v, t = a.eval_batch(pts, np.asarray(tols) * abs(c) / weight)
-            values += c * v
-            tails += abs(c) * t
-        return values, tails
+        """The terms' batches, summed at the one tolerance split."""
+        live = [(c, a) for c, a in self.terms if c]
+        return linear_sum(
+            [c for c, _ in live],
+            lambda share: (a.eval_batch(pts, share) for _, a in live),
+            tols,
+        )
 
 
 class ZeroCochain(Cochain):
@@ -630,8 +638,7 @@ class ZeroCochain(Cochain):
         self.provenance = provenance
         self.alpha_norm_bound = 0.0
 
-    def _eval_simplex(self, simplex, tol):
-        return 0.0, 0.0, False
+    _eval_simplex = Cochain._eval_row
 
     def eval_batch(self, pts, tols):
         return np.zeros(len(pts)), np.zeros(len(pts))
@@ -770,18 +777,16 @@ class CoboundaryCochain(Cochain):
     _eval_simplex = Cochain._eval_row
 
     def eval_batch(self, pts, tols):
-        """Signed face batches, each at an even share of the tolerance."""
-        pts = np.asarray(pts, dtype=float)
-        n_faces = pts.shape[1]
-        values = np.zeros(len(pts))
-        tails = np.zeros(len(pts))
-        for i in range(n_faces):
-            v, t = self.base.eval_batch(
-                np.delete(pts, i, axis=1), np.asarray(tols) / n_faces
-            )
-            values += (-1.0) ** i * v
-            tails += t
-        return values, tails
+        """The signed faces' batches, summed at the one tolerance split."""
+        faces = range(np.shape(pts)[1])
+        return linear_sum(
+            [(-1.0) ** i for i in faces],
+            lambda share: (
+                self.base.eval_batch(np.delete(pts, i, axis=1), share)
+                for i in faces
+            ),
+            tols,
+        )
 
 
 def coboundary(a):
@@ -820,23 +825,12 @@ def wedge_d(f, a):
 def zust_form(g0, gs, a):
     """g0 * dg1 ^ ... ^ dgn ^ A by iterated wedges and a final product.
 
-    Requires alpha + sum gamma_i > n and beta + sum gamma_i > n - 1, with
-    the first failing inequality named in the error.
+    The wedges are built from dgn inward, then the product; the first of
+    them whose exponent check fails (wedge_d or product) raises
+    ExponentViolationError with its inequality.
     """
-    gs = list(gs)
-    n = len(gs)
-    total = g0.gamma + sum(g.gamma for g in gs)
-    eff_alpha = a.beta if a.k == 0 else a.alpha
-    if eff_alpha + total <= n:
-        raise ExponentViolationError(
-            f"need alpha + sum gamma_i > n: {eff_alpha} + {total} <= {n}"
-        )
-    if a.beta + total <= n - 1:
-        raise ExponentViolationError(
-            f"need beta + sum gamma_i > n - 1: {a.beta} + {total} <= {n - 1}"
-        )
     cur = a
-    for g in reversed(gs):
+    for g in reversed(list(gs)):
         cur = wedge_d(g, cur)
     return product(g0, cur)
 
@@ -927,8 +921,9 @@ def stokes_residual(a, omega, tol=1e-6):
     The left path sews the germ tau -> dA(tau) = A(boundary tau) over
     subdivisions of omega (exercising cancellation across internal faces),
     one coboundary batch per level with each face at inner/(k+2); the
-    right path evaluates A once on each boundary face. For an additive A
-    both converge to A(boundary omega), so the residual is error-sized.
+    right path evaluates dA on omega, each face at tol/(k+2). For an
+    additive A both converge to A(boundary omega): the residual is
+    error-sized.
     """
     inner = tol / 500.0
     da = coboundary(a)
@@ -944,7 +939,7 @@ def stokes_residual(a, omega, tol=1e-6):
         left = res.value
     except (BudgetExceededError, NoConvergenceError) as exc:
         left = exc.partial.value
-    right = a.eval(boundary(omega), tol, best_effort=True)
+    right = da.eval(omega, tol, best_effort=True)
     return abs(left - right)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSimplexError, UnsupportedDimensionError
+from .errors import DegenerateSimplexError
 
 # Relative threshold on the Gram determinant below which a simplex counts as
 # degenerate. The Gram determinant scales like diam^(2k), so the comparison

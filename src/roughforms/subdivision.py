@@ -22,7 +22,6 @@ from .geometry import (
     Cube,
     Simplex,
     _permutation_sign,
-    diameter,
     diameter_array,
     eccentricity,
     eccentricity_array,

@@ -6,6 +6,7 @@ from closed-form values derived by hand in the comments.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,56 @@ def test_chain_and_cube_evaluation():
     assert a.eval(chain, 1e-9) == pytest.approx(a.eval(s, 1e-9))
     cube = Cube([0.2, 0.3], [[1.0, 0.0]], 0.5)
     assert a.eval(cube, 1e-9) == pytest.approx(0.5)
+
+
+def test_chain_tails_add_up_to_the_tolerance():
+    # the term 2 * sigma gets tol / 2 and its tail counts twice: the Whitney
+    # sum's tail on sigma is 0.0436 > tol / 2, so 2 * sigma must raise
+    # rather than return the tail 0.0871 > tol
+    a = iota_cochain(lambda x: x[..., 0] + x[..., 1], 2, n_max=6, nodes=6)
+    sigma = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tol = 0.0653
+    with pytest.raises(BudgetExceededError) as exc:
+        a.eval_with_tail(Chain([(2, sigma)]), tol)
+    value, tail = exc.value.partial
+    assert tail > tol
+    assert (value, tail) == a.eval_with_tail(
+        Chain([(2, sigma)]), tol, best_effort=True
+    )
+    assert a.eval_with_tail(Chain([(2, sigma)]), 2 * tail)[1] == tail
+
+
+def test_zero_combination_is_zero_without_warnings():
+    a = forms.catalog_form("x_dy")
+    pts = np.array([[[0.0, 0.0], [1.0, 0.5]], [[0.2, 0.3], [0.4, 0.9]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, tails = (0 * a).eval_batch(pts, np.full(2, 1e-9))
+    assert values.tolist() == [0.0, 0.0] and tails.tolist() == [0.0, 0.0]
+
+
+def test_chains_and_cubes_cost_one_batch(monkeypatch):
+    calls = []
+    batch = forms.SmoothFormCochain.eval_batch
+
+    def counting_batch(self, pts, tols):
+        calls.append(len(pts))
+        return batch(self, pts, tols)
+
+    monkeypatch.setattr(forms.SmoothFormCochain, "eval_batch", counting_batch)
+    x_dy = forms.catalog_form("x_dy")
+    tri = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert x_dy.eval(boundary(tri), 1e-9) == pytest.approx(0.5)
+    assert calls == [3]
+    calls.clear()
+    # three copies of the boundary, with coefficients 1, 2 and -1
+    chain = boundary(tri) + 2 * boundary(tri) - boundary(tri)
+    assert x_dy.eval(chain, 1e-9) == pytest.approx(1.0) and calls == [9]
+    calls.clear()
+    # the staircase triangulation of a 3-cube: 6 simplices, one batch
+    vol = forms.smooth_form({(1, 2, 3): 1.0}, 3)
+    cube = Cube([0.1, 0.2, 0.3], np.eye(3), 0.5)
+    assert vol.eval(cube, 1e-9) == pytest.approx(0.125) and calls == [6]
 
 
 def test_eval_rejects_wrong_dimensions():
@@ -702,7 +753,10 @@ def test_zust_names_the_failing_inequality():
         forms.WeierstrassFunction(0.4, 2, seed=7),
     ]
     a0 = forms.ZeroFormCochain(forms.WeierstrassFunction(0.1, 2, seed=8))
-    with pytest.raises(ExponentViolationError, match="sum gamma_i > n"):
+    # the innermost wedge, dW(0.4) ^ W(0.1), is the first check that fails
+    with pytest.raises(
+        ExponentViolationError, match=r"wedge needs alpha \+ gamma > 1"
+    ):
         forms.zust_form(one, rough, a0)
 
 
@@ -932,6 +986,21 @@ def test_stokes_residual_small_for_smooth_form():
     for _ in range(5):
         s = rand_simplex(rng, 2, 2)
         assert forms.stokes_residual(a, s, tol=1e-7) < 1e-6
+
+
+def test_stokes_right_side_is_the_boundary_evaluation():
+    # stokes_residual's right side dA(omega) is A(boundary omega), summed
+    # in another face order, on the smooth and closed cases of this section
+    rng = np.random.default_rng(43)
+    cases = [(forms.catalog_form("x_dy"), rand_simplex(rng, 2, 2), 1e-7)]
+    dg = forms.increment_form(
+        forms.HolderFunction(lambda p: np.sin(3 * p[..., 0]) * p[..., 1], 1.0, 4.0, d=2)
+    )
+    cases.append((dg, Simplex([[0, 0], [0.8, 0.1], [0.3, 0.9]]), 1e-9))
+    for a, omega, tol in cases:
+        right = forms.coboundary(a).eval_with_tail(omega, tol)
+        want = a.eval_with_tail(boundary(omega), tol)
+        assert_rounding_close(right, want)
 
 
 def test_stokes_residual_zero_for_closed_form():

@@ -5,7 +5,9 @@ Hypothesis draws well-shaped simplices in R^2 and R^3. The properties are
 the paper's invariants for additive cochains: additivity under
 subdivision, oddness under a vertex transposition (through the memo, in
 either evaluation order), and boundary of boundary = 0 for the coboundary
-of a pulled-back form. For Young products, the sampled germ norms of
+of a pulled-back form. On integer chains of these forms and of Whitney
+cochains, a result's tail meets the tolerance or the evaluation raises.
+For Young products, the sampled germ norms of
 `sewing.estimate_germ_norms` check the defect exponent and constant that
 the product declares and that sewing's analytic tail trusts.
 """
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from roughforms import forms, gaussian, sampling, sewing
-from roughforms.geometry import Simplex, diameter, gram_determinant
+from roughforms.embedding import iota_cochain
+from roughforms.errors import BudgetExceededError
+from roughforms.geometry import Chain, Simplex, diameter, gram_determinant
 
 TOL = 1e-9
 # rounding of one quadrature sum, relative to the value
@@ -141,6 +145,30 @@ def test_smooth_forms_are_odd_through_the_memo(k, d, build, data):
     fresh = build(k, d)
     assert fresh.eval_with_tail(swapped, TOL) == (-v, tail)
     assert fresh.eval_with_tail(s, TOL) == (v, tail)
+
+
+def _iota(k, d):
+    return iota_cochain(
+        lambda x: x[..., 0] * x[..., 1] + 1.0, d, n_max=5, nodes=4
+    )
+
+
+@pytest.mark.parametrize(
+    "k, d, build", CASES + [pytest.param(2, 2, _iota, id="iota-2-2")]
+)
+@settings(max_examples=25)
+@given(data=st.data(), tol=st.floats(1e-3, 0.3))
+def test_chain_tails_meet_the_tolerance_or_raise(k, d, build, data, tol):
+    coeffs = st.integers(-3, 3).filter(bool)
+    terms = data.draw(
+        st.lists(st.tuples(coeffs, simplices(k, d)), min_size=1, max_size=3)
+    )
+    try:
+        _, tail = build(k, d).eval_with_tail(Chain(terms), tol)
+    except BudgetExceededError as exc:
+        assert exc.partial[1] > tol
+    else:
+        assert tail <= tol
 
 
 @pytest.mark.parametrize("d", sorted(MAPS))
