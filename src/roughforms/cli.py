@@ -9,6 +9,13 @@ fields rejected), prints a result JSON object to stdout, and with
 ``meta.json`` (version and timing live there so result.json is
 byte-identical across reruns).
 
+This module is the package's only JSON reader and writer. Geometry is
+read here alone, from a config's ``simplex``, ``chain``, ``cube`` or
+``file`` object; library objects have no JSON readers. Results are
+written from the ``to_json`` reports of the objects a command builds
+(and, for ``gaussian-sample --out``, ``FieldSample.export``); an object
+that no command reports has no serializer.
+
 Exit codes: 0 success, 2 validation error, 3 convergence/budget
 failure, 4 failed expectation under ``--assert``. Errors are emitted as
 one machine-readable JSON object on stderr. ``--seed`` overrides the
@@ -641,18 +648,23 @@ def _check_dims(a, target, field="geometry"):
         )
 
 
-def _value_check(value, expect, default_tol=1e-6):
-    if expect is None:
+def _value_check(value, expect):
+    if not expect or "value" not in expect:
         return None
-    return abs(value - expect["value"]) <= expect.get("tol", default_tol)
+    return abs(value - expect["value"]) <= expect.get("tol", 1e-6)
 
 
 # ---------------------------------------------------------------------------
 # command handlers: config -> (result dict, passed, {csv name: (header, rows)})
 
 
-def _cmd_integrate(config, base_dir):
-    a = _load_form(config["form"])
+def _integral(command, a, config, base_dir, **extra):
+    """Evaluate a built cochain on the configured geometry.
+
+    The result holds command, value, tail_bound and tol, then `extra`;
+    the value is checked against the config's expect block. Only the
+    integrate schema admits best_effort.
+    """
     target = _load_geometry(config["geometry"], base_dir)
     _check_dims(a, target)
     tol = config.get("tol", 1e-6)
@@ -660,15 +672,20 @@ def _cmd_integrate(config, base_dir):
         target, tol, best_effort=config.get("best_effort", False)
     )
     result = {
-        "command": "integrate",
+        "command": command,
         "value": value,
         "tail_bound": tail,
         "tol": tol,
-        "k": a.k,
-        "d": a.d,
-        "provenance": a.provenance,
+        **extra,
     }
     return result, _value_check(value, config.get("expect")), {}
+
+
+def _cmd_integrate(config, base_dir):
+    a = _load_form(config["form"])
+    return _integral(
+        "integrate", a, config, base_dir, k=a.k, d=a.d, provenance=a.provenance
+    )
 
 
 def _cmd_product(config, base_dir):
@@ -676,21 +693,16 @@ def _cmd_product(config, base_dir):
     f = _load_function(config["f"], a.d, "f")
     rule = config.get("rule", "vertex_average")
     fa = product(f, a, rule=rule)
-    target = _load_geometry(config["geometry"], base_dir)
-    _check_dims(fa, target)
-    tol = config.get("tol", 1e-6)
-    value, tail = fa.eval_with_tail(target, tol)
-    result = {
-        "command": "product",
-        "value": value,
-        "tail_bound": tail,
-        "tol": tol,
-        "rule": rule,
-        "alpha": fa.alpha,
-        "beta": fa.beta,
-        "gamma": f.gamma,
-    }
-    return result, _value_check(value, config.get("expect")), {}
+    return _integral(
+        "product",
+        fa,
+        config,
+        base_dir,
+        rule=rule,
+        alpha=fa.alpha,
+        beta=fa.beta,
+        gamma=f.gamma,
+    )
 
 
 def _cmd_pullback(config, base_dir):
@@ -702,21 +714,16 @@ def _cmd_pullback(config, base_dir):
             field="map.F",
         )
     fa = pullback(f_map, a)
-    target = _load_geometry(config["geometry"], base_dir)
-    _check_dims(fa, target)
-    tol = config.get("tol", 1e-6)
-    value, tail = fa.eval_with_tail(target, tol)
-    result = {
-        "command": "pullback",
-        "value": value,
-        "tail_bound": tail,
-        "tol": tol,
-        "m": f_map.m,
-        "d": a.d,
-        "alpha": fa.alpha,
-        "beta": fa.beta,
-    }
-    return result, _value_check(value, config.get("expect")), {}
+    return _integral(
+        "pullback",
+        fa,
+        config,
+        base_dir,
+        m=f_map.m,
+        d=a.d,
+        alpha=fa.alpha,
+        beta=fa.beta,
+    )
 
 
 def _cmd_stokes(config, base_dir):
@@ -873,12 +880,7 @@ def _cmd_embed(config, base_dir):
         )
         result = {"command": "embed", "mode": "iota", "d": d}
         result.update(report.to_json())
-        passed = None
-        if expect and "value" in expect:
-            passed = abs(report.value - expect["value"]) <= expect.get(
-                "tol", 1e-6
-            )
-        return result, passed, {}
+        return result, _value_check(report.value, expect), {}
 
     _require(config, ("form", "J"), mode)
     a = _load_form(config["form"])
@@ -899,10 +901,7 @@ def _cmd_embed(config, base_dir):
             "J": list(J),
             "nodes": nodes,
         }
-        passed = None
-        if expect and "value" in expect:
-            passed = abs(value - expect["value"]) <= expect.get("tol", 1e-6)
-        return result, passed, {}
+        return result, _value_check(value, expect), {}
 
     _require(config, ("x",), mode)
     x = np.asarray(config["x"], dtype=float)

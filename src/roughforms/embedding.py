@@ -126,14 +126,6 @@ class TestFunction:
     def support_box(self):
         return self.center - self.radius, self.center + self.radius
 
-    def to_json(self):
-        return {
-            "d": self.d,
-            "center": self.center.tolist(),
-            "radius": self.radius,
-            "m": self.m,
-        }
-
 
 def _box_values(a, pts, J, tol):
     """A on the axis boxes [0, u_j] (j in J) at transverse position u.

@@ -284,7 +284,7 @@ class Cochain:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self._memo = {}
-        # optional rigorous bound on sup |A| / mass_alpha, set when known
+        # optional rigorous bound on sup |A| / mass_value, set when known
         self.alpha_norm_bound = None
 
     # subclasses: return (value, tail_bound, budget_exhausted), with
@@ -361,15 +361,6 @@ class Cochain:
 
     def __rmul__(self, scalar):
         return combination([(float(scalar), self)])
-
-    def to_json(self):
-        return {
-            "k": self.k,
-            "d": self.d,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "provenance": self.provenance,
-        }
 
 
 class SewnCochain(Cochain):
@@ -735,6 +726,8 @@ def product(f, a, rule="vertex_average"):
     exact closed forms.
     """
     if a.k == 0:
+        if not isinstance(a, ZeroFormCochain):
+            raise TypeError("products with 0-forms need a ZeroFormCochain")
         # the composite constant is a declared hint, not a derived bound
         g = HolderFunction(
             lambda x, f=f, a=a: f(x) * a.f(x),
@@ -974,24 +967,9 @@ class NormReport:
             "per_band": list(self.per_band),
         }
 
-    def csv_rows(self):
-        header = ["band", "count", "sup_mass", "sup_diam", "sup_boundary"]
-        rows = [header]
-        for rec in self.per_band:
-            rows.append(
-                [
-                    f"{rec['band'][0]:.6g}..{rec['band'][1]:.6g}",
-                    rec["count"],
-                    rec["sup_mass"],
-                    rec["sup_diam"],
-                    rec["sup_boundary"],
-                ]
-            )
-        return rows
-
 
 def norm_estimate(a, alpha, beta, region, spec, tol=1e-7):
-    """Empirical per-band sup of |A|/mass_alpha, |A|/diam^(k-1+alpha),
+    """Empirical per-band sup of |A|/mass_value, |A|/diam^(k-1+alpha),
     and |A(boundary omega)|/mass_beta over sampled simplices.
 
     Suprema only grow with more samples (prefix-stable streams). The

@@ -88,6 +88,11 @@ class SpectralFieldSpec:
         rad = np.sqrt(sum(g * g for g in grids))
         return (1.0 + rad / self.L) ** (-self.theta) * self.L ** (-self.d / 2.0)
 
+    def exponents(self):
+        """(alpha_bar, beta_bar) = (min(theta-d/2+1, 1), min(theta-d/2, 1))."""
+        excess = self.theta - self.d / 2.0
+        return min(excess + 1.0, 1.0), min(excess, 1.0)
+
     def require_pairing(self, k):
         if self.theta <= (self.d - k) / 2.0:
             raise ExponentViolationError(
@@ -303,16 +308,6 @@ class DeltaQNorm:
     def __float__(self):
         return self.value
 
-    def to_json(self):
-        return {
-            "value": self.value,
-            "tail_bound": self.tail_bound,
-            "k": self.k,
-            "d": self.d,
-            "side": self.side,
-            "theta": self.theta,
-        }
-
 
 def delta_Q_sobolev(Q, theta, nodes=10, reach=32.0, tail_limit=0.05):
     """The H^(-theta)(R^d) norm of the distribution integrating over Q.
@@ -433,8 +428,7 @@ class GaussianKFormCochain(SmoothFormCochain):
                 f"need exactly one field per index set, expected {sorted(want)}"
             )
         spec.require_pairing(k)
-        alpha_bar = min(spec.theta - spec.d / 2.0 + 1.0, 1.0)
-        beta_bar = min(spec.theta - spec.d / 2.0, 1.0)
+        alpha_bar, beta_bar = spec.exponents()
         super().__init__(
             {I: sample.eval for I, sample in keyed.items()},
             spec.d,
@@ -454,17 +448,6 @@ class GaussianKFormCochain(SmoothFormCochain):
     def eval_axis_box(self, pts, J):
         J = tuple(int(j) for j in J)
         return self.samples[J].integral_axis_box(pts, J)
-
-    def to_json(self):
-        blob = super().to_json()
-        blob["spec"] = {
-            "d": self.spec.d,
-            "theta": self.spec.theta,
-            "N": self.spec.N,
-            "L": self.spec.L,
-            "seed": self.spec.seed,
-        }
-        return blob
 
 
 def gaussian_form(samples, k):
@@ -628,8 +611,7 @@ def kolmogorov_fit(
             raise ValueError("scales must be dyadic fractions of the period")
         if s * math.sqrt(k + 1) > spec.L / 8.0 + 1e-12:
             raise ValueError("scales must keep cube diameters at or below L/8")
-    alpha_bar = min(spec.theta - spec.d / 2.0 + 1.0, 1.0)
-    beta_bar = min(spec.theta - spec.d / 2.0, 1.0)
+    alpha_bar, beta_bar = spec.exponents()
     degenerate = beta_bar <= 0.0
     pred_cube = None if degenerate else q * (k - 1 + alpha_bar)
     pred_bdry = None if degenerate else q * (k + beta_bar)

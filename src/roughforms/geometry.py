@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,16 +76,6 @@ class Simplex:
         )
         return f"Simplex[{pts}]"
 
-    def to_json(self):
-        return {"d": self.d, "k": self.k, "vertices": self._verts.tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        s = cls(obj["vertices"])
-        if s.d != obj["d"] or s.k != obj["k"]:
-            raise ValueError("simplex JSON is inconsistent with its vertices")
-        return s
-
 
 class Chain:
     """A formal integer combination of k-simplices of a common (k, d).
@@ -136,19 +126,6 @@ class Chain:
     def __rmul__(self, scalar):
         return Chain([(scalar * c, s) for c, s in self._terms])
 
-    def to_json(self):
-        return {
-            "terms": [
-                {"coeff": c, "simplex": s.to_json()} for c, s in self._terms
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            (t["coeff"], Simplex.from_json(t["simplex"])) for t in obj["terms"]
-        )
-
 
 @dataclass(frozen=True)
 class Cube:
@@ -185,40 +162,6 @@ class Cube:
     @property
     def d(self):
         return self.base.shape[0]
-
-    def to_json(self):
-        return {
-            "d": self.d,
-            "k": self.k,
-            "base": self.base.tolist(),
-            "frame": self.frame.tolist(),
-            "side": self.side,
-            "sign": self.sign,
-        }
-
-
-@dataclass(frozen=True)
-class MassReport:
-    """Summary geometry of one simplex at a fixed Hoelder weight alpha."""
-
-    alpha: float
-    volume: float
-    diameter: float
-    height: float
-    mass: float
-    eccentricity: float
-    face_volumes: tuple = field(default_factory=tuple)
-
-    def to_json(self):
-        return {
-            "alpha": self.alpha,
-            "volume": self.volume,
-            "diameter": self.diameter,
-            "height": self.height,
-            "mass": self.mass,
-            "eccentricity": self.eccentricity,
-            "face_volumes": list(self.face_volumes),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +260,6 @@ def mass_value(simplex, alpha):
     h = min(heights(simplex))
     fmax = max(volume(f) for f in faces(simplex))
     return fmax * h**alpha
-
-
-def mass_alpha(simplex, alpha):
-    """Full MassReport of one simplex at weight alpha."""
-    mass = mass_value(simplex, alpha)
-    return MassReport(
-        alpha=alpha,
-        volume=volume(simplex),
-        diameter=diameter(simplex),
-        height=min(heights(simplex)),
-        mass=mass,
-        eccentricity=eccentricity(simplex),
-        face_volumes=tuple(volume(f) for f in faces(simplex)),
-    )
 
 
 def eccentricity(simplex):

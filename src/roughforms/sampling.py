@@ -34,21 +34,12 @@ class Box:
     def widths(self):
         return self.hi - self.lo
 
-    def contains(self, pts, pad=0.0):
+    def contains(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.all(
-            (pts >= self.lo - pad) & (pts <= self.hi + pad), axis=-1
-        )
+        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
 
     def sample(self, rng, n=1):
         return self.lo + rng.random((n, self.d)) * self.widths
-
-    def to_json(self):
-        return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["lo"], obj["hi"])
 
     @classmethod
     def unit(cls, d):

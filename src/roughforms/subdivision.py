@@ -435,20 +435,6 @@ class WhitneyDecomposition:
             for corner, side in zip(self.corners, self.sides)
         ]
 
-    def to_json(self):
-        counts = self.level_counts  # keys ascending
-        return {
-            "k": self.simplex.k,
-            "levels": {str(n): c for n, c in counts.items()},
-            "n_cubes": len(self.levels),
-            "covered_volume": self.covered_volume,
-            "simplex_volume": self.simplex_volume,
-            "covered_fraction": self.covered_volume / self.simplex_volume,
-            "count_fitted_order": fitting.loglog_slope(
-                [2.0**n for n in counts], list(counts.values())
-            ),
-        }
-
 
 def whitney_cubes(simplex, n_max):
     """Whitney decomposition of the simplex interior up to dyadic level n_max.

@@ -182,3 +182,133 @@ def test_kolmogorov_fit_writes_passing_moments(tmp_path, capsys, config):
     for name in ("moments_cube.csv", "moments_boundary.csv"):
         rows = (out / name).read_text().splitlines()
         assert len(rows) == 1 + len(config["scales"])
+
+
+@pytest.mark.parametrize(
+    "command, config, keys",
+    [
+        (
+            "product",
+            {
+                "form": {"catalog": "dy"},
+                "f": {"expression": "x1", "gamma": 1.0, "constant": 1.0},
+                "geometry": {"simplex": [[0, 0], [1, 1]]},
+                "tol": 1e-6,
+                "expect": {"value": 0.5, "tol": 1e-5},
+            },
+            {"command", "value", "tail_bound", "tol", "rule", "alpha", "beta",
+             "gamma", "passed"},
+        ),
+        (
+            "stokes",
+            {
+                "form": {"catalog": "x_dy"},
+                "geometry": {"simplex": [[0, 0], [0.8, 0.1], [0.3, 0.9]]},
+                "tol": 1e-6,
+                "max_residual": 1e-5,
+            },
+            {"command", "residual", "tol", "k", "d", "max_residual", "passed"},
+        ),
+        (
+            "subdiv-stats",
+            {
+                "scheme": "edgewise",
+                "k": 2,
+                "levels": 3,
+                "expect": {"c": 0.5, "cardinality": 4, "tol": 1e-9},
+            },
+            {"command", "scheme", "k", "c", "cardinality", "norm", "levels",
+             "records", "ecc_ratio_by_level", "vol_ratio_growth",
+             "vol_ratio_fitted_order", "passed"},
+        ),
+        (
+            "norms",
+            {
+                "form": {"catalog": "x_dy"},
+                "region": {"lo": [0, 0], "hi": [1, 1]},
+                "sampler": {
+                    "samples_per_band": 3,
+                    "n_bands": 2,
+                    "diam_max": 0.4,
+                    "n_splits": 1,
+                },
+                "tol": 1e-6,
+                "expect": {"alpha_norm_max": 10.0, "beta_norm_max": 10.0},
+            },
+            {"command", "alpha", "beta", "alpha_norm", "alpha_norm_diam",
+             "beta_norm", "ratio", "n_samples", "ecc_cap", "per_band",
+             "passed"},
+        ),
+        (
+            "flatnorm",
+            {
+                "s1": [[0, 0], [1, 0]],
+                "s2": [[0, 0.1], [1, 0.1]],
+                "alpha": 1.0,
+                "beta": 1.0,
+                "expect": {"max": 1.0},
+            },
+            {"command", "upper_bound", "alpha", "beta", "passed"},
+        ),
+        (
+            "embed",
+            {
+                "mode": "pi",
+                "form": {"catalog": "x_dy"},
+                "J": [2],
+                "nodes": 16,
+                "tol": 1e-8,
+                "expect": {"value": 0.05609987149107822, "tol": 1e-8},
+            },
+            {"command", "mode", "value", "J", "nodes", "passed"},
+        ),
+        (
+            "embed",
+            {
+                "mode": "scaling",
+                "form": {"catalog": "dx"},
+                "J": [1],
+                "x": [0.5, 0.5],
+                "lambdas": [0.5, 0.25, 0.125],
+                "nodes": 12,
+                "expect": {"min_slope": -0.15},
+            },
+            {"command", "mode", "J", "slope", "records", "passed"},
+        ),
+        (
+            "embed",
+            {
+                "mode": "iota",
+                "F": {"expression": "x1 + x2"},
+                "d": 2,
+                "simplex": [[0, 0], [1, 0], [0, 1]],
+                "n_max": 6,
+                "nodes": 6,
+                "expect": {"value": 1 / 3, "tol": 0.05},
+            },
+            {"command", "mode", "d", "value", "tail_bound", "covered_volume",
+             "n_cubes", "passed"},
+        ),
+        (
+            "gaussian-sample",
+            {"spec": {"d": 2, "theta": 1.5, "N": 8, "seed": 0}, "k": 1},
+            {"command", "spec", "k", "components", "spectral_point_variance",
+             "files", "grid_stats", "passed"},
+        ),
+        (
+            "expr-check",
+            {
+                "expression": "x1^2 + sin(x2)",
+                "points": [[1, 0], [2, 0]],
+                "derivative": "x1",
+                "expect": {"values": [1.0, 4.0], "tol": 1e-12},
+            },
+            {"command", "source", "normalized", "dimension", "round_trip",
+             "values", "derivative", "passed"},
+        ),
+    ],
+)
+def test_subcommand_runs_end_to_end(tmp_path, command, config, keys):
+    out = tmp_path / "out"
+    assert run(tmp_path, command, config, "--out", str(out), "--assert") == 0
+    assert set(json.loads((out / "result.json").read_text())) == keys

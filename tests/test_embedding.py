@@ -98,17 +98,6 @@ def test_bump_validation_errors():
         psi.rescaled(0.0, [0.0, 0.0])
 
 
-def test_bump_json_fields():
-    psi = TestFunction(3, center=[1.0, 2.0, 3.0], radius=0.25, m=4)
-    blob = psi.to_json()
-    assert blob == {
-        "d": 3,
-        "center": [1.0, 2.0, 3.0],
-        "radius": 0.25,
-        "m": 4,
-    }
-
-
 # ---------------------------------------------------------------------------
 # component extraction
 

@@ -368,8 +368,7 @@ def test_delta_q_guards_and_report():
     assert err.value.tail_fraction > 0.05
     norm = G.delta_Q_sobolev(Cube(np.zeros(2), np.eye(2), 0.25), 1.5)
     assert float(norm) == norm.value
-    blob = norm.to_json()
-    assert blob["side"] == 0.25 and blob["tail_bound"] < 0.05 * norm.value
+    assert norm.side == 0.25 and norm.tail_bound < 0.05 * norm.value
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +449,7 @@ def test_gaussian_form_metadata_and_validation():
     assert a.alpha == pytest.approx(1.0)
     assert a.beta == pytest.approx(0.5)
     assert a.provenance == "gaussian"
-    blob = a.to_json()
-    assert blob["spec"]["N"] == 8 and blob["provenance"] == "gaussian"
+    assert a.spec.N == 8
     with pytest.raises(ValueError):
         G.gaussian_form({(1,): a.samples[(1,)]}, 1)
     other = G.sample_field(G.SpectralFieldSpec(d=2, theta=1.5, N=16, seed=0))
