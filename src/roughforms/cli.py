@@ -4,7 +4,8 @@ Run it as ``python -m roughforms <subcommand> --config FILE`` or as the
 ``roughforms`` script. Subcommands: integrate, product, pullback, stokes,
 subdiv-stats, norms, flatnorm, embed, gaussian-sample, kolmogorov-fit,
 expr-check. Every command reads a schema-validated JSON config (unknown
-fields rejected), prints a result JSON object to stdout, and with
+fields rejected; jsonschema is imported at the first validation, not
+with the package), prints a result JSON object to stdout, and with
 ``--out DIR`` also writes ``result.json``, optional CSVs, and
 ``meta.json`` (version and timing live there so result.json is
 byte-identical across reruns).
@@ -36,7 +37,6 @@ import re
 import sys
 import time
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -453,13 +453,42 @@ SCHEMAS = {
 }
 
 
-def validate_config(command, config):
-    """Schema-check a config; raises jsonschema.ValidationError."""
+def _schema_check(schema, instance):
+    """Raise ConfigError for the first schema error of instance by JSON path.
 
-    validator = jsonschema.Draft202012Validator(SCHEMAS[command])
-    errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
-    if errors:
-        raise errors[0]
+    The error's field is the dotted path to it; an unknown key is named
+    itself. jsonschema is imported here, at the first validation, so
+    ``import roughforms`` does not load it.
+    """
+
+    import jsonschema
+
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = sorted(validator.iter_errors(instance), key=lambda e: e.json_path)
+    if not errors:
+        return
+    exc = errors[0]
+    parts = [str(part) for part in exc.absolute_path]
+    if exc.validator == "additionalProperties":
+        allowed = set(exc.schema.get("properties", {}))
+        patterns = list(exc.schema.get("patternProperties", {}))
+        extras = sorted(
+            key
+            for key in exc.instance
+            if key not in allowed
+            and not any(re.match(p, key) for p in patterns)
+        )
+        parts.extend(extras[:1])
+    raise ConfigError(exc.message, field=".".join(parts) or None) from exc
+
+
+def validate_config(command, config):
+    """Schema-check a config; raises ConfigError naming the failing field.
+
+    jsonschema loads at the first call (see ``_schema_check``).
+    """
+
+    _schema_check(SCHEMAS[command], config)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +517,7 @@ def _load_geometry(obj, base_dir, field="geometry", depth=0):
         path = os.path.join(base_dir, obj["file"])
         with open(path, "r", encoding="utf-8") as handle:
             inner = json.load(handle)
-        jsonschema.Draft202012Validator(_GEOMETRY).validate(inner)
+        _schema_check(_GEOMETRY, inner)
         return _load_geometry(inner, base_dir, field=field, depth=depth + 1)
     if "boundary" in obj and kind != "simplex":
         raise ConfigError(
@@ -1193,21 +1222,6 @@ def main(argv=None):
             base_dir=os.path.dirname(os.path.abspath(args.config)),
             seed=args.seed,
             out_dir=args.out,
-        )
-    except jsonschema.ValidationError as exc:
-        parts = [str(part) for part in exc.absolute_path]
-        if exc.validator == "additionalProperties":
-            allowed = set(exc.schema.get("properties", {}))
-            patterns = list(exc.schema.get("patternProperties", {}))
-            extras = sorted(
-                key
-                for key in exc.instance
-                if key not in allowed
-                and not any(re.match(p, key) for p in patterns)
-            )
-            parts.extend(extras[:1])
-        return _emit_error(
-            2, "validation", exc.message, field=".".join(parts) or None
         )
     except ConfigError as exc:
         return _emit_error(2, "validation", str(exc), field=exc.field)

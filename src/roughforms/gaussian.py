@@ -158,8 +158,11 @@ class FieldSample:
             return factors[0] @ c
         if self.spec.d == 2:
             return np.einsum("pb,pb->p", factors[0] @ c, factors[1])
-        t = np.einsum("abc,pc->pab", c, factors[2])
-        return np.einsum("pab,pa,pb->p", t, factors[0], factors[1])
+        # three BLAS steps: over c, then a (batched), then a row dot over b
+        n = c.shape[0]
+        t = (factors[2] @ c.reshape(n * n, n).T).reshape(-1, n, n)
+        t = np.matmul(factors[0][:, None, :], t)[:, 0, :]
+        return np.einsum("pb,pb->p", t, factors[1])
 
     def eval(self, pts):
         """Field values at a batch of ambient points, exact mode sums."""

@@ -6,6 +6,7 @@ coordinates are float64 and all norms Euclidean.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -127,6 +128,18 @@ class Chain:
         return Chain([(scalar * c, s) for c, s in self._terms])
 
 
+@functools.lru_cache(maxsize=64)
+def _orthonormal(data, shape):
+    """Whether the float64 rows in data are orthonormal to 1e-12.
+
+    Keyed on the frame's bytes, so the many cubes of one Whitney
+    decomposition, which share a frame, are checked once.
+    """
+
+    frame = np.frombuffer(data).reshape(shape)
+    return bool(np.allclose(frame @ frame.T, np.eye(shape[0]), atol=1e-12))
+
+
 @dataclass(frozen=True)
 class Cube:
     """An oriented k-cube in R^d: base corner, orthonormal frame, side, sign.
@@ -147,8 +160,7 @@ class Cube:
         object.__setattr__(self, "frame", frame)
         if frame.shape[1] != base.shape[0]:
             raise ValueError("frame row length must match the ambient dimension")
-        gram = frame @ frame.T
-        if not np.allclose(gram, np.eye(frame.shape[0]), atol=1e-12):
+        if not _orthonormal(frame.tobytes(), frame.shape):
             raise ValueError("frame rows must be orthonormal")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")

@@ -53,6 +53,44 @@ def test_unknown_key_names_its_field(tmp_path, capsys):
     assert err["field"] == "bogus"
 
 
+@pytest.mark.parametrize(
+    "geometry, field",
+    [
+        ({"simplex": [[0, 0], [1, 0], [0, 1]], "bogus": 1}, "bogus"),
+        ({"simplex": [[0, 0], [1, "x"], [0, 1]]}, "simplex.1.1"),
+        ({"cube": {"base": [0, 0], "frame": [[1, 0]], "side": 0}}, "cube.side"),
+    ],
+    ids=["unknown_key", "bad_coordinate", "zero_side"],
+)
+def test_bad_geometry_file_is_a_validation_error(
+    tmp_path, capsys, geometry, field
+):
+    (tmp_path / "geometry.json").write_text(json.dumps(geometry))
+    config = {**TRIANGLE_LOOP, "geometry": {"file": "geometry.json"}}
+    assert run(tmp_path, "integrate", config) == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == field
+
+
+def test_import_leaves_jsonschema_to_the_first_validation():
+    src = os.path.dirname(os.path.dirname(roughforms.__file__))
+    code = (
+        "import sys, roughforms\n"
+        "print('jsonschema' in sys.modules)\n"
+        "roughforms.cli.validate_config('integrate', {'form': {}})\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.stdout == "False\n"
+    assert "ConfigError" in done.stderr  # the schema check ran
+
+
 def test_geometry_outside_the_form_dimension_is_a_config_error(
     tmp_path, capsys
 ):

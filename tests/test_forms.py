@@ -1079,7 +1079,7 @@ def test_norm_estimate_sups_grow_with_more_samples():
         assert rec_b["sup_boundary"] >= rec_s["sup_boundary"] - 1e-15
 
 
-def test_norm_report_serialization_and_csv():
+def test_norm_report_json_has_every_field():
     a = forms.catalog_form("dy")
     rep = forms.norm_estimate(
         a, 1.0, 1.0, Box.unit(2), SamplerSpec(samples_per_band=4, n_bands=2, seed=1)
@@ -1237,7 +1237,7 @@ def test_cochain_linear_arithmetic():
     assert abs(v - (2 * va - vb)) <= 1e-8 + tail
 
 
-def test_cochain_to_json_reports_declaration():
+def test_product_declares_provenance_and_exponents():
     p = forms.product(
         forms.WeierstrassFunction(0.6, 2, seed=1),
         forms.increment_form(forms.WeierstrassFunction(0.7, 2, seed=2)),

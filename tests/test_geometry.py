@@ -190,7 +190,7 @@ def test_heights_match_dense_grid_sup():
         assert grid_sup_distance_to_face_hull(s, i) == pytest.approx(hs[i], rel=1e-9)
 
 
-def test_mass_report_unit_right_triangle():
+def test_mass_quantities_of_unit_right_triangle():
     s = unit_right_triangle()
     assert min(G.heights(s)) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
     assert max(G.volume(f) for f in G.faces(s)) == pytest.approx(
@@ -430,6 +430,28 @@ def test_cube_to_chain_respects_sign_and_rotation():
 def test_cube_requires_orthonormal_frame():
     with pytest.raises(ValueError):
         G.Cube(base=np.zeros(2), frame=np.array([[1.0, 1.0]]), side=1.0)
+
+
+def test_cube_checks_every_frame_after_accepting_one_of_its_shape():
+    # the orthonormality test is memoized on the frame's bytes and shape,
+    # so an accepted frame vouches for no other frame
+    G.Cube(base=np.zeros(2), frame=np.eye(2), side=1.0)
+    G.Cube(base=np.ones(2), frame=np.eye(2), side=0.5)
+    sheared = np.array([[1.0, 0.0], [0.6, 0.8]])
+    for _ in range(2):  # a cached rejection still rejects
+        with pytest.raises(ValueError, match="orthonormal"):
+            G.Cube(base=np.zeros(2), frame=sheared, side=1.0)
+    # the bytes of eye(2) as one row of length 4: norm sqrt(2)
+    with pytest.raises(ValueError, match="orthonormal"):
+        G.Cube(base=np.zeros(4), frame=np.eye(2).reshape(1, 4), side=1.0)
+
+
+def test_cube_rejects_a_frame_holding_nan():
+    frame = np.eye(3)
+    frame[2, 1] = np.nan
+    for _ in range(2):
+        with pytest.raises(ValueError, match="orthonormal"):
+            G.Cube(base=np.zeros(3), frame=frame, side=1.0)
 
 
 def test_axis_box_chain_signed_integral():

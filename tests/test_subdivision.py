@@ -533,6 +533,34 @@ def test_whitney_total_matches_per_cube_loop(simplex, n_max):
     assert np.count_nonzero(total) > len(pts) // 5
 
 
+def test_partition_cubes_and_weights_do_not_depend_on_the_frame_memo():
+    # Cube's frame check is memoized: 777 cubes share one frame. Built
+    # with the memo cold and warm, the cubes are the decomposition's rows
+    # bit for bit, and each weight is its raw bump over the per-cube loop
+    # total, bit for bit, at fixed points.
+    tri = unit_right_triangle()
+    dec = S.whitney_cubes(tri, 7)
+    bumps = S._RawBumps(dec)
+    pts = np.random.default_rng(23).random((48, 2)) * 0.9
+    flat = bumps.to_flat(pts)
+    total = _loop_total(bumps, flat)
+    G._orthonormal.cache_clear()
+    cold = S.whitney_partition(tri, 7)
+    warm = S.whitney_partition(tri, 7)
+    assert len(cold) == len(warm) == len(dec.sides) == 777
+    v0 = tri.vertices[0]
+    for i, corner in enumerate(dec.corners):
+        base = (v0 + corner @ dec.basis).tobytes()
+        num = bumps.raw(i, flat)
+        want = np.zeros_like(num)
+        want[num > 0] = num[num > 0] / total[num > 0]
+        for cube, weight in (cold[i], warm[i]):
+            assert cube.base.tobytes() == base
+            assert cube.frame.tobytes() == dec.basis.tobytes()
+            assert cube.side == dec.sides[i] and cube.sign == 1
+            assert weight(pts).tobytes() == want.tobytes()
+
+
 def test_partition_gradient_scales_like_level():
     # finite-difference sup of |grad phi| over the covered region obeys
     # C * 2^n with one constant C across levels; the quotient is smooth
