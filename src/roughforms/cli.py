@@ -85,21 +85,6 @@ from .subdivision import get_scheme, stats
 
 log = logging.getLogger("roughforms.cli")
 
-COMMANDS = (
-    "integrate",
-    "product",
-    "pullback",
-    "stokes",
-    "subdiv-stats",
-    "norms",
-    "flatnorm",
-    "embed",
-    "gaussian-sample",
-    "kolmogorov-fit",
-    "expr-check",
-)
-
-
 class ConfigError(ValueError):
     """A config that passes the schema but fails a semantic check."""
 
@@ -1182,7 +1167,7 @@ def _build_parser():
         "JSON configs.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command in SCHEMAS:
         sub = subparsers.add_parser(command)
         sub.add_argument(
             "--config", required=True, help="path to the JSON config"

@@ -303,10 +303,10 @@ class WhitneyCochain(Cochain):
 
     provenance = "smooth"
 
-    def __init__(self, F, d, n_max=8, nodes=12, alpha=1.0):
+    def __init__(self, F, d, n_max=8, nodes=12):
         if d > 2:
             raise ValueError("Whitney cochains need k = d <= 2")
-        super().__init__(d, d, alpha, alpha)
+        super().__init__(d, d, 1.0, 1.0)
         self.F = F
         self.n_max = n_max
         self.nodes = nodes
@@ -316,5 +316,5 @@ class WhitneyCochain(Cochain):
         return res.value, res.tail_bound, res.tail_bound > tol
 
 
-def iota_cochain(F, d, n_max=8, nodes=12, alpha=1.0):
-    return WhitneyCochain(F, d, n_max=n_max, nodes=nodes, alpha=alpha)
+def iota_cochain(F, d, n_max=8, nodes=12):
+    return WhitneyCochain(F, d, n_max=n_max, nodes=nodes)

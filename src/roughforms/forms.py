@@ -23,11 +23,13 @@ request would compute it again unchanged (a depth-capped sew).
 Batches of simplices have one protocol: eval_batch(pts, tols) takes an
 (n, k+1, d) vertex array with one tolerance per row and returns values and
 tails, best effort. The default evaluates row by row through the memo;
-closed forms override it with exact vectorized formulas (zero tails),
-smooth forms, Gaussian forms among them, with adaptive two-order
-quadrature (estimated tails), and sums of parts (combinations, signed
-faces, chains, staircase boxes) go through linear_sum, the one tolerance
-split: each part at tol / sum |c_j|, its tail counted |c_j| times.
+0-forms override it with point values (zero tails), smooth forms,
+Gaussian forms among them, with adaptive two-order quadrature (estimated
+tails), and sums of parts (combinations, signed faces, chains, staircase
+boxes) go through linear_sum, the one tolerance split: each part at
+tol / sum |c_j|, its tail counted |c_j| times. Exact forms need no class
+of their own: the increment form dg is the coboundary of the 0-form g,
+and the zero cochain is a combination whose coefficients are all zero.
 
 Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
 writes its germ once, as _germ_rows(pts, vals, tol, root_diam) returning
@@ -67,7 +69,7 @@ from .geometry import (
     minimal_enclosing_ball,
 )
 from .sewing import DEPTH_MAX_BY_K, FunctionGerm, sew
-from .subdivision import EDGEWISE
+from .subdivision import EDGEWISE, gauss_legendre_boxes
 
 MEMO_QUANTUM = 1e-12
 # quadrature points per coefficient call of a smooth-form quadrature; a
@@ -77,39 +79,28 @@ QUAD_CHUNK_POINTS = 1 << 13
 # a quadrature tail within this share of the value is rounding noise,
 # which splitting the simplex does not reduce
 QUAD_ROUNDING = 1e-13
+# central-difference step of SmoothMap Jacobians without an analytic one
+FD_STEP = 1e-6
 
 
 @lru_cache(maxsize=None)
 def _duffy_rule(k, order):
     """Nodes (Q, k) in the unit simplex and weights summing to 1/k!.
 
-    Tensor Gauss-Legendre points collapsed onto the simplex; exactness
+    The tensor Gauss-Legendre rule on the unit cube, collapsed onto the
+    simplex by t_j = u_1...u_j (1 - u_{j+1}), t_k = u_1...u_k, whose
+    Jacobian u_1^(k-1) u_2^(k-2) ... u_{k-1} scales the weights; exactness
     degree grows with `order` in every variable. Cached per (k, order),
     of which callers use few (k <= 3, orders up to 48); the arrays are
     read-only so no caller can change the cached rule.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    if k == 1:
-        nodes, weights = x[:, None], w
-    elif k == 2:
-        u, v = np.meshgrid(x, x, indexing="ij")
-        wu, wv = np.meshgrid(w, w, indexing="ij")
-        t1 = (u * (1 - v)).ravel()
-        t2 = (u * v).ravel()
-        weights = (wu * wv * u).ravel()
-        nodes = np.stack([t1, t2], axis=1)
-    elif k == 3:
-        u, v, s = np.meshgrid(x, x, x, indexing="ij")
-        wu, wv, ws = np.meshgrid(w, w, w, indexing="ij")
-        t1 = (u * (1 - v)).ravel()
-        t2 = (u * v * (1 - s)).ravel()
-        t3 = (u * v * s).ravel()
-        weights = (wu * wv * ws * u**2 * v).ravel()
-        nodes = np.stack([t1, t2, t3], axis=1)
-    else:
-        raise ValueError("quadrature rules cover k <= 3")
+    if not 1 <= k <= 3:
+        raise ValueError("quadrature rules cover 1 <= k <= 3")
+    u, weights = gauss_legendre_boxes(np.zeros((1, k)), np.ones((1, k)), order)
+    nodes = np.cumprod(u, axis=1)
+    nodes[:, :-1] *= 1 - u[:, 1:]
+    for j in range(k - 1):
+        weights = weights * u[:, j] ** (k - 1 - j)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -183,13 +174,12 @@ class SmoothMap:
     `eta` declares the Hoelder exponent of DF (C^{1,eta} data).
     """
 
-    def __init__(self, fn, m, d, jacobian=None, eta=1.0, fd_step=1e-6):
+    def __init__(self, fn, m, d, jacobian=None, eta=1.0):
         self._fn = fn
         self.m = int(m)
         self.d = int(d)
         self._jac = jacobian
         self.eta = float(eta)
-        self._h = float(fd_step)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -206,8 +196,8 @@ class SmoothMap:
         cols = []
         for j in range(self.m):
             e = np.zeros(self.m)
-            e[j] = self._h
-            cols.append((self(x + e) - self(x - e)) / (2 * self._h))
+            e[j] = FD_STEP
+            cols.append((self(x + e) - self(x - e)) / (2 * FD_STEP))
         return np.stack(cols, axis=-1)
 
 
@@ -563,34 +553,14 @@ def smooth_form(components, d):
     return SmoothFormCochain(comps, d)
 
 
-class IncrementCochain(Cochain):
-    """The exact 1-form dg of a Hoelder function: A([a, b]) = g(b) - g(a).
-
-    Exactly additive and closed, so (alpha, beta) = (gamma, infinity); the
-    declared Hoelder constant bounds the alpha-norm.
-    """
-
-    provenance = "coboundary"
-
-    def __init__(self, g):
-        if g.d is None:
-            raise ValueError("the function needs a declared ambient d")
-        super().__init__(1, g.d, g.gamma, math.inf)
-        self.g = g
-        self.alpha_norm_bound = g.constant
-
-    _eval_simplex = Cochain._eval_row
-
-    def eval_batch(self, pts, tols):
-        return self.g(pts[:, 1, :]) - self.g(pts[:, 0, :]), np.zeros(len(pts))
-
-
-def increment_form(g):
-    return IncrementCochain(g)
-
-
 class CombinationCochain(Cochain):
-    """A fixed linear combination of cochains of common (k, d)."""
+    """A fixed linear combination of cochains of common (k, d).
+
+    Terms with a zero coefficient add nothing to the value or to the
+    alpha-norm bound, so `terms` keeps only the others; a combination
+    whose coefficients are all zero is the empty one, the zero cochain,
+    with bound 0.0.
+    """
 
     def __init__(self, terms, alpha, beta, provenance):
         terms = [(float(c), a) for c, a in terms]
@@ -601,38 +571,22 @@ class CombinationCochain(Cochain):
             if (a.k, a.d) != (k, d):
                 raise ValueError("combination terms must share (k, d)")
         super().__init__(k, d, alpha, beta)
-        self.terms = terms
+        self.terms = [(c, a) for c, a in terms if c]
         self.provenance = provenance
-        bounds = [a.alpha_norm_bound for _, a in terms]
-        if all(b is not None for b in bounds):
+        if all(a.alpha_norm_bound is not None for _, a in self.terms):
             self.alpha_norm_bound = sum(
-                abs(c) * b for (c, _), b in zip(terms, bounds)
+                (abs(c) * a.alpha_norm_bound for c, a in self.terms), 0.0
             )
 
     _eval_simplex = Cochain._eval_row
 
     def eval_batch(self, pts, tols):
         """The terms' batches, summed at the one tolerance split."""
-        live = [(c, a) for c, a in self.terms if c]
         return linear_sum(
-            [c for c, _ in live],
-            lambda share: (a.eval_batch(pts, share) for _, a in live),
+            [c for c, _ in self.terms],
+            lambda share: (a.eval_batch(pts, share) for _, a in self.terms),
             tols,
         )
-
-
-class ZeroCochain(Cochain):
-    """The identically zero k-cochain (exact, closed, norm zero)."""
-
-    def __init__(self, k, d, alpha=1.0, beta=math.inf, provenance="smooth"):
-        super().__init__(k, d, alpha, beta)
-        self.provenance = provenance
-        self.alpha_norm_bound = 0.0
-
-    _eval_simplex = Cochain._eval_row
-
-    def eval_batch(self, pts, tols):
-        return np.zeros(len(pts)), np.zeros(len(pts))
 
 
 def combination(terms, alpha=None, beta=None, provenance=None):
@@ -664,8 +618,9 @@ class ProductCochain(SewnCochain):
     gamma + k - 1 + alpha. Inner evaluations of A use a geometrically
     shrinking share of the tolerance; their total is folded into the
     reported tail. Under the vertex-average rule the germ reads f only at
-    the vertices, and when A is an increment dg, A(sigma) = g(v_1) - g(v_0)
-    reads g only there: those functions make up the vertex function.
+    the vertices, and when A is an increment dg, the coboundary of the
+    0-form g, A(sigma) = g(v_1) - g(v_0) reads g only there: those
+    functions make up the vertex function.
     """
 
     provenance = "product"
@@ -695,9 +650,11 @@ class ProductCochain(SewnCochain):
         if rule == "vertex_average":
             self._f_col = len(self._vertex_parts)
             self._vertex_parts.append(f)
-        if isinstance(a, IncrementCochain):
+        if isinstance(a, CoboundaryCochain) and isinstance(
+            a.base, ZeroFormCochain
+        ):
             self._g_col = len(self._vertex_parts)
-            self._vertex_parts.append(a.g)
+            self._vertex_parts.append(a.base.f)
         if self._vertex_parts:
             self.vertex_fn = self._at_vertices
 
@@ -721,9 +678,10 @@ class ProductCochain(SewnCochain):
 def product(f, a, rule="vertex_average"):
     """The Young product cochain f * A (Hoelder f, rough A).
 
-    Products with 0-forms are pointwise; a declared Hoelder constant of
-    zero certifies that f is constant (or that A vanishes), which enables
-    exact closed forms.
+    Products with 0-forms are pointwise. A declared Hoelder constant of
+    zero certifies that f is constant, and a declared alpha-norm bound of
+    zero that A vanishes; either makes the product the combination c * A,
+    with c = f(0), or c = 0 when A vanishes.
     """
     if a.k == 0:
         if not isinstance(a, ZeroFormCochain):
@@ -737,14 +695,8 @@ def product(f, a, rule="vertex_average"):
         )
         return ZeroFormCochain(g)
     prod = ProductCochain(f, a, rule)  # checks the rule and the exponents
-    if a.alpha_norm_bound == 0.0:
-        return ZeroCochain(a.k, a.d, a.alpha, prod.beta, provenance="product")
-    if f.constant == 0.0:
-        c = float(f(np.zeros(a.d)))
-        if c == 0.0:
-            return ZeroCochain(
-                a.k, a.d, a.alpha, prod.beta, provenance="product"
-            )
+    if a.alpha_norm_bound == 0.0 or f.constant == 0.0:
+        c = 0.0 if a.alpha_norm_bound == 0.0 else float(f(np.zeros(a.d)))
         return combination(
             [(c, a)], alpha=a.alpha, beta=prod.beta, provenance="product"
         )
@@ -784,6 +736,15 @@ class CoboundaryCochain(Cochain):
 
 def coboundary(a):
     return CoboundaryCochain(a)
+
+
+def increment_form(g):
+    """The exact 1-form dg of a Hoelder function: dg([a, b]) = g(b) - g(a).
+
+    It is the coboundary of the 0-form g, so it carries (gamma, infinity)
+    and the declared Hoelder constant of g as its alpha-norm bound.
+    """
+    return CoboundaryCochain(ZeroFormCochain(g))
 
 
 def wedge_d(f, a):

@@ -236,7 +236,7 @@ class FieldSample:
         return header
 
 
-def sample_field(spec, component=None, dtype=np.float64):
+def sample_field(spec, component=None):
     """Draw one field; each component gets an independent derived stream."""
     if component is None:
         entropy = (spec.seed,)
@@ -247,7 +247,7 @@ def sample_field(spec, component=None, dtype=np.float64):
             raise ValueError(f"unknown component index set {component}")
         entropy = (spec.seed, 1 + comps.index(key))
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
-    coeffs = _draw_coeffs(spec.symbol().astype(dtype), rng)
+    coeffs = _draw_coeffs(spec.symbol(), rng)
     return FieldSample(spec, coeffs, component=component)
 
 
@@ -458,10 +458,10 @@ def gaussian_form(samples, k):
     return GaussianKFormCochain(samples, k)
 
 
-def sample_form(spec, k, dtype=np.float64):
+def sample_form(spec, k):
     """Draw all component fields of a k-form with derived sub-streams."""
     samples = {
-        I: sample_field(spec, component=I, dtype=dtype)
+        I: sample_field(spec, component=I)
         for I in component_indices(spec.d, k)
     }
     return gaussian_form(samples, k)

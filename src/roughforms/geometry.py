@@ -504,20 +504,15 @@ def orthonormal_tangent(simplex):
 
 
 def flatten_simplex(simplex):
-    """Isometric coordinates of the simplex in R^k plus the chart back-map.
+    """Isometric coordinates of the simplex in R^k and their frame.
 
-    Returns (flat_vertices, to_ambient) with flat_vertices of shape
-    (k+1, k), positively oriented, and to_ambient(x) mapping chart points
-    back to R^d.
+    Returns (flat_vertices, basis): flat_vertices of shape (k+1, k),
+    positively oriented, and the (k, d) orthonormal tangent frame `basis`,
+    so that a chart point x lies at vertices[0] + x @ basis in R^d.
     """
-    b = orthonormal_tangent(simplex)
-    v0 = simplex.vertices[0]
-    flat = (simplex.vertices - v0) @ b.T
-
-    def to_ambient(x):
-        return v0 + np.asarray(x, dtype=float) @ b
-
-    return flat, to_ambient
+    basis = orthonormal_tangent(simplex)
+    flat = (simplex.vertices - simplex.vertices[0]) @ basis.T
+    return flat, basis
 
 
 def minimal_enclosing_ball(points):

@@ -27,13 +27,12 @@ from .geometry import (
     eccentricity_array,
     faces,
     flatten_simplex,
-    orthonormal_tangent,
     volume,
     volume_array,
 )
 
 # Hard cap on the number of simplices any iterated subdivision may produce.
-DEFAULT_CHILD_CAP = 1 << 22
+CHILD_CAP = 1 << 22
 
 EDGEWISE_MAX_K = 3
 
@@ -170,7 +169,7 @@ def barycentric_children(simplex):
     return BARYCENTRIC.children(simplex)
 
 
-def iterate_array(scheme, pts, levels, max_children=DEFAULT_CHILD_CAP):
+def iterate_array(scheme, pts, levels):
     """Vertex array of the level-`levels` subdivision of a batch."""
     pts = np.asarray(pts, dtype=float)
     if levels < 0:
@@ -178,19 +177,19 @@ def iterate_array(scheme, pts, levels, max_children=DEFAULT_CHILD_CAP):
     k = pts.shape[1] - 1
     card = scheme.card(k)
     n_final = pts.shape[0] * card**levels
-    if n_final > max_children:
+    if n_final > CHILD_CAP:
         raise BudgetExceededError(
             f"subdivision would produce {n_final} simplices "
-            f"(cap {max_children})"
+            f"(cap {CHILD_CAP})"
         )
     for _ in range(levels):
         pts = scheme.children_array(pts)
     return pts
 
 
-def iterate(scheme, simplex, levels, max_children=DEFAULT_CHILD_CAP):
+def iterate(scheme, simplex, levels):
     """All level-`levels` descendants of one simplex, in deterministic order."""
-    arr = iterate_array(scheme, simplex.vertices[None], levels, max_children)
+    arr = iterate_array(scheme, simplex.vertices[None], levels)
     return [Simplex(v) for v in arr]
 
 
@@ -291,7 +290,7 @@ class SubdivisionStats:
         }
 
 
-def stats(scheme, simplex, levels_max, max_children=DEFAULT_CHILD_CAP):
+def stats(scheme, simplex, levels_max):
     """Measure cardinality, contraction, and eccentricity growth.
 
     Walks levels 1..levels_max, recording per level the max child/parent
@@ -302,10 +301,10 @@ def stats(scheme, simplex, levels_max, max_children=DEFAULT_CHILD_CAP):
         raise ValueError("levels_max must be >= 1")
     k = simplex.k
     card = scheme.card(k)
-    if card ** levels_max > max_children:
+    if card ** levels_max > CHILD_CAP:
         raise BudgetExceededError(
             f"stats at {levels_max} levels needs {card ** levels_max} "
-            f"simplices (cap {max_children})"
+            f"simplices (cap {CHILD_CAP})"
         )
     root_ecc = eccentricity(simplex)
     pts = simplex.vertices[None]
@@ -452,7 +451,7 @@ def whitney_cubes(simplex, n_max):
     if simplex.k < 1:
         raise ValueError("whitney_cubes requires k >= 1")
     k = simplex.k
-    flat, _ = flatten_simplex(simplex)
+    flat, basis = flatten_simplex(simplex)
     normals, offsets = _inward_halfspaces(flat)
     rt_k = math.sqrt(k)
     inr = _inradius(simplex)
@@ -493,7 +492,7 @@ def whitney_cubes(simplex, n_max):
     return WhitneyDecomposition(
         simplex=simplex,
         flat_vertices=flat,
-        basis=orthonormal_tangent(simplex),
+        basis=basis,
         levels=np.concatenate(levels),
         corners=np.concatenate(corners),
         distances=np.concatenate(distances),

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line entry point: exit codes, error
 payloads and reproducible output files."""
 
+import copy
 import json
 import os
 import subprocess
@@ -169,6 +170,44 @@ def test_package_runs_as_a_module_with_runtime_warnings_as_errors(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "command, config, seeded",
+    [
+        (
+            "norms",
+            {
+                "form": {"catalog": "x_dy"},
+                "region": {"lo": [0, 0], "hi": [1, 1]},
+                "sampler": {"samples_per_band": 3, "n_bands": 2},
+            },
+            ("sampler",),
+        ),
+        (
+            "gaussian-sample",
+            {"spec": {"d": 2, "theta": 1.5, "N": 8, "seed": 0}, "k": 1},
+            ("spec",),
+        ),
+        ("integrate", GAUSSIAN_SEGMENT, ("form", "gaussian", "spec")),
+    ],
+    ids=["norms", "gaussian-sample", "gaussian_form"],
+)
+def test_seed_flag_equals_the_seed_written_in_the_config(
+    tmp_path, capsys, command, config, seeded
+):
+    def stdout_of(config, *flags):
+        assert run(tmp_path, command, config, *flags) == 0
+        return capsys.readouterr().out
+
+    written = copy.deepcopy(config)
+    holder = written
+    for key in seeded:
+        holder = holder[key]
+    holder["seed"] = 7
+    flagged = stdout_of(config, "--seed", "7")
+    assert flagged == stdout_of(written)
+    assert flagged != stdout_of(config)
 
 
 def test_failed_expectation_exits_4_under_assert(tmp_path, capsys):

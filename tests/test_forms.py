@@ -87,6 +87,37 @@ def rand_simplex(rng, k, d, scale=1.0):
     return Simplex(rng.random((k + 1, d)) * scale)
 
 
+def _collapsed_rule(k, order):
+    """The library's collapsed Duffy rule written out for each k."""
+    x, w = leggauss(order)
+    x = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    if k == 1:
+        return x[:, None], w
+    if k == 2:
+        u, v = np.meshgrid(x, x, indexing="ij")
+        wu, wv = np.meshgrid(w, w, indexing="ij")
+        t = np.stack([(u * (1 - v)).ravel(), (u * v).ravel()], axis=1)
+        return t, (wu * wv * u).ravel()
+    u, v, s = np.meshgrid(x, x, x, indexing="ij")
+    wu, wv, ws = np.meshgrid(w, w, w, indexing="ij")
+    t = np.stack(
+        [(u * (1 - v)).ravel(), (u * v * (1 - s)).ravel(), (u * v * s).ravel()],
+        axis=1,
+    )
+    return t, (wu * wv * ws * u**2 * v).ravel()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_duffy_rule_is_the_per_k_collapsed_rule_bit_for_bit(k):
+    for order in range(2, 49):
+        # the uncached function, so the test leaves no rules in the cache
+        nodes, weights = forms._duffy_rule.__wrapped__(k, order)
+        want_nodes, want_weights = _collapsed_rule(k, order)
+        np.testing.assert_array_equal(nodes, want_nodes)
+        np.testing.assert_array_equal(weights, want_weights)
+
+
 # named coefficient sets mirroring the catalog, for oracle comparison
 CATALOG_COMPONENTS = {
     "dx": ({(1,): lambda p: np.ones(p.shape[:-1])}, 2),
@@ -399,6 +430,59 @@ def test_increment_form_is_exact_and_closed():
     assert abs(forms.coboundary(dg).eval(tri, 1e-12)) < 1e-12
 
 
+def test_increment_form_declares_exponents_bound_and_provenance():
+    g = forms.WeierstrassFunction(0.7, 3, seed=4)
+    dg = forms.increment_form(g)
+    assert (dg.k, dg.d, dg.alpha, dg.beta) == (1, 3, 0.7, math.inf)
+    assert dg.alpha_norm_bound == g.constant
+    assert dg.provenance == "coboundary"
+    with pytest.raises(ValueError, match="ambient d"):
+        forms.increment_form(forms.HolderFunction(np.cos, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "increment",
+    [forms.increment_form, lambda g: forms.coboundary(forms.ZeroFormCochain(g))],
+    ids=["increment_form", "coboundary_of_zero_form"],
+)
+def test_products_with_an_increment_read_f_and_g_once_per_point(
+    monkeypatch, increment
+):
+    points, results = [], []
+    call = forms.HolderFunction.__call__
+
+    def counting_call(self, x):
+        points.append(int(np.prod(np.shape(x)[:-1])))
+        return call(self, x)
+
+    def recording_sew(*args, **kw):
+        results.append(sewing.sew(*args, **kw))
+        return results[-1]
+
+    f = forms.WeierstrassFunction(0.6, 2, seed=13)
+    p = forms.product(f, increment(forms.WeierstrassFunction(0.7, 2, seed=14)))
+    monkeypatch.setattr(forms.HolderFunction, "__call__", counting_call)
+    monkeypatch.setattr(forms, "sew", recording_sew)
+    _, tail = p.eval_with_tail(Simplex([[0.1, 0.2], [0.3, 0.25]]), 1e-3)
+    assert tail <= 1e-3 and len(results) == 1
+    # f and g once per lattice point, 2^depth + 1 points on a segment
+    assert sum(points) == 2 * (2 ** results[0].depth_used + 1)
+
+
+@pytest.mark.parametrize("vanishing", ["f", "base"])
+def test_product_with_a_vanishing_factor_is_zero_with_bound_zero(vanishing):
+    f = forms.WeierstrassFunction(0.6, 2, seed=13)
+    a = forms.catalog_form("x_dy")  # no declared alpha-norm bound
+    if vanishing == "f":
+        p = forms.product(forms.constant_function(0.0, d=2), a)
+    else:
+        p = forms.product(f, 0 * a)
+    assert p.alpha_norm_bound == 0.0 and isinstance(p.alpha_norm_bound, float)
+    assert (p.k, p.d, p.alpha, p.provenance) == (1, 2, 1.0, "product")
+    seg = Simplex([[0.1, 0.2], [0.7, 0.4]])
+    assert p.eval_with_tail(seg, 1e-12) == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # the batch protocol: eval_batch(pts, tols) against one row at a time
 
@@ -438,7 +522,7 @@ def _on_boundary(a, s, tol):
 BATCH_CASES = {
     "zero_form": (lambda: forms.ZeroFormCochain(_poly_fn()), 0, _rowwise, "exact"),
     "increment": (lambda: forms.increment_form(_poly_fn()), 1, _rowwise, "exact"),
-    "zero": (lambda: forms.ZeroCochain(2, 2), 2, _rowwise, "exact"),
+    "zero": (lambda: 0 * forms.catalog_form("area"), 2, _rowwise, "exact"),
     "smooth": (
         lambda: forms.catalog_form("sin_y_dx"), 1, _rowwise, "rounding"
     ),

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from roughforms import forms
 from roughforms import gaussian as G
@@ -222,6 +223,48 @@ def test_delta_q_matches_independent_quadrature():
     )
     got2 = G.delta_Q_sobolev(Cube(np.zeros(2), np.eye(2), r), theta2)
     assert got2.value == pytest.approx(math.sqrt(oracle2_sq), rel=2e-3)
+
+    # k = 1 in d = 3: two transverse directions, a radial integral by brute
+    # force, padded with the tail of rho (1 + rho)^(-2 theta) beyond R
+    R = 2000.0
+    pad = (1.0 + R) ** (2 - 2 * theta2) / (2 * theta2 - 2)
+    pad -= (1.0 + R) ** (1 - 2 * theta2) / (2 * theta2 - 1)
+
+    def radial(a):
+        return float(np.sum(wy * ys * (1.0 + np.hypot(a, ys)) ** (-2 * theta2)))
+
+    Tvals3 = 2.0 * math.pi * (np.array([radial(a) for a in xs]) + pad)
+    oracle3_sq = 2.0 * float(np.sum(ws * phi(xs) * Tvals3))
+    got3 = G.delta_Q_sobolev(Cube(np.zeros(3), np.eye(3)[:1], r), theta2)
+    assert got3.value == pytest.approx(math.sqrt(oracle3_sq), rel=1e-4)
+
+
+@pytest.mark.parametrize("theta", [1.2, 2.5])
+def test_transverse_integral_over_a_plane_matches_scipy_quad(theta):
+    # T(a) = 2 pi int_0^inf rho (1 + sqrt(a^2 + rho^2))^(-2 theta) d rho,
+    # which delta_Q_sobolev takes in closed form for cubes of codimension 2
+    a = np.array([0.0, 0.3, 2.0, 40.0])
+    want = [
+        2.0
+        * math.pi
+        * integrate.quad(
+            lambda rho: rho * (1.0 + math.hypot(x, rho)) ** (-2 * theta),
+            0.0,
+            math.inf,
+        )[0]
+        for x in a
+    ]
+    np.testing.assert_allclose(G._transverse_factory(2, theta)(a), want, rtol=1e-11)
+
+
+def test_one_dimensional_field_is_its_mode_sum():
+    spec = G.SpectralFieldSpec(d=1, theta=1.0, N=16, seed=4)
+    f = G.sample_field(spec)
+    x = np.linspace(-0.3, 1.7, 9)
+    want = np.zeros_like(x)
+    for h, c in zip(spec.modes(), f.coeffs):
+        want += abs(c) * np.cos(2.0 * np.pi * h * x / spec.L + np.angle(c))
+    np.testing.assert_allclose(f.eval(x[:, None]), want, rtol=0, atol=1e-13)
 
 
 def test_integral_cube_matches_quadrature():

@@ -508,12 +508,12 @@ def test_snap_to_grid_breaks_ties_toward_minus_infinity():
 def test_flatten_simplex_is_isometric_and_oriented():
     rng = np.random.default_rng(43)
     s = G.Simplex(rng.normal(size=(3, 5)))
-    flat, to_ambient = G.flatten_simplex(s)
+    flat, basis = G.flatten_simplex(s)
     d_orig = np.linalg.norm(s.vertices[:, None] - s.vertices[None, :], axis=2)
     d_flat = np.linalg.norm(flat[:, None] - flat[None, :], axis=2)
     assert np.allclose(d_orig, d_flat, atol=1e-12)
     assert np.linalg.det(flat[1:] - flat[0]) > 0
-    assert np.allclose(to_ambient(flat), s.vertices, atol=1e-12)
+    assert np.allclose(s.vertices[0] + flat @ basis, s.vertices, atol=1e-12)
 
 
 def test_minimal_enclosing_ball_known_cases():

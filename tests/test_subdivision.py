@@ -131,8 +131,12 @@ def test_iterate_cardinality_power_law():
 
 
 def test_iterate_budget_cap():
-    with pytest.raises(BudgetExceededError):
-        S.iterate(S.EDGEWISE, unit_right_triangle(), 3, max_children=63)
+    # 4^12 = 2^24 children exceed the cap of 2^22; both raise before
+    # building any level
+    with pytest.raises(BudgetExceededError, match="cap"):
+        S.iterate(S.EDGEWISE, unit_right_triangle(), 12)
+    with pytest.raises(BudgetExceededError, match="cap"):
+        S.stats(S.EDGEWISE, unit_right_triangle(), 12)
 
 
 def test_semigroup_law():
