@@ -34,10 +34,12 @@ and the zero cochain is a combination whose coefficients are all zero.
 Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
 writes its germ once, as _germ_rows(pts, vals, tol, root_diam) returning
 one subdivision level's values and inner tails, so product and pullback
-germs call eval_batch once per level; so does the Stokes germ, and
-component extraction calls it once per staircase block. Products and
-pullbacks read their functions only at the vertices, so they declare a
-vertex function that sewing evaluates once per lattice point.
+germs call eval_batch once per level, and component extraction calls it
+once per staircase block. Products and pullbacks read their functions
+only at the vertices, so they declare a vertex function that sewing
+evaluates once per lattice point. Stokes residuals need no germ: A is
+additive, so dA summed over a subdivision of omega is A on the
+subdivided boundary, one chain evaluation.
 """
 
 from __future__ import annotations
@@ -50,11 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import sampling
-from .errors import (
-    BudgetExceededError,
-    ExponentViolationError,
-    NoConvergenceError,
-)
+from .errors import BudgetExceededError, ExponentViolationError
 from .geometry import (
     Chain,
     Cube,
@@ -69,7 +67,7 @@ from .geometry import (
     minimal_enclosing_ball,
 )
 from .sewing import DEPTH_MAX_BY_K, FunctionGerm, sew
-from .subdivision import EDGEWISE, gauss_legendre_boxes
+from .subdivision import EDGEWISE, gauss_legendre_boxes, iterate_array
 
 MEMO_QUANTUM = 1e-12
 # quadrature points per coefficient call of a smooth-form quadrature; a
@@ -81,6 +79,8 @@ QUAD_CHUNK_POINTS = 1 << 13
 QUAD_ROUNDING = 1e-13
 # central-difference step of SmoothMap Jacobians without an analytic one
 FD_STEP = 1e-6
+# edgewise level of the boundary pieces on which stokes_residual evaluates A
+STOKES_LEVEL = 5
 
 
 @lru_cache(maxsize=None)
@@ -869,31 +869,37 @@ def pullback(f_map, a):
 # Stokes
 
 
-def stokes_residual(a, omega, tol=1e-6):
-    """|sewn-coboundary value - direct boundary evaluation| on omega.
+def subdivided_boundary(omega, levels):
+    """boundary(omega) with each face cut into its level-`levels` pieces.
 
-    The left path sews the germ tau -> dA(tau) = A(boundary tau) over
-    subdivisions of omega (exercising cancellation across internal faces),
-    one coboundary batch per level with each face at inner/(k+2); the
-    right path evaluates dA on omega, each face at tol/(k+2). For an
-    additive A both converge to A(boundary omega): the residual is
-    error-sized.
+    Every edgewise piece keeps its face's coefficient, so a (k+1)-simplex
+    gives (k+2) 2^(k levels) terms. This is the boundary chain of omega's
+    level-`levels` edgewise mesh: the interior faces of the mesh cancel in
+    pairs. Level 0 is boundary(omega) itself, the only level of point faces.
     """
-    inner = tol / 500.0
-    da = coboundary(a)
+    faces = boundary(omega)
+    if levels == 0:
+        return faces
+    return Chain(
+        (c, Simplex(piece))
+        for c, face in faces
+        for piece in iterate_array(EDGEWISE, face.vertices[None], levels)
+    )
 
-    def batch(pts):
-        return da.eval_batch(pts, np.full(len(pts), inner))[0]
 
-    germ = FunctionGerm(batch, gamma=a.k + 2.0)
-    try:
-        # the germ is additive up to evaluation noise, so shallow depth
-        # suffices and keeps accumulated inner error small
-        res = sew(germ, omega, tol, depth_max=5)
-        left = res.value
-    except (BudgetExceededError, NoConvergenceError) as exc:
-        left = exc.partial.value
-    right = da.eval(omega, tol, best_effort=True)
+def stokes_residual(a, omega, tol=1e-6):
+    """|A(subdivided boundary of omega) - dA(omega)|.
+
+    The left side evaluates A once on subdivided_boundary(omega,
+    STOKES_LEVEL), level 0 for a 0-form, whose point faces do not split;
+    by additivity this is the sum of dA over omega's level-STOKES_LEVEL
+    mesh, and linear_sum splits tol over its pieces. The right side
+    evaluates dA on omega, each face at tol/(k+2). For an additive A both
+    are A(boundary omega): the residual is error-sized.
+    """
+    chain = subdivided_boundary(omega, STOKES_LEVEL if a.k else 0)
+    left = a.eval_with_tail(chain, tol, best_effort=True)[0]
+    right = coboundary(a).eval(omega, tol, best_effort=True)
     return abs(left - right)
 
 

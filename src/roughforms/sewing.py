@@ -104,14 +104,6 @@ class SewingResult:
     increment_rate: float = float("nan")
     depth_capped: bool = False
 
-    def to_json(self):
-        return {
-            "value": self.value,
-            "tail_bound": self.tail_bound,
-            "depth": self.depth_used,
-            "level_values": list(self.level_values),
-        }
-
 
 def _empirical_tail(increments):
     """Geometric extrapolation of the remaining tail from late increments."""

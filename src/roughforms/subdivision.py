@@ -159,16 +159,6 @@ def get_scheme(name):
         ) from None
 
 
-def edgewise_children(simplex):
-    """The 2^k edgewise children (k <= 3), orientation preserved."""
-    return EDGEWISE.children(simplex)
-
-
-def barycentric_children(simplex):
-    """The (k+1)! barycentric children, orientation preserved."""
-    return BARYCENTRIC.children(simplex)
-
-
 def iterate_array(scheme, pts, levels):
     """Vertex array of the level-`levels` subdivision of a batch."""
     pts = np.asarray(pts, dtype=float)

@@ -24,15 +24,17 @@ from roughforms.geometry import (
     Cube,
     Simplex,
     boundary,
+    boundary_chain,
     coordinate_projection_array,
     diameter,
     snap_to_grid,
 )
 from roughforms.sampling import Box, SamplerSpec
 from roughforms.sewing import FunctionGerm
-from roughforms.subdivision import SubdivisionScheme
+from roughforms.subdivision import EDGEWISE, SubdivisionScheme, iterate
 
 from conftest import assert_rounding_close
+from test_geometry import canon
 
 
 # ---------------------------------------------------------------------------
@@ -1104,6 +1106,47 @@ def test_stokes_residual_zero_for_closed_form():
     )
     tri = Simplex([[0, 0], [0.8, 0.1], [0.3, 0.9]])
     assert forms.stokes_residual(dg, tri, tol=1e-9) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [[0.0, 0.0], [1.0, 0.25], [0.5, 0.75]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.25], [0.25, 1.0, 0.0], [0.5, 0.5, 1.0]],
+    ],
+    ids=["triangle", "tetrahedron"],
+)
+def test_subdivided_boundary_is_the_boundary_of_the_mesh(vertices):
+    # stokes_residual's left chain at level n is the boundary of omega's
+    # level-n edgewise mesh once interior faces cancel; dyadic vertices
+    # keep every midpoint exact, so the two chains match key for key
+    omega = Simplex(vertices)
+    k = omega.k - 1
+    for n in range(4):
+        chain = forms.subdivided_boundary(omega, n)
+        mesh = Chain([(1, s) for s in iterate(EDGEWISE, omega, n)])
+        assert len(chain) == (k + 2) * 2 ** (k * n)
+        assert canon(chain) == canon(boundary_chain(mesh))
+
+
+def test_stokes_residual_for_zero_form_on_segment():
+    g = forms.ZeroFormCochain(
+        forms.HolderFunction(lambda p: np.sin(3 * p[..., 0]), 1.0, 3.0, d=1)
+    )
+    seg = Simplex([[0.1], [0.9]])
+    assert forms.stokes_residual(g, seg, tol=1e-9) < 1e-14
+
+
+def test_stokes_residual_for_smooth_two_form_on_tetrahedron():
+    a = forms.smooth_form(
+        {
+            (1, 2): lambda p: np.sin(p[..., 2]) + p[..., 0],
+            (2, 3): lambda p: p[..., 0] * p[..., 1],
+        },
+        3,
+    )
+    tet = Simplex([[0, 0, 0], [0.9, 0.1, 0], [0.2, 0.8, 0.1], [0.3, 0.2, 0.7]])
+    assert forms.stokes_residual(a, tet, tol=1e-6) < 1e-6
 
 
 def test_stokes_residual_for_rough_product():

@@ -7,7 +7,7 @@ from roughforms import forms, sampling, sewing, subdivision
 from roughforms.errors import BudgetExceededError, NoConvergenceError
 from roughforms.geometry import Chain, Simplex, axis_box_chain, diameter
 from roughforms.sewing import FunctionGerm, sew
-from roughforms.subdivision import EDGEWISE, edgewise_children
+from roughforms.subdivision import EDGEWISE
 
 from conftest import assert_rounding_close
 
@@ -144,14 +144,6 @@ def test_sew_budget_exceeded_carries_partial():
     assert partial.depth_used == 5
     assert len(partial.level_values) == 6
     assert partial.value == pytest.approx(1.0 / 3.0, abs=1e-3)
-
-
-def test_sewing_result_json_round_trip():
-    res = sew(dx_germ(), UNIT, tol=1e-8)
-    obj = res.to_json()
-    assert set(obj) == {"value", "tail_bound", "depth", "level_values"}
-    assert obj["depth"] == res.depth_used
-    assert obj["level_values"][0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +296,7 @@ def test_sewing_method_independence():
     tri = Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     germ = centroid_area_germ(lambda x, y: x * x)
     whole = sew(germ, tri, tol=1e-4)
-    parts = [sew(germ, c, tol=1e-4) for c in edgewise_children(tri)]
+    parts = [sew(germ, c, tol=1e-4) for c in EDGEWISE.children(tri)]
     split_sum = sum(p.value for p in parts)
     slack = whole.tail_bound + sum(p.tail_bound for p in parts)
     assert abs(whole.value - split_sum) <= slack + 1e-12

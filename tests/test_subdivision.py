@@ -34,7 +34,7 @@ def vertex_multiset(simplices, decimals=12):
 
 def test_edgewise_segment_halves():
     seg = G.Simplex([[0.0], [1.0]])
-    kids = S.edgewise_children(seg)
+    kids = S.EDGEWISE.children(seg)
     assert len(kids) == 2
     assert vertex_multiset(kids) == vertex_multiset(
         [G.Simplex([[0.0], [0.5]]), G.Simplex([[0.5], [1.0]])]
@@ -45,7 +45,7 @@ def test_edgewise_segment_halves():
 
 def test_edgewise_triangle_is_midpoint_refinement():
     tri = unit_right_triangle()
-    kids = S.edgewise_children(tri)
+    kids = S.EDGEWISE.children(tri)
     assert len(kids) == 4
     # vertex set = original vertices plus edge midpoints
     all_pts = {tuple(v) for kid in kids for v in kid.vertices}
@@ -70,7 +70,7 @@ def test_edgewise_triangle_is_midpoint_refinement():
 def test_edgewise_children_count_and_volume_k3():
     rng = np.random.default_rng(1)
     s = G.Simplex(rng.normal(size=(4, 3)))
-    kids = S.edgewise_children(s)
+    kids = S.EDGEWISE.children(s)
     assert len(kids) == 8
     assert sum(G.volume(kid) for kid in kids) == pytest.approx(
         G.volume(s), rel=1e-10
@@ -85,7 +85,7 @@ def test_edgewise_children_count_and_volume_k3():
 def test_edgewise_rejects_k4():
     rng = np.random.default_rng(2)
     with pytest.raises(UnsupportedDimensionError):
-        S.edgewise_children(G.Simplex(rng.normal(size=(5, 5))))
+        S.EDGEWISE.children(G.Simplex(rng.normal(size=(5, 5))))
 
 
 def test_edgewise_orientation_preserved_in_3d():
@@ -93,7 +93,7 @@ def test_edgewise_orientation_preserved_in_3d():
     v = rng.normal(size=(4, 3))
     s = G.Simplex(v)
     sign_parent = np.sign(np.linalg.det(v[1:] - v[0]))
-    for kid in S.edgewise_children(s):
+    for kid in S.EDGEWISE.children(s):
         kv = kid.vertices
         assert np.sign(np.linalg.det(kv[1:] - kv[0])) == sign_parent
 
@@ -104,8 +104,8 @@ def test_edgewise_orientation_preserved_in_3d():
 
 def test_barycentric_counts():
     seg = G.Simplex([[0.0], [1.0]])
-    assert len(S.barycentric_children(seg)) == 2
-    kids = S.barycentric_children(unit_right_triangle())
+    assert len(S.BARYCENTRIC.children(seg)) == 2
+    kids = S.BARYCENTRIC.children(unit_right_triangle())
     assert len(kids) == 6
     assert sum(G.volume(kid) for kid in kids) == pytest.approx(0.5, rel=1e-12)
     for kid in kids:
@@ -143,14 +143,14 @@ def test_semigroup_law():
     tri = equilateral_triangle()
     whole = S.iterate(S.EDGEWISE, tri, 3)
     two_then_one = [
-        kid for w in S.iterate(S.EDGEWISE, tri, 2) for kid in S.edgewise_children(w)
+        kid for w in S.iterate(S.EDGEWISE, tri, 2) for kid in S.EDGEWISE.children(w)
     ]
     assert vertex_multiset(whole) == vertex_multiset(two_then_one)
     whole_b = S.iterate(S.BARYCENTRIC, tri, 2)
     one_then_one = [
         kid
-        for w in S.barycentric_children(tri)
-        for kid in S.barycentric_children(w)
+        for w in S.BARYCENTRIC.children(tri)
+        for kid in S.BARYCENTRIC.children(w)
     ]
     assert vertex_multiset(whole_b) == vertex_multiset(one_then_one)
 
@@ -162,7 +162,7 @@ def test_partition_property():
     e = rng.exponential(size=(10_000, 3))
     bary = e / e.sum(axis=1, keepdims=True)
     pts = bary @ tri.vertices
-    kids = S.edgewise_children(tri)
+    kids = S.EDGEWISE.children(tri)
     counts = np.zeros(len(pts), dtype=int)
     for kid in kids:
         v = kid.vertices
