@@ -101,6 +101,33 @@ class SpectralFieldSpec:
             )
 
 
+def _axis_powers(x, spec):
+    """z^h for every mode h of spec.modes(), where z = exp(2 pi i x / L).
+
+    x is an array of coordinates of any shape; the result has shape
+    x.shape + (2M + 1,) with M = N/2 - 1, the last axis running over
+    h = -M..M. Only z itself is an exponential: the powers z^2..z^M fill
+    one preallocated array by doubling (z^(m+j) = z^m z^j for the m powers
+    already known), and z^(-h) is the conjugate of z^h because |z| = 1.
+    The powers agree with exp(2 pi i h x / L) to rounding, which both
+    carry at the order of h |x| / L times the machine epsilon.
+    """
+    x = np.asarray(x, dtype=float)
+    M = spec.N // 2 - 1
+    # modes lead, so every doubling step multiplies contiguous blocks
+    out = np.empty((2 * M + 1,) + x.shape, dtype=complex)
+    pos = out[M:]
+    pos[0] = 1.0
+    pos[1] = np.exp((2j * np.pi / spec.L) * x)
+    m = 1
+    while m < M:
+        n = min(m, M - m)
+        np.multiply(pos[1 : n + 1], pos[m], out=pos[m + 1 : m + n + 1])
+        m += n
+    np.conjugate(pos[:0:-1], out=out[:M])
+    return np.moveaxis(out, 0, -1)
+
+
 def component_indices(d, k):
     """Sorted 1-based axis tuples indexing the components of a k-form."""
     return list(itertools.combinations(range(1, d + 1), k))
@@ -125,9 +152,12 @@ def _draw_coeffs(symbol, rng):
 class FieldSample:
     """One synthesized field: spectral amplitudes plus exact evaluators.
 
-    All evaluations are exact mode sums of the band-limited field, so point
+    All evaluations are mode sums of the band-limited field, so point
     values, axis-box integrals, and rotated-cube integrals carry no
-    quadrature error.
+    quadrature error. The per-axis mode factors exp(2 pi i h x / L) are the
+    integer powers z^h of one exponential z per coordinate
+    (`_axis_powers`); they agree with the direct exponentials to rounding,
+    about 1e-14.
     """
 
     def __init__(self, spec, coeffs, component=None):
@@ -137,13 +167,18 @@ class FieldSample:
         self.h = spec.modes()
 
     def _axis_factor(self, x):
-        """exp(2 pi i h x / L) for a batch of scalars, shape (P, modes)."""
-        return np.exp((2j * np.pi / self.spec.L) * np.outer(x, self.h))
+        """Mode factors z^h, z = exp(2 pi i x / L), shape (P, modes).
+
+        One exponential per scalar of the batch x; the factors are its
+        integer powers over the modes h, equal to exp(2 pi i h x / L) to
+        rounding.
+        """
+        return _axis_powers(x, self.spec)
 
     def _axis_segment(self, u):
         """Signed integral factors int_0^u exp(2 pi i h x / L) dx."""
         L = self.spec.L
-        phase = np.exp((2j * np.pi / L) * np.outer(u, self.h))
+        phase = _axis_powers(u, self.spec)
         denom = 2j * np.pi * self.h / L
         zero = np.abs(self.h) < 0.5
         safe = np.where(zero, 1.0, denom)
@@ -165,7 +200,7 @@ class FieldSample:
         return np.einsum("pb,pb->p", t, factors[1])
 
     def eval(self, pts):
-        """Field values at a batch of ambient points, exact mode sums."""
+        """Field values at a batch of ambient points, by mode sums."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         factors = [self._axis_factor(pts[:, a]) for a in range(self.spec.d)]
         return np.real(self._contract(factors))
@@ -190,13 +225,14 @@ class FieldSample:
         """Exact integral over the k-cube spanned by orthonormal frame rows."""
         frame = np.atleast_2d(np.asarray(frame, dtype=float))
         corner = np.asarray(corner, dtype=float)
-        L = self.spec.L
-        grids = np.meshgrid(*([self.h] * self.spec.d), indexing="ij")
+        L, d = self.spec.L, self.spec.d
+        grids = np.meshgrid(*([self.h] * d), indexing="ij")
+        # the corner phase e^(2 pi i corner.p / L) is one factor per axis
         total = self.coeffs.astype(complex)
-        for a in range(self.spec.d):
-            total = total * np.exp((2j * np.pi / L) * corner[a] * grids[a])
+        for a, phase in enumerate(_axis_powers(corner, self.spec)):
+            total = total * phase.reshape((-1,) + (1,) * (d - 1 - a))
         for row in frame:
-            omega = sum(row[a] * grids[a] for a in range(self.spec.d))
+            omega = sum(row[a] * grids[a] for a in range(d))
             denom = 2j * np.pi * omega / L
             zero = np.abs(omega) < 1e-12
             safe = np.where(zero, 1.0, denom)
@@ -413,9 +449,11 @@ class GaussianKFormCochain(SmoothFormCochain):
     coarse order grows with the simplex diameter in units of the grid
     spacing L / N, from 4 to 24. A d = 3 mode sum holds (N-1)^2 terms per
     point, not N-1, so there the chunk of quadrature points is divided by
-    N-1 to keep a batch's memory the same. Axis boxes evaluate exactly
-    through the spectral closed form, which component extraction uses
-    directly.
+    N-1 to keep a batch's memory the same. Axis boxes evaluate through the
+    spectral closed form, with no quadrature error: a mode sum whose factors
+    are integer powers of one exponential per coordinate, equal to the
+    direct exponentials to rounding (about 1e-14). Component extraction
+    uses it directly.
     """
 
     def __init__(self, samples, k):
@@ -524,7 +562,7 @@ def _moment_pairings(spec, k, r, coeffs, rot, x0, xc):
     u_0..u_k span the cubes, and x0, xc (n, d) corners. The cube has side r
     at xc and rows u_0..u_(k-1); the (k+1)-cube has side r at x0, and its
     face a, spanned by every row but u_a, is paired at x0 + r u_a and at x0.
-    Each pairing is the exact mode sum of FieldSample.integral_cube,
+    Each pairing is the mode sum of FieldSample.integral_cube,
     sum_I minor_I(frame) sum_p c_I[p] e^(2 pi i z.p / L) prod_rows D(u.p)
     with D(w) = (e^(2 pi i w r / L) - 1) / (2 pi i w / L) and D(0) = r.
     """
@@ -549,8 +587,9 @@ def _moment_pairings(spec, k, r, coeffs, rot, x0, xc):
     corners = np.concatenate(
         [xc[:, None], x0[:, None] + r * rows, x0[:, None]], axis=1
     )
-    # e^(2 pi i z.p / L) is a product of one factor per axis
-    axis_phases = np.exp((2j * np.pi / L) * corners[..., None] * spec.modes())
+    # e^(2 pi i z.p / L) is a product of one factor per axis, each the
+    # integer powers of e^(2 pi i z_a / L)
+    axis_phases = _axis_powers(corners, spec)
     phases = axis_phases[:, :, 0]
     for a in range(1, d):
         phases = phases[..., :, None] * axis_phases[:, :, a, None, :]
@@ -590,11 +629,14 @@ def kolmogorov_fit(
     one amplitude set per component, so results do not depend on
     evaluation order. In "fixed" mode one set of fields per scale is reused
     across samples (spatially correlated, and flagged in the output). dtype
-    is the precision of the amplitude draws; the pairings are exact mode
-    sums in float64 for every (d, k), taken by `_moment_pairings` over
-    chunks of samples of at most PAIRING_CHUNK kernel entries. Predictions
-    are refused (left as None, with passed None) when theta - d/2 <= 0
-    makes the boundary exponent degenerate; the slopes are still reported.
+    is the precision of the amplitude draws; the pairings are mode sums in
+    float64 for every (d, k), with no quadrature error, taken by
+    `_moment_pairings` over chunks of samples of at most PAIRING_CHUNK
+    kernel entries. Their corner phases are integer powers of one
+    exponential per coordinate, equal to the direct exponentials to
+    rounding (about 1e-14). Predictions are refused (left as None, with
+    passed None) when theta - d/2 <= 0 makes the boundary exponent
+    degenerate; the slopes are still reported.
     """
     if q < 1 or q % 2:
         raise ValueError("q must be a positive even integer")

@@ -300,42 +300,6 @@ def boundary(simplex):
     )
 
 
-def boundary_chain(chain):
-    """Boundary of a chain, term by term."""
-    terms = []
-    for c, s in chain:
-        for c2, f in boundary(s):
-            terms.append((c * c2, f))
-    return Chain(terms)
-
-
-def coordinate_projection(simplex, index_set):
-    """Signed volume of the projection onto coordinates ``index_set``.
-
-    dx^I(sigma) = det(M) / k! where M[r, c] = (v_{c+1} - v_0)[I_r]. Indices
-    are 1-based labels matching the variable names x1..xd; they may repeat
-    or permute, following the determinant's sign.
-    """
-    idx = tuple(int(i) - 1 for i in index_set)
-    if len(idx) != simplex.k:
-        raise ValueError("index set size must equal the simplex dimension k")
-    if any(i < 0 or i >= simplex.d for i in idx):
-        raise ValueError("coordinate label out of range 1..d")
-    if simplex.k == 0:
-        return 1.0
-    e = edge_matrix(simplex)
-    m = e[list(idx), :]
-    return float(np.linalg.det(m)) / math.factorial(simplex.k)
-
-
-def snap_to_grid(simplex, n):
-    """Round each coordinate to the dyadic grid 2^-n, ties toward -inf."""
-    scale = 2.0**n
-    v = simplex.vertices * scale
-    snapped = np.ceil(v - 0.5) / scale
-    return Simplex(snapped)
-
-
 def _permutation_sign(perm):
     """Sign of a permutation of 0..m-1, or of each row of an (n, m) array.
 
@@ -408,30 +372,6 @@ def cube_to_chain(cube):
     )
 
 
-def axis_box_chain(base, axes, extents):
-    """Triangulate an axis-parallel k-box into k! simplices.
-
-    ``axes`` lists the k coordinate directions the box spans (1-based labels
-    matching x1..xd), ``extents`` the signed side lengths along them; the
-    remaining coordinates stay pinned at ``base``. Signs of the extents flow
-    through the staircase determinants, so integrating dx^axes over the
-    result gives the signed product of the extents.
-    """
-    base = np.asarray(base, dtype=float)
-    axes = tuple(int(a) - 1 for a in axes)
-    if any(a < 0 or a >= base.shape[0] for a in axes):
-        raise ValueError("coordinate label out of range 1..d")
-    extents = np.asarray(extents, dtype=float)
-    if len(axes) != extents.shape[0]:
-        raise ValueError("axes and extents must have equal length")
-    if any(e == 0.0 for e in extents):
-        raise DegenerateSimplexError("axis box has a zero extent")
-    steps = np.zeros((1, len(axes), base.shape[0]))
-    steps[0, range(len(axes)), axes] = extents
-    blocks = staircase_blocks(base[None], steps)
-    return Chain(_signed_simplex(verts[0], sign) for sign, verts in blocks)
-
-
 # ---------------------------------------------------------------------------
 # batched helpers on (n, k+1, d) vertex arrays
 
@@ -471,12 +411,19 @@ def eccentricity_array(pts):
 
 
 def coordinate_projection_array(pts, index_set):
-    """Batched dx^I over an (n, k+1, d) vertex array; 1-based labels."""
+    """Batched dx^I over an (n, k+1, d) vertex array.
+
+    dx^I(sigma) = det(M) / k! where M[r, c] = (v_{c+1} - v_0)[I_r]. Indices
+    are 1-based labels matching the variable names x1..xd; they may repeat
+    or permute, following the determinant's sign.
+    """
     pts = np.asarray(pts, dtype=float)
     k = pts.shape[1] - 1
     idx = [int(i) - 1 for i in index_set]
     if len(idx) != k:
-        raise ValueError("index set size must equal k")
+        raise ValueError("index set size must equal the simplex dimension k")
+    if any(i < 0 or i >= pts.shape[2] for i in idx):
+        raise ValueError("coordinate label out of range 1..d")
     if k == 0:
         return np.ones(pts.shape[0])
     e = pts[:, 1:, :] - pts[:, :1, :]

@@ -24,16 +24,14 @@ from roughforms.geometry import (
     Cube,
     Simplex,
     boundary,
-    boundary_chain,
     coordinate_projection_array,
     diameter,
-    snap_to_grid,
 )
 from roughforms.sampling import Box, SamplerSpec
 from roughforms.sewing import FunctionGerm
 from roughforms.subdivision import EDGEWISE, SubdivisionScheme, iterate
 
-from conftest import assert_rounding_close
+from conftest import assert_rounding_close, boundary_chain, snap_to_grid
 from test_geometry import canon
 
 

@@ -24,14 +24,9 @@ from roughforms.errors import (
     TruncationTailError,
 )
 from roughforms.forms import _duffy_rule
-from roughforms.geometry import (
-    Cube,
-    Simplex,
-    _permutation_sign,
-    axis_box_chain,
-)
+from roughforms.geometry import Cube, Simplex, _permutation_sign
 
-from conftest import assert_rounding_close
+from conftest import assert_rounding_close, axis_box_chain
 
 
 def box_kernel(spec, pt, J):
@@ -265,6 +260,87 @@ def test_one_dimensional_field_is_its_mode_sum():
     for h, c in zip(spec.modes(), f.coeffs):
         want += abs(c) * np.cos(2.0 * np.pi * h * x / spec.L + np.angle(c))
     np.testing.assert_allclose(f.eval(x[:, None]), want, rtol=0, atol=1e-13)
+
+
+def direct_powers(x, spec):
+    """exp(2 pi i h x / L) over the modes h: one exponential per power."""
+    modes = spec.modes()
+    x = np.asarray(x, dtype=float)
+    phase = np.exp((2j * np.pi / spec.L) * np.outer(x, modes))
+    return phase.reshape(x.shape + modes.shape)
+
+
+def direct_cube_integral(field, corner, frame, side):
+    """integral_cube with the corner phase as one exponential per mode."""
+    spec = field.spec
+    grids = np.meshgrid(*([spec.modes()] * spec.d), indexing="ij")
+    total = field.coeffs.astype(complex)
+    for a in range(spec.d):
+        total = total * np.exp((2j * np.pi / spec.L) * corner[a] * grids[a])
+    for row in frame:
+        omega = sum(row[a] * grids[a] for a in range(spec.d))
+        zero = np.abs(omega) < 1e-12
+        denom = 2j * np.pi * np.where(zero, 1.0, omega) / spec.L
+        dfac = (np.exp(denom * side) - 1.0) / denom
+        total = total * np.where(zero, side, dfac)
+    return float(np.real(np.sum(total)))
+
+
+def test_modes_are_the_consecutive_integers_the_powers_assume():
+    # _axis_powers builds z^h for h = -M..M, M = N/2 - 1, and nothing else
+    for N in (4, 8, 16, 32, 64):
+        spec = G.SpectralFieldSpec(d=1, theta=1.0, N=N)
+        assert np.array_equal(
+            spec.modes(), np.arange(-(N // 2) + 1, N // 2)
+        )
+
+
+@pytest.mark.parametrize("N", [4, 8, 16, 32, 64])
+def test_axis_powers_match_the_direct_exponential(N):
+    # both round the phase 2 pi h x / L at about h |x| / L ulps: on these
+    # draws the largest differences are 1.1e-14 at N = 8, 6.0e-14 at
+    # N = 32 and 1.3e-13 at N = 64, at most 4.8 M (1 + |x| / L) eps
+    M = N // 2 - 1
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(N)
+    for L in (1.0, 2.5):
+        spec = G.SpectralFieldSpec(d=1, theta=1.0, N=N, L=L)
+        for shape in [(), (37,), (5, 3, 2)]:
+            x = rng.uniform(-3.0 * L, 3.0 * L, shape)
+            got = G._axis_powers(x, spec)
+            assert got.shape == shape + (2 * M + 1,)
+            bound = 8.0 * M * (1.0 + np.abs(x) / L) * eps
+            err = np.abs(got - direct_powers(x, spec))
+            assert np.all(err <= bound[..., None])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_field_evaluators_match_direct_exponential_mode_sums(d):
+    # the mode sums with one exponential per mode, as box_kernel and
+    # direct_cube_integral build them; values near zero carry the rounding
+    # of the larger ones, so the bound is relative to the batch's largest
+    spec = G.SpectralFieldSpec(d=d, theta=1.0 + d / 2, N=16, L=2.5, seed=d)
+    f = G.sample_field(spec)
+    rng = np.random.default_rng(70 + d)
+    pts = rng.uniform(-spec.L, 2.0 * spec.L, (8, d))
+
+    def check(got, want):
+        want = np.asarray(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def sums(J):
+        return [np.sum(f.coeffs * box_kernel(spec, p, J)).real for p in pts]
+
+    check(f.eval(pts), sums(()))
+    got, want = [], []
+    for k in range(1, d + 1):
+        for J in G.component_indices(d, k):
+            check(f.integral_axis_box(pts, J), sums(J))
+        rot = G._random_rotation(rng, d)
+        for corner, side in zip(pts[:4], (0.05, 0.3, 1.0, 2.0)):
+            got.append(f.integral_cube(corner, rot[:k], side))
+            want.append(direct_cube_integral(f, corner, rot[:k], side))
+    check(np.array(got), want)
 
 
 def test_integral_cube_matches_quadrature():

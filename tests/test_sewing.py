@@ -5,11 +5,11 @@ import pytest
 
 from roughforms import forms, sampling, sewing, subdivision
 from roughforms.errors import BudgetExceededError, NoConvergenceError
-from roughforms.geometry import Chain, Simplex, axis_box_chain, diameter
+from roughforms.geometry import Chain, Simplex, diameter
 from roughforms.sewing import FunctionGerm, sew
 from roughforms.subdivision import EDGEWISE
 
-from conftest import assert_rounding_close
+from conftest import assert_rounding_close, axis_box_chain
 
 
 def seg(a, b):

@@ -40,7 +40,8 @@ def test_edgewise_segment_halves():
         [G.Simplex([[0.0], [0.5]]), G.Simplex([[0.5], [1.0]])]
     )
     for kid in kids:
-        assert G.coordinate_projection(kid, (1,)) == pytest.approx(0.5)
+        dx = G.coordinate_projection_array(kid.vertices[None], (1,))[0]
+        assert dx == pytest.approx(0.5)
 
 
 def test_edgewise_triangle_is_midpoint_refinement():
@@ -62,7 +63,7 @@ def test_edgewise_triangle_is_midpoint_refinement():
         assert G.diameter(kid) == pytest.approx(G.diameter(tri) / 2, rel=1e-12)
         assert G.eccentricity(kid) == pytest.approx(parent_ecc, rel=1e-12)
         # orientation preserved: positive signed area, same as parent
-        assert G.coordinate_projection(kid, (1, 2)) > 0
+        assert G.coordinate_projection_array(kid.vertices[None], (1, 2))[0] > 0
     total = sum(G.volume(kid) for kid in kids)
     assert total == pytest.approx(G.volume(tri), rel=1e-12)
 
@@ -109,7 +110,7 @@ def test_barycentric_counts():
     assert len(kids) == 6
     assert sum(G.volume(kid) for kid in kids) == pytest.approx(0.5, rel=1e-12)
     for kid in kids:
-        assert G.coordinate_projection(kid, (1, 2)) > 0
+        assert G.coordinate_projection_array(kid.vertices[None], (1, 2))[0] > 0
 
 
 # ---------------------------------------------------------------------------
