@@ -630,7 +630,7 @@ def _load_map(obj, field="map"):
             return np.stack(rows, axis=-2)
 
     except NotDifferentiableError:
-        jac = None  # SmoothMap falls back to central differences
+        jac = None  # without a Jacobian, pullbacks by the map are sewn
 
     return SmoothMap(fn, m, d, jacobian=jac, eta=obj.get("eta", 1.0))
 

@@ -14,22 +14,27 @@ band-limited, so they are smooth forms of their fields and share both.
 
 Evaluations return a value together with an a posteriori tail bound; by
 default an unachievable tolerance raises, while best-effort mode returns
-the partial value with its honest tail. Single evaluations are memoized
-per cochain on the quantized vertices of the vertex-sorted simplex; an
-entry remembers its tolerance and serves a later request only when its
-tail meets that request or the request is no tighter, or when a tighter
-request would compute it again unchanged (a depth-capped sew).
+the partial value with its honest tail.
 
-Batches of simplices have one protocol: eval_batch(pts, tols) takes an
+Every evaluation goes through one protocol: eval_batch(pts, tols) takes an
 (n, k+1, d) vertex array with one tolerance per row and returns values and
-tails, best effort. The default evaluates row by row through the memo;
+tails, best effort. A simplex is the one-term chain [(1, simplex)], a cube
+its triangulation, and a chain one eval_batch of its simplices. The
+default eval_batch computes each vertex-sorted row by _eval_simplex (sewn
+and Whitney cochains) through a per-cochain memo keyed on the row's exact
+bytes; an entry remembers its tolerance and serves a later request only
+when its tail meets that request or the request is no tighter, or when a
+tighter request would compute it again unchanged (a depth-capped sew).
 0-forms override it with point values (zero tails), smooth forms,
 Gaussian forms among them, with adaptive two-order quadrature (estimated
 tails), and sums of parts (combinations, signed faces, chains, staircase
 boxes) go through linear_sum, the one tolerance split: each part at
-tol / sum |c_j|, its tail counted |c_j| times. Exact forms need no class
-of their own: the increment form dg is the coboundary of the 0-form g,
-and the zero cochain is a combination whose coefficients are all zero.
+tol / sum |c_j|, its tail counted |c_j| times. Smooth forms and
+coboundaries sort each row's vertices as the memo does and restore its
+sign, so every cochain is odd under permutations row by row. Exact forms
+need no class of their own: the increment form dg is the coboundary of
+the 0-form g, and the zero cochain is a combination whose coefficients
+are all zero.
 
 Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
 writes its germ once, as _germ_rows(pts, vals, tol, root_diam) returning
@@ -69,7 +74,6 @@ from .geometry import (
 from .sewing import DEPTH_MAX_BY_K, FunctionGerm, sew
 from .subdivision import EDGEWISE, gauss_legendre_boxes, iterate_array
 
-MEMO_QUANTUM = 1e-12
 # quadrature points per coefficient call of a smooth-form quadrature; a
 # Gaussian form in d = 3 divides it by N - 1, since there each point's mode
 # sum holds (N-1)^2 terms, not N - 1
@@ -77,8 +81,6 @@ QUAD_CHUNK_POINTS = 1 << 13
 # a quadrature tail within this share of the value is rounding noise,
 # which splitting the simplex does not reduce
 QUAD_ROUNDING = 1e-13
-# central-difference step of SmoothMap Jacobians without an analytic one
-FD_STEP = 1e-6
 # edgewise level of the boundary pieces on which stokes_residual evaluates A
 STOKES_LEVEL = 5
 
@@ -169,9 +171,10 @@ class WeierstrassFunction(HolderFunction):
 
 
 class SmoothMap:
-    """F: R^m -> R^d with first derivatives, analytic or finite-difference.
+    """F: R^m -> R^d, with its analytic Jacobian when one is given.
 
-    `eta` declares the Hoelder exponent of DF (C^{1,eta} data).
+    `eta` declares the Hoelder exponent of DF (C^{1,eta} data). Without a
+    Jacobian, pullbacks by F are sewn, which reads F only at vertices.
     """
 
     def __init__(self, fn, m, d, jacobian=None, eta=1.0):
@@ -189,16 +192,10 @@ class SmoothMap:
         return out
 
     def jacobian(self, x):
-        """(..., d, m) derivative matrix at x."""
-        x = np.asarray(x, dtype=float)
-        if self._jac is not None:
-            return np.asarray(self._jac(x), dtype=float)
-        cols = []
-        for j in range(self.m):
-            e = np.zeros(self.m)
-            e[j] = FD_STEP
-            cols.append((self(x + e) - self(x - e)) / (2 * FD_STEP))
-        return np.stack(cols, axis=-1)
+        """(..., d, m) analytic derivative matrix at x."""
+        if self._jac is None:
+            raise ValueError("this map has no analytic Jacobian")
+        return np.asarray(self._jac(np.asarray(x, dtype=float)), dtype=float)
 
 
 def identity_map(d):
@@ -213,23 +210,6 @@ def identity_map(d):
 
 # ---------------------------------------------------------------------------
 # cochain base
-
-
-def _memo_key(simplex):
-    q = np.round(simplex.vertices / MEMO_QUANTUM) * MEMO_QUANTUM
-    return (q.tobytes(), q.shape)
-
-
-def _canonical_orientation(simplex):
-    """Vertex-sorted representative and the sign relating it back.
-
-    Cochains are odd under vertex transpositions, so caching on the
-    sorted representative lets a face and its reversal share one entry.
-    """
-    rows, signs = canonical_rows(simplex.vertices[None])
-    if np.array_equal(rows[0], simplex.vertices):
-        return simplex, 1
-    return Simplex(rows[0]), int(signs[0])
 
 
 def linear_sum(coeffs, parts, tols):
@@ -252,18 +232,18 @@ def linear_sum(coeffs, parts, tols):
 class Cochain:
     """Additive, orientation-odd evaluation on k-simplices in R^d.
 
-    eval() accepts a Simplex, Chain, or Cube; cubes triangulate first, and
-    a chain is one eval_batch of its simplices summed by linear_sum, which
-    raises once if the summed tail exceeds tol. eval_with_tail() also
-    returns an a posteriori error bound; with best_effort=True an exhausted
-    evaluation budget yields the partial value instead of raising.
+    eval() accepts a Simplex, Chain, or Cube, each as one chain: a simplex
+    is [(1, simplex)] and a cube its triangulation. A chain is one
+    eval_batch of its simplices summed by linear_sum, which raises once if
+    the summed tail exceeds tol. eval_with_tail() also returns an a
+    posteriori error bound; with best_effort=True an exhausted evaluation
+    budget yields the partial value instead of raising.
 
-    eval_batch(pts, tols) is the one way to evaluate many simplices: it
-    maps an (n, k+1, d) vertex array and n tolerances to n values and n
-    tails, always best effort. Subclasses implement _eval_simplex() and
-    override eval_batch() when they can do better than one memoized
-    evaluation per row (closed forms, smooth forms, sums of parts), and
-    then take _eval_row, the one-row batch, as their _eval_simplex.
+    eval_batch(pts, tols), always best effort, is the one way a cochain is
+    evaluated. The default memoizes _eval_simplex() on each vertex-sorted
+    row, keyed on its exact bytes; classes that evaluate whole batches
+    (closed forms, smooth forms, sums of parts) override eval_batch() and
+    need no _eval_simplex().
     """
 
     provenance = "smooth"
@@ -277,26 +257,32 @@ class Cochain:
         # optional rigorous bound on sup |A| / mass_value, set when known
         self.alpha_norm_bound = None
 
-    # subclasses: return (value, tail_bound, budget_exhausted), with
-    # budget_exhausted = tail_bound > tol; a fourth item True marks a
-    # result that every tighter tolerance would compute again unchanged
+    # subclasses using the default eval_batch: return (value, tail_bound,
+    # budget_exhausted), with budget_exhausted = tail_bound > tol; a fourth
+    # item True marks a result that every tighter tolerance would compute
+    # again unchanged
     def _eval_simplex(self, simplex, tol):
         raise NotImplementedError
 
     def eval_batch(self, pts, tols):
-        """Values and tails on a batch, one memoized evaluation per row."""
-        values = np.empty(len(pts))
-        tails = np.empty(len(pts))
-        for i, (row, tol) in enumerate(zip(pts, tols)):
-            values[i], tails[i] = self.eval_with_tail(
-                Simplex(row), tol, best_effort=True
-            )
-        return values, tails
+        """Values and tails on a batch, one memoized sorted row at a time.
 
-    def _eval_row(self, simplex, tol):
-        """_eval_simplex for classes whose eval_batch does the work."""
-        values, tails = self.eval_batch(simplex.vertices[None], np.array([tol]))
-        return float(values[0]), float(tails[0]), bool(tails[0] > tol)
+        An entry serves requests its tail meets or no tighter than its own;
+        a tighter one is recomputed and replaces it, unless the entry is
+        final, which serves every request.
+        """
+        rows, signs = canonical_rows(pts)
+        values = np.empty(len(rows))
+        tails = np.empty(len(rows))
+        for i, (row, tol) in enumerate(zip(rows, tols)):
+            key = row.tobytes()
+            hit = self._memo.get(key)
+            if hit is None or (hit[2] > tol and tol < hit[0]):
+                value, tail, _, *final = self._eval_simplex(Simplex(row), tol)
+                hit = (0.0 if any(final) else tol, value, tail)
+                self._memo[key] = hit
+            values[i], tails[i] = hit[1], hit[2]
+        return signs * values, tails
 
     def eval(self, target, tol=1e-6, best_effort=False):
         return self.eval_with_tail(target, tol, best_effort=best_effort)[0]
@@ -313,26 +299,13 @@ class Cochain:
                 f"expected a {self.k}-simplex in R^{self.d}, "
                 f"got k={simplex.k}, d={simplex.d}"
             )
-        if isinstance(target, Chain):
-            pts = np.stack([s.vertices for _, s in terms])
+        pts = np.stack([s.vertices for _, s in terms])
 
-            def rows(share):
-                return zip(*self.eval_batch(pts, np.full(len(pts), share)))
+        def rows(share):
+            return zip(*self.eval_batch(pts, np.full(len(pts), share)))
 
-            coeffs = [c for c, _ in terms]
-            value, tail = map(float, linear_sum(coeffs, rows, tol))
-        else:
-            canon, sign = _canonical_orientation(simplex)
-            key = _memo_key(canon)
-            hit = self._memo.get(key)
-            # an entry serves requests its tail meets or no tighter than
-            # its own; a tighter one is recomputed and replaces it, unless
-            # the entry is final, which serves every request
-            if hit is None or (hit[2] > tol and tol < hit[0]):
-                value, tail, _, *final = self._eval_simplex(canon, tol)
-                hit = (0.0 if any(final) else tol, value, tail)
-                self._memo[key] = hit
-            value, tail = sign * hit[1], hit[2]
+        coeffs = [c for c, _ in terms]
+        value, tail = map(float, linear_sum(coeffs, rows, tol))
         if tail > tol and not best_effort:
             raise BudgetExceededError(
                 f"evaluation tail {tail:.3g} exceeds tol {tol:.3g}",
@@ -365,9 +338,10 @@ class SewnCochain(Cochain):
     vertices as `vals`; `vals` is None otherwise.
     Since the returned value is the last level sum, the summed inner tails
     of that level bound the extra error and are added to the sewing tail.
-    A sew that stops at the depth cap with exact inner values (zero inner
-    tail) is what any tighter tolerance would compute again, so its memo
-    entry serves every request.
+    _eval_simplex sews one vertex-sorted row for the memoized default
+    eval_batch. A sew that stops at the depth cap with exact inner values
+    (zero inner tail) is what any tighter tolerance would compute again,
+    so its memo entry serves every request.
     """
 
     delta_norm = None
@@ -412,8 +386,6 @@ class ZeroFormCochain(Cochain):
         super().__init__(0, d, 0.0, f.gamma)
         self.f = f
 
-    _eval_simplex = Cochain._eval_row
-
     def eval_batch(self, pts, tols):
         return self.f(pts[:, 0, :]), np.zeros(len(pts))
 
@@ -428,9 +400,9 @@ class SmoothFormCochain(Cochain):
     coefficients the coarse order resolves. Each row's vertices are sorted
     first (the Duffy rule is not symmetric under vertex permutations for
     k >= 2) and its sign restored at the end, so a batch is odd under
-    permutations as the memo is. A row whose tail exceeds its tolerance
-    is split into its edgewise children, each at tol / 2^k, and so on
-    until every piece meets its share or the sewing depth cap
+    permutations as the memoized default is. A row whose tail exceeds
+    its tolerance is split into its edgewise children, each at tol / 2^k,
+    and so on until every piece meets its share or the sewing depth cap
     DEPTH_MAX_BY_K[k] is reached, where the pieces return best effort; a
     piece also stops when its tail is rounding noise (QUAD_ROUNDING),
     which splitting cannot reduce. A row's value and tail are the sums
@@ -466,8 +438,6 @@ class SmoothFormCochain(Cochain):
         super().__init__(k, d, alpha, beta)
         self.components = comps
         self.provenance = provenance
-
-    _eval_simplex = Cochain._eval_row
 
     def _coarse_orders(self, pts):
         """Coarse quadrature order of each row; the fine one is twice it."""
@@ -577,8 +547,6 @@ class CombinationCochain(Cochain):
             self.alpha_norm_bound = sum(
                 (abs(c) * a.alpha_norm_bound for c, a in self.terms), 0.0
             )
-
-    _eval_simplex = Cochain._eval_row
 
     def eval_batch(self, pts, tols):
         """The terms' batches, summed at the one tolerance split."""
@@ -719,12 +687,16 @@ class CoboundaryCochain(Cochain):
         elif a.alpha_norm_bound == 0.0:
             self.alpha_norm_bound = 0.0
 
-    _eval_simplex = Cochain._eval_row
-
     def eval_batch(self, pts, tols):
-        """The signed faces' batches, summed at the one tolerance split."""
-        faces = range(np.shape(pts)[1])
-        return linear_sum(
+        """The signed faces' batches, summed at the one tolerance split.
+
+        Each row's vertices are sorted first and its sign restored at the
+        end, so a row and its reorderings sum the same faces in the same
+        order, and the batch is odd under permutations.
+        """
+        pts, signs = canonical_rows(pts)
+        faces = range(pts.shape[1])
+        values, tails = linear_sum(
             [(-1.0) ** i for i in faces],
             lambda share: (
                 self.base.eval_batch(np.delete(pts, i, axis=1), share)
@@ -732,6 +704,7 @@ class CoboundaryCochain(Cochain):
             ),
             tols,
         )
+        return signs * values, tails
 
 
 def coboundary(a):

@@ -166,15 +166,6 @@ class FieldSample:
         self.component = component
         self.h = spec.modes()
 
-    def _axis_factor(self, x):
-        """Mode factors z^h, z = exp(2 pi i x / L), shape (P, modes).
-
-        One exponential per scalar of the batch x; the factors are its
-        integer powers over the modes h, equal to exp(2 pi i h x / L) to
-        rounding.
-        """
-        return _axis_powers(x, self.spec)
-
     def _axis_segment(self, u):
         """Signed integral factors int_0^u exp(2 pi i h x / L) dx."""
         L = self.spec.L
@@ -202,7 +193,7 @@ class FieldSample:
     def eval(self, pts):
         """Field values at a batch of ambient points, by mode sums."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        factors = [self._axis_factor(pts[:, a]) for a in range(self.spec.d)]
+        factors = [_axis_powers(x, self.spec) for x in pts.T]
         return np.real(self._contract(factors))
 
     def integral_axis_box(self, pts, J):
@@ -216,7 +207,7 @@ class FieldSample:
         factors = [
             self._axis_segment(pts[:, a])
             if a in axes
-            else self._axis_factor(pts[:, a])
+            else _axis_powers(pts[:, a], self.spec)
             for a in range(self.spec.d)
         ]
         return np.real(self._contract(factors))

@@ -1,4 +1,4 @@
-"""Random simplices in boxes, diameter bands, and two-piece splits.
+"""Random simplices in boxes and diameter bands.
 
 Samplers are deliberately sequential per band so that enlarging a sample
 count keeps earlier draws as a prefix; empirical suprema are then monotone
@@ -117,23 +117,3 @@ def sample_band_simplices(region, k, spec):
         ]
         out.append((band, samples))
     return out
-
-
-def two_piece_split(simplex, rng):
-    """Split along one edge at t in [1/4, 3/4]: two same-orientation pieces.
-
-    Picks an edge (i, j), places p = v_i + t (v_j - v_i), and returns the
-    two simplices with v_j (resp. v_i) replaced by p; volumes split t to
-    1 - t and orientations match the parent.
-    """
-    k = simplex.k
-    v = simplex.vertices
-    pairs = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
-    i, j = pairs[rng.integers(len(pairs))]
-    t = 0.25 + 0.5 * rng.random()
-    p = (1 - t) * v[i] + t * v[j]
-    a = np.array(v)
-    a[j] = p
-    b = np.array(v)
-    b[i] = p
-    return [Simplex(a), Simplex(b)]

@@ -1,13 +1,13 @@
-"""Germs of cochains, the sewing operator, and empirical germ norms.
+"""Germs of cochains and the sewing operator.
 
 A germ assigns a number to every small simplex; its defect measures the
 failure of additivity under subdivision. When the defect is
 Hoelder-controlled with exponent gamma > k, iterated subdivision level sums
 converge geometrically and their limit (the sewing) is the unique additive
-repair of the germ. `estimate_germ_norms` samples the defect, an empirical
-check of the exponent and constant a germ declares. A germ is a batch
-function: it maps an (n, k+1, d) vertex array to n values, so every
-subdivision level is one call and deep levels stay vectorized.
+repair of the germ. The exponent and constant a germ declares are trusted
+by the analytic stopping rule of `sew`. A germ is a batch function: it
+maps an (n, k+1, d) vertex array to n values, so every subdivision level
+is one call and deep levels stay vectorized.
 
 Sewing walks the edgewise levels on the dyadic lattice of the root: the
 vertices of level n are the points with barycentric coordinates in
@@ -23,14 +23,14 @@ vertex values to the germ along with the vertex array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import fitting, sampling
+from . import fitting
 from .errors import BudgetExceededError, NoConvergenceError
 from .geometry import diameter, diameter_array
-from .subdivision import EDGEWISE, edgewise_lattice, iterate_array
+from .subdivision import EDGEWISE, edgewise_lattice
 
 # per-degree depth defaults keep worst-case evaluation counts near 10^6
 DEPTH_MAX_BY_K = {1: 14, 2: 10, 3: 7}
@@ -262,79 +262,3 @@ def sew(germ, simplex, tol, *, depth_max=None):
                 f"increments non-decreasing over 3 levels at depth {n}",
                 partial=result(math.inf),
             )
-
-
-@dataclass
-class GermNormEstimate:
-    """Empirical eta / delta-gamma germ norms with sample bookkeeping."""
-
-    eta: float
-    gamma: float
-    eta_norm: float
-    delta_gamma_norm: float
-    n_samples: int
-    n_families: int
-    bands: list = field(default_factory=list)
-    per_band: list = field(default_factory=list)
-    families: str = "scheme children depths 1-3 + random two-piece splits"
-
-
-def estimate_germ_norms(germ, region, k, eta, gamma, spec):
-    """Empirical sup of |germ|/diam^eta and |defect|/(|K| diam^gamma).
-
-    Samples simplices per dyadic diameter band under the spec's
-    eccentricity cap; defect families are the edgewise children at depths
-    1..3 plus random two-piece edge splits. Estimates are suprema, hence
-    monotone nondecreasing in the sample counts (streams are
-    prefix-stable).
-    """
-    eta_sup = 0.0
-    delta_sup = 0.0
-    n_samples = 0
-    n_families = 0
-    per_band = []
-    banded = sampling.sample_band_simplices(region, k, spec)
-    for b_idx, (band, samples) in enumerate(banded):
-        band_eta = 0.0
-        band_delta = 0.0
-        split_rng = np.random.default_rng(
-            np.random.SeedSequence((spec.seed, b_idx, 1))
-        )
-        for s in samples:
-            n_samples += 1
-            dia = diameter(s)
-            value = germ.eval(s)
-            band_eta = max(band_eta, abs(value) / dia**eta)
-            families = []
-            for depth in (1, 2, 3):
-                arr = iterate_array(EDGEWISE, s.vertices[None], depth)
-                families.append(arr)
-            for _ in range(spec.n_splits):
-                pieces = sampling.two_piece_split(s, split_rng)
-                families.append(np.array([p.vertices for p in pieces]))
-            for arr in families:
-                n_families += 1
-                delta = value - float(np.sum(germ.eval_batch(arr)))
-                band_delta = max(
-                    band_delta, abs(delta) / (arr.shape[0] * dia**gamma)
-                )
-        eta_sup = max(eta_sup, band_eta)
-        delta_sup = max(delta_sup, band_delta)
-        per_band.append(
-            {
-                "band": list(band),
-                "eta_norm": band_eta,
-                "delta_gamma_norm": band_delta,
-                "n": len(samples),
-            }
-        )
-    return GermNormEstimate(
-        eta=eta,
-        gamma=gamma,
-        eta_norm=eta_sup,
-        delta_gamma_norm=delta_sup,
-        n_samples=n_samples,
-        n_families=n_families,
-        bands=spec.bands(),
-        per_band=per_band,
-    )

@@ -3,20 +3,27 @@
 Property tests draw their examples derandomized and without a deadline or
 an example database, so every run of the suite checks the same examples.
 The chain builders below (boundary of a chain, snapping to a dyadic grid,
-triangulated axis boxes) serve only the tests.
+triangulated axis boxes), the two-piece split and the sampled germ norms
+serve only the tests; the germ norms are the oracle of the exponent and
+constant a germ declares.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 from hypothesis import settings
 
+from roughforms import sampling
 from roughforms.errors import DegenerateSimplexError
 from roughforms.geometry import (
     Chain,
     Simplex,
     _signed_simplex,
     boundary,
+    diameter,
     staircase_blocks,
 )
+from roughforms.subdivision import EDGEWISE, iterate_array
 
 settings.register_profile(
     "deterministic", derandomize=True, deadline=None, database=None
@@ -71,3 +78,99 @@ def axis_box_chain(base, axes, extents):
     steps[0, range(len(axes)), axes] = extents
     blocks = staircase_blocks(base[None], steps)
     return Chain(_signed_simplex(verts[0], sign) for sign, verts in blocks)
+
+
+def two_piece_split(simplex, rng):
+    """Split along one edge at t in [1/4, 3/4]: two same-orientation pieces.
+
+    Picks an edge (i, j), places p = v_i + t (v_j - v_i), and returns the
+    two simplices with v_j (resp. v_i) replaced by p; volumes split t to
+    1 - t and orientations match the parent.
+    """
+    k = simplex.k
+    v = simplex.vertices
+    pairs = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+    i, j = pairs[rng.integers(len(pairs))]
+    t = 0.25 + 0.5 * rng.random()
+    p = (1 - t) * v[i] + t * v[j]
+    a = np.array(v)
+    a[j] = p
+    b = np.array(v)
+    b[i] = p
+    return [Simplex(a), Simplex(b)]
+
+
+@dataclass
+class GermNormEstimate:
+    """Empirical eta / delta-gamma germ norms with sample bookkeeping."""
+
+    eta: float
+    gamma: float
+    eta_norm: float
+    delta_gamma_norm: float
+    n_samples: int
+    n_families: int
+    bands: list = field(default_factory=list)
+    per_band: list = field(default_factory=list)
+    families: str = "scheme children depths 1-3 + random two-piece splits"
+
+
+def estimate_germ_norms(germ, region, k, eta, gamma, spec):
+    """Empirical sup of |germ|/diam^eta and |defect|/(|K| diam^gamma).
+
+    Samples simplices per dyadic diameter band under the spec's
+    eccentricity cap; defect families are the edgewise children at depths
+    1..3 plus random two-piece edge splits. Estimates are suprema, hence
+    monotone nondecreasing in the sample counts (streams are
+    prefix-stable).
+    """
+    eta_sup = 0.0
+    delta_sup = 0.0
+    n_samples = 0
+    n_families = 0
+    per_band = []
+    banded = sampling.sample_band_simplices(region, k, spec)
+    for b_idx, (band, samples) in enumerate(banded):
+        band_eta = 0.0
+        band_delta = 0.0
+        split_rng = np.random.default_rng(
+            np.random.SeedSequence((spec.seed, b_idx, 1))
+        )
+        for s in samples:
+            n_samples += 1
+            dia = diameter(s)
+            value = germ.eval(s)
+            band_eta = max(band_eta, abs(value) / dia**eta)
+            families = []
+            for depth in (1, 2, 3):
+                arr = iterate_array(EDGEWISE, s.vertices[None], depth)
+                families.append(arr)
+            for _ in range(spec.n_splits):
+                pieces = two_piece_split(s, split_rng)
+                families.append(np.array([p.vertices for p in pieces]))
+            for arr in families:
+                n_families += 1
+                delta = value - float(np.sum(germ.eval_batch(arr)))
+                band_delta = max(
+                    band_delta, abs(delta) / (arr.shape[0] * dia**gamma)
+                )
+        eta_sup = max(eta_sup, band_eta)
+        delta_sup = max(delta_sup, band_delta)
+        per_band.append(
+            {
+                "band": list(band),
+                "eta_norm": band_eta,
+                "delta_gamma_norm": band_delta,
+                "n": len(samples),
+            }
+        )
+    return GermNormEstimate(
+        eta=eta,
+        gamma=gamma,
+        eta_norm=eta_sup,
+        delta_gamma_norm=delta_sup,
+        n_samples=n_samples,
+        n_families=n_families,
+        bands=spec.bands(),
+        per_band=per_band,
+    )

@@ -210,8 +210,8 @@ def test_oscillatory_smooth_form_refines_to_its_tolerance(freq):
 
 def test_smooth_form_refinement_stops_at_the_depth_cap():
     # the kink of |x1 - 1/3| is not resolved at 1e-12: the pieces around it
-    # halve down to the depth cap, and the memo raises with the partial
-    # result; the integral is 1/18 + 4/18
+    # halve down to the depth cap, and the evaluation raises with the
+    # partial result; the integral is 1/18 + 4/18
     a = forms.smooth_form({(1,): lambda p: np.abs(p[..., 0] - 1 / 3)}, 1)
     seg = Simplex([[0.0], [1.0]])
     with pytest.raises(BudgetExceededError) as exc:
@@ -223,7 +223,7 @@ def test_smooth_form_refinement_stops_at_the_depth_cap():
 
 def test_rounding_level_tails_are_not_split(monkeypatch):
     # splitting cannot shrink rounding noise, so a tolerance below it is
-    # answered from the first quadrature, and the memo raises
+    # answered from the first quadrature
     def no_children(self, pts):
         raise AssertionError("split a simplex at the rounding level")
 
@@ -399,6 +399,27 @@ def test_memo_answers_a_tighter_request_from_a_depth_capped_sew(monkeypatch):
         _resonant_product().eval_with_tail(seg, 1e-5)
     assert fresh.value.partial == (value, tail)
     assert len(sews) == 2
+
+
+@pytest.mark.parametrize(
+    "build, step",
+    [
+        (_resonant_product, (1.0, 0.0)),
+        (lambda: forms.catalog_form("x_dy"), (0.0, 1.0)),
+    ],
+    ids=["product", "x_dy"],
+)
+def test_tiny_simplices_get_their_own_values(build, step):
+    # segments 2e-13 and 4e-13 long from one point: a memo keyed on
+    # coordinates rounded to 1e-12 answered the second with the first's
+    # value, half the right one
+    start, step = np.array([0.1, 0.2]), np.array(step)
+    a = build()
+    short = a.eval_with_tail(Simplex([start, start + 2e-13 * step]), 1e-6)
+    seg = Simplex([start, start + 4e-13 * step])
+    value, tail = a.eval_with_tail(seg, 1e-6)
+    assert (value, tail) == build().eval_with_tail(seg, 1e-6)
+    assert value != short[0]
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +603,33 @@ def test_eval_batch_matches_per_row_evaluation(name):
         assert agree == "rounding"
         assert_rounding_close(values, want)
         assert_rounding_close(tails, want_tails)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_a_simplex_is_a_one_row_batch(name):
+    build, k, _, _ = BATCH_CASES[name]
+    s = rand_simplex(np.random.default_rng(6), k, 2)
+    values, tails = build().eval_batch(s.vertices[None], np.array([1e-6]))
+    got = build().eval_with_tail(s, 1e-6, best_effort=True)
+    assert got == (values[0], tails[0])
+
+
+def test_a_sewn_row_and_its_reversal_share_one_sew(monkeypatch):
+    calls = []
+    eval_simplex = forms.SewnCochain._eval_simplex
+
+    def counting(self, simplex, tol):
+        calls.append(simplex)
+        return eval_simplex(self, simplex, tol)
+
+    monkeypatch.setattr(forms.SewnCochain, "_eval_simplex", counting)
+    row = np.array([[0.7, 0.1], [0.2, 0.5]])
+    values, tails = _product().eval_batch(
+        np.stack([row, row[::-1]]), np.full(2, 1e-6)
+    )
+    assert len(calls) == 1
+    assert values[1] == -values[0] != 0.0
+    assert tails[1] == tails[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1311,12 +1359,18 @@ def test_smooth_map_jacobians_agree():
         return np.stack([row1, row2], axis=-2)
 
     analytic = forms.SmoothMap(fn, 2, 2, jacobian=jac)
-    numeric = forms.SmoothMap(fn, 2, 2)
     rng = np.random.default_rng(12)
     pts = rng.random((20, 2))
     ja = analytic.jacobian(pts)
-    jn = numeric.jacobian(pts)
+    # central differences, column j from the step h e_j
+    h = 1e-6
+    jn = np.stack(
+        [(fn(pts + h * e) - fn(pts - h * e)) / (2 * h) for e in np.eye(2)],
+        axis=-1,
+    )
     assert np.max(np.abs(ja - jn)) <= 1e-5 * max(1.0, np.max(np.abs(ja)))
+    with pytest.raises(ValueError, match="no analytic Jacobian"):
+        forms.SmoothMap(fn, 2, 2).jacobian(pts)
 
 
 def test_smooth_map_validates_output_shape():

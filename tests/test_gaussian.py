@@ -587,7 +587,7 @@ def _gaussian_rows(k, diameters, seed, d=2):
 
 
 def _per_row(build, pts, tol):
-    """Values and tails of a fresh cochain, one memoized row at a time."""
+    """Values and tails of a fresh cochain, one row at a time."""
     a = build()
     rows = [a.eval_with_tail(Simplex(p), tol, best_effort=True) for p in pts]
     return (np.array(col) for col in zip(*rows))

@@ -3,13 +3,13 @@ and the declared germs of Young products.
 
 Hypothesis draws well-shaped simplices in R^2 and R^3. The properties are
 the paper's invariants for additive cochains: additivity under
-subdivision, oddness under a vertex transposition (through the memo, in
-either evaluation order), and boundary of boundary = 0 for the coboundary
+subdivision, oddness under a vertex transposition (in either evaluation
+order, on one cochain), and boundary of boundary = 0 for the coboundary
 of a pulled-back form. On integer chains of these forms and of Whitney
 cochains, a result's tail meets the tolerance or the evaluation raises.
-For Young products, the sampled germ norms of
-`sewing.estimate_germ_norms` check the defect exponent and constant that
-the product declares and that sewing's analytic tail trusts.
+For Young products, the sampled germ norms of `estimate_germ_norms`
+(conftest) check the defect exponent and constant that the product
+declares and that sewing's analytic tail trusts.
 """
 
 import numpy as np
@@ -22,6 +22,8 @@ from roughforms import forms, gaussian, sampling, sewing
 from roughforms.embedding import iota_cochain
 from roughforms.errors import BudgetExceededError
 from roughforms.geometry import Chain, Simplex, diameter, gram_determinant
+
+from conftest import estimate_germ_norms, two_piece_split
 
 TOL = 1e-9
 # rounding of one quadrature sum, relative to the value
@@ -121,7 +123,7 @@ def test_smooth_forms_add_over_two_piece_splits(k, d, build, data, seed):
     whole, tail = a.eval_with_tail(s, TOL)
     parts = [
         a.eval_with_tail(p, TOL)
-        for p in sampling.two_piece_split(s, np.random.default_rng(seed))
+        for p in two_piece_split(s, np.random.default_rng(seed))
     ]
     gap = abs(whole - sum(v for v, _ in parts))
     assert gap <= tail + sum(t for _, t in parts) + SLACK * (1 + abs(whole))
@@ -206,7 +208,7 @@ def _sewn_germ(p):
 
 
 def _germ_norms(p, spec):
-    return sewing.estimate_germ_norms(
+    return estimate_germ_norms(
         _sewn_germ(p), sampling.Box.unit(p.d), 1, p.alpha, p.germ_gamma, spec
     )
 

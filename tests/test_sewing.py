@@ -9,7 +9,12 @@ from roughforms.geometry import Chain, Simplex, diameter
 from roughforms.sewing import FunctionGerm, sew
 from roughforms.subdivision import EDGEWISE
 
-from conftest import assert_rounding_close, axis_box_chain
+from conftest import (
+    assert_rounding_close,
+    axis_box_chain,
+    estimate_germ_norms,
+    two_piece_split,
+)
 
 
 def seg(a, b):
@@ -184,7 +189,7 @@ def test_sew_chain_splits_tolerance_by_weight():
 
 def test_norms_of_additive_germ_are_zero_defect():
     spec = sampling.SamplerSpec(samples_per_band=10, n_bands=3, seed=5)
-    est = sewing.estimate_germ_norms(
+    est = estimate_germ_norms(
         dx_germ(), sampling.Box.unit(1), 1, eta=1.0, gamma=2.0, spec=spec
     )
     assert est.eta_norm == pytest.approx(1.0, rel=1e-12)
@@ -198,7 +203,7 @@ def test_norms_of_square_diameter_germ_hit_quarter():
     spec = sampling.SamplerSpec(
         samples_per_band=20, n_bands=3, diam_max=0.5, seed=2
     )
-    est = sewing.estimate_germ_norms(
+    est = estimate_germ_norms(
         square_diameter_germ(),
         sampling.Box.unit(1),
         1,
@@ -217,8 +222,8 @@ def test_norm_estimates_monotone_in_sample_count():
     region = sampling.Box.unit(1)
     small = sampling.SamplerSpec(samples_per_band=12, n_bands=3, seed=9)
     large = sampling.SamplerSpec(samples_per_band=24, n_bands=3, seed=9)
-    est_s = sewing.estimate_germ_norms(germ, region, 1, 1.0, 3.0, small)
-    est_l = sewing.estimate_germ_norms(germ, region, 1, 1.0, 3.0, large)
+    est_s = estimate_germ_norms(germ, region, 1, 1.0, 3.0, small)
+    est_l = estimate_germ_norms(germ, region, 1, 1.0, 3.0, large)
     assert est_l.eta_norm >= est_s.eta_norm - 1e-15
     assert est_l.delta_gamma_norm >= est_s.delta_gamma_norm - 1e-15
 
@@ -264,7 +269,7 @@ def test_sewing_is_additive_over_splits():
         if b - a < 0.1:
             continue
         parent = seg(a, b)
-        left, right = sampling.two_piece_split(parent, rng)
+        left, right = two_piece_split(parent, rng)
         r_all = sew(germ, parent, tol=1e-9)
         r_l = sew(germ, left, tol=1e-9)
         r_r = sew(germ, right, tol=1e-9)
@@ -279,7 +284,7 @@ def test_sewing_stays_local_to_the_germ():
     germ = midpoint_germ(lambda x: np.sin(x), gamma=3.0, delta_norm=0.02)
     region = sampling.Box.unit(1)
     spec = sampling.SamplerSpec(samples_per_band=25, n_bands=4, seed=17)
-    est = sewing.estimate_germ_norms(germ, region, 1, 1.0, 3.0, spec)
+    est = estimate_germ_norms(germ, region, 1, 1.0, 3.0, spec)
     checked = 0
     for _, samples in sampling.sample_band_simplices(region, 1, spec):
         for s in samples:
