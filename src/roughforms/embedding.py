@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureBudgetError
+from .errors import QuadratureBudgetError, UnsupportedDimensionError
 from .fitting import line_fit
 from .forms import Cochain, linear_sum
 from .geometry import staircase_blocks
@@ -305,7 +305,7 @@ class WhitneyCochain(Cochain):
 
     def __init__(self, F, d, n_max=8, nodes=12):
         if d > 2:
-            raise ValueError("Whitney cochains need k = d <= 2")
+            raise UnsupportedDimensionError("Whitney cochains need k = d <= 2")
         super().__init__(d, d, 1.0, 1.0)
         self.F = F
         self.n_max = n_max

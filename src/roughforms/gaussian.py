@@ -36,10 +36,12 @@ from .errors import (
     ExponentViolationError,
     InsufficientSamplesError,
     TruncationTailError,
+    UnsupportedDimensionError,
 )
 from .fitting import line_fit
 from .forms import QUAD_CHUNK_POINTS, SmoothFormCochain
 from .geometry import diameter_array
+from .subdivision import gauss_legendre_boxes
 
 TWO_PI = 2.0 * math.pi
 # kolmogorov_fit evaluates its draws in chunks of samples, so that the
@@ -305,19 +307,16 @@ def _transverse_factory(m, theta):
 
         return closed
 
-    x, w = np.polynomial.legendre.leggauss(16)
+    # log-spaced panels out to 30 (1 + a), then a closed-form tail
+    edges = np.concatenate([[0.0], np.geomspace(0.25, 30.0, 12)])
+    x, w = gauss_legendre_boxes(edges[:-1, None], edges[1:, None], 16)
 
     def direct(a):
         a = np.atleast_1d(np.asarray(a, dtype=float))
         base = 1.0 + a
-        # log-spaced panels out to 30 (1 + a), then a closed-form tail
-        edges = np.concatenate([[0.0], np.geomspace(0.25, 30.0, 12)])
-        total = np.zeros_like(a)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            s = base[:, None] * (0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-            ww = base[:, None] * (0.5 * (hi - lo) * w)
-            vals = (1.0 + np.sqrt(a[:, None] ** 2 + s**2)) ** (-2 * theta)
-            total += np.sum(ww * vals, axis=1)
+        s = base[:, None] * x[:, 0]
+        vals = (1.0 + np.sqrt(a[:, None] ** 2 + s**2)) ** (-2 * theta)
+        total = np.sum(base[:, None] * w * vals, axis=1)
         tail = (1.0 + 30.0 * base) ** (1 - 2 * theta) / (2 * theta - 1)
         return 2.0 * (total + tail)
 
@@ -351,13 +350,13 @@ def delta_Q_sobolev(Q, theta, nodes=10, reach=32.0, tail_limit=0.05):
     tail bound, which must stay below tail_limit of the squared norm.
     """
     k, d, r = Q.k, Q.d, float(Q.side)
+    if k > 2:
+        raise UnsupportedDimensionError(
+            "delta_Q_sobolev handles cube dimensions k <= 2"
+        )
     if theta <= (d - k) / 2.0:
         raise ExponentViolationError(
             f"delta_Q in H^-theta needs theta > (d-k)/2 = {(d - k) / 2.0}"
-        )
-    if k > 2:
-        raise ExponentViolationError(
-            "delta_Q_sobolev handles cube dimensions k <= 2"
         )
     T = _transverse_factory(d - k, theta)
     P = reach * max(1.0, 1.0 / r)
@@ -366,7 +365,6 @@ def delta_Q_sobolev(Q, theta, nodes=10, reach=32.0, tail_limit=0.05):
     # scale (about 1/theta near the origin) is always resolved
     width = 1.0 / (2.0 * r)
     n_panels = max(4, int(math.ceil(P / width)))
-    x, w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(0.0, P, n_panels + 1)
     first = edges[1]
     target = min(1.0, 1.0 / (1.0 + 2.0 * theta)) / 8.0
@@ -375,12 +373,8 @@ def delta_Q_sobolev(Q, theta, nodes=10, reach=32.0, tail_limit=0.05):
         first *= 0.5
         splits.append(first)
     edges = np.concatenate([edges[:1], splits[::-1], edges[1:]])
-    axis_x = np.concatenate(
-        [0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(edges, edges[1:])]
-    )
-    axis_w = np.concatenate(
-        [0.5 * (b - a) * w for a, b in zip(edges, edges[1:])]
-    )
+    axis_x, axis_w = gauss_legendre_boxes(edges[:-1, None], edges[1:, None], nodes)
+    axis_x = axis_x[:, 0]
 
     def phi(u):
         out = np.empty_like(u)

@@ -180,19 +180,6 @@ class Cube:
 # scalar operations
 
 
-def edge_matrix(simplex):
-    """Columns v_i - v_0, shape (d, k)."""
-    v = simplex.vertices
-    return (v[1:] - v[0]).T
-
-
-def gram_determinant(simplex):
-    e = edge_matrix(simplex)
-    if e.shape[1] == 0:
-        return 1.0
-    return float(np.linalg.det(e.T @ e))
-
-
 def diameter(simplex):
     """Largest pairwise vertex distance (equals the set diameter)."""
     return float(diameter_array(simplex.vertices[None])[0])
@@ -200,23 +187,12 @@ def diameter(simplex):
 
 def is_degenerate(simplex):
     """True when the Gram determinant falls below the relative threshold."""
-    if simplex.k == 0:
-        return False
-    diam = diameter(simplex)
-    if diam == 0.0:
-        return True
-    g = gram_determinant(simplex)
-    return g <= DEGENERACY_RTOL * diam ** (2 * simplex.k)
+    return volume(simplex) == 0.0
 
 
 def volume(simplex):
     """k-dimensional volume sqrt(det(E^T E)) / k!; zero when degenerate."""
-    if simplex.k == 0:
-        return 1.0
-    if is_degenerate(simplex):
-        return 0.0
-    g = gram_determinant(simplex)
-    return math.sqrt(max(g, 0.0)) / math.factorial(simplex.k)
+    return float(volume_array(simplex.vertices[None])[0])
 
 
 def faces(simplex):
@@ -227,30 +203,16 @@ def faces(simplex):
     ]
 
 
-def _height(apex, face_vertices):
-    """Distance from apex to the affine hull of the face vertices."""
-    base = face_vertices[0]
-    r = apex - base
-    span = (face_vertices[1:] - base).T
-    if span.shape[1] == 0:
-        return float(np.linalg.norm(r))
-    coef, *_ = np.linalg.lstsq(span, r, rcond=None)
-    return float(np.linalg.norm(r - span @ coef))
-
-
 def heights(simplex):
     """Height of each vertex over the opposite face's affine hull.
 
     Within the simplex the distance to that hull is an absolute affine
     function, so its max is attained at the opposite vertex; these values are
-    therefore the face-wise sup distances entering the alpha-mass.
+    therefore the face-wise sup distances entering the alpha-mass. Each is
+    k Vol / Vol(face), base times height being k times the volume.
     """
-    v = simplex.vertices
-    out = []
-    for i in range(simplex.k + 1):
-        face = np.delete(v, i, axis=0)
-        out.append(_height(v[i], face))
-    return out
+    face_vols = volume_array([f.vertices for f in faces(simplex)])
+    return simplex.k * volume(simplex) / face_vols
 
 
 def mass_value(simplex, alpha):
@@ -269,19 +231,18 @@ def mass_value(simplex, alpha):
         return 1.0
     if math.isinf(alpha):
         return 0.0
-    h = min(heights(simplex))
-    fmax = max(volume(f) for f in faces(simplex))
+    fmax = float(volume_array([f.vertices for f in faces(simplex)]).max())
+    # Vol(face) h = k Vol for every face, so h is the largest face's height
+    h = simplex.k * volume(simplex) / fmax
     return fmax * h**alpha
 
 
 def eccentricity(simplex):
-    """diam^k / Vol^k; raises for degenerate simplices."""
-    if simplex.k == 0:
-        return 1.0
-    vol = volume(simplex)
-    if vol == 0.0:
+    """diam^k / Vol; raises for degenerate simplices."""
+    ecc = float(eccentricity_array(simplex.vertices[None])[0])
+    if math.isinf(ecc):
         raise DegenerateSimplexError(f"degenerate simplex: {simplex!r}")
-    return diameter(simplex) ** simplex.k / vol
+    return ecc
 
 
 def boundary(simplex):
@@ -377,15 +338,19 @@ def cube_to_chain(cube):
 
 
 def volume_array(pts):
-    """Volumes of a batch of simplices given as an (n, k+1, d) array."""
+    """Volumes sqrt(det(E^T E)) / k! of an (n, k+1, d) batch of simplices.
+
+    A row whose Gram determinant det(E^T E) is at most
+    DEGENERACY_RTOL * diam^(2k) is degenerate and has volume zero.
+    """
     pts = np.asarray(pts, dtype=float)
     k = pts.shape[1] - 1
     if k == 0:
         return np.ones(pts.shape[0])
     e = pts[:, 1:, :] - pts[:, :1, :]
-    gram = np.einsum("nid,njd->nij", e, e)
-    det = np.linalg.det(gram)
-    return np.sqrt(np.clip(det, 0.0, None)) / math.factorial(k)
+    det = np.linalg.det(np.einsum("nid,njd->nij", e, e))
+    live = det > DEGENERACY_RTOL * diameter_array(pts) ** (2 * k)
+    return np.sqrt(np.where(live, det, 0.0)) / math.factorial(k)
 
 
 def diameter_array(pts):
@@ -401,13 +366,12 @@ def diameter_array(pts):
 
 
 def eccentricity_array(pts):
+    """diam^k / Vol of each row of an (n, k+1, d) array; inf where degenerate."""
     pts = np.asarray(pts, dtype=float)
     k = pts.shape[1] - 1
     vol = volume_array(pts)
-    diam = diameter_array(pts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ecc = np.where(vol > 0, diam**k / np.where(vol > 0, vol, 1.0), np.inf)
-    return ecc
+    live = vol > 0
+    return np.where(live, diameter_array(pts) ** k / np.where(live, vol, 1.0), np.inf)
 
 
 def coordinate_projection_array(pts, index_set):
@@ -442,8 +406,7 @@ def orthonormal_tangent(simplex):
         return np.zeros((0, simplex.d))
     if is_degenerate(simplex):
         raise DegenerateSimplexError(f"degenerate simplex: {simplex!r}")
-    e = edge_matrix(simplex)
-    q, r = np.linalg.qr(e)
+    q, r = np.linalg.qr((simplex.vertices[1:] - simplex.vertices[0]).T)
     b = q.T
     if float(np.linalg.det(r)) < 0:
         b[-1] = -b[-1]

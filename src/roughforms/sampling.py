@@ -56,7 +56,12 @@ def dyadic_bands(diam_max, n_bands):
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """How to draw random simplices: band structure, shape cap, seed."""
+    """How to draw random simplices: band structure, shape cap, seed.
+
+    The package never reads `n_splits`: only the test oracle
+    `estimate_germ_norms` (tests/conftest.py) uses it, yet the CLI `norms`
+    config still accepts it.
+    """
 
     samples_per_band: int = 50
     n_bands: int = 4

@@ -251,6 +251,8 @@ def test_whitney_evaluation_dimension_guards():
     )
     with pytest.raises(UnsupportedDimensionError):
         iota(one, tet, n_max=4)
+    with pytest.raises(UnsupportedDimensionError):
+        iota_cochain(one, d=3)
 
 
 def test_whitney_evaluation_segment_within_tail():

@@ -22,6 +22,7 @@ from roughforms.errors import (
     ExponentViolationError,
     InsufficientSamplesError,
     TruncationTailError,
+    UnsupportedDimensionError,
 )
 from roughforms.forms import _duffy_rule
 from roughforms.geometry import Cube, Simplex, _permutation_sign
@@ -482,6 +483,8 @@ def test_delta_q_guards_and_report():
     Q = Cube(np.zeros(3), np.array([[1.0, 0.0, 0.0]]), 0.25)
     with pytest.raises(ExponentViolationError):
         G.delta_Q_sobolev(Q, 1.0)  # needs theta > (d - k)/2 = 1
+    with pytest.raises(UnsupportedDimensionError, match="k <= 2"):
+        G.delta_Q_sobolev(Cube(np.zeros(3), np.eye(3), 0.25), 2.0)
     with pytest.raises(TruncationTailError) as err:
         G.delta_Q_sobolev(Cube(np.zeros(2), np.eye(2), 0.25), 0.55, reach=2.0)
     assert err.value.tail_fraction > 0.05

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from roughforms import geometry as G
 from roughforms.errors import DegenerateSimplexError
@@ -119,10 +122,45 @@ def test_batched_volume_and_diameter_match_scalar():
     ]
     assert np.array_equal(diams, np.max(pair_dists, axis=0))
     for i in range(20):
-        s = G.Simplex(pts[i])
-        assert vols[i] == pytest.approx(G.volume(s), rel=1e-12)
-        assert diams[i] == pytest.approx(G.diameter(s), rel=1e-12)
-        assert eccs[i] == pytest.approx(G.eccentricity(s), rel=1e-12)
+        # the scalar formulas: sqrt(det(E^T E)) / k! and diam^k / Vol
+        e = (pts[i, 1:] - pts[i, 0]).T
+        vol = math.sqrt(np.linalg.det(e.T @ e)) / math.factorial(3)
+        assert vols[i] == pytest.approx(vol, rel=1e-12)
+        assert eccs[i] == pytest.approx(diams[i] ** 3 / vol, rel=1e-12)
+
+
+@st.composite
+def flattened_simplices(draw):
+    """k-simplices in R^d, k <= d <= 3, whose last vertex lies at a drawn
+    height over the affine hull of the others: regular at height 1, around
+    the degeneracy threshold near 1e-6, flat at 0."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(k, 3))
+    coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    base = draw(arrays(np.float64, (k, d), elements=coords))
+    offset = draw(arrays(np.float64, d, elements=coords))
+    weights = draw(arrays(np.float64, k - 1, elements=st.floats(0.0, 1.0)))
+    height = draw(st.sampled_from([1.0, 1e-3, 1e-5, 1e-6, 3e-7, 1e-7, 1e-9, 0.0]))
+    hull = base[0] + weights @ (base[1:] - base[0])
+    return G.Simplex(np.vstack([base, hull + height * offset]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=flattened_simplices(), scale=st.sampled_from([1e-6, 1.0, 1e4]))
+def test_scalar_helpers_are_row_zero_of_the_batched_kernels(s, scale):
+    # row 0 of a two-row batch, so the other row cannot change it
+    pts = np.stack([s.vertices, scale * s.vertices[::-1]])
+    vol = G.volume_array(pts)[0]
+    assert G.volume(s) == vol
+    assert G.is_degenerate(s) == (vol == 0.0)
+    assert G.diameter(s) == G.diameter_array(pts)[0]
+    ecc = G.eccentricity_array(pts)[0]
+    if vol == 0.0:
+        assert ecc == np.inf
+        with pytest.raises(DegenerateSimplexError):
+            G.eccentricity(s)
+    else:
+        assert G.eccentricity(s) == ecc
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +173,14 @@ def test_degenerate_detection_and_zero_volume():
     assert G.volume(collinear) == 0.0
     repeated = G.Simplex([[1.0, 2.0], [1.0, 2.0]])
     assert G.is_degenerate(repeated)
+    # Gram determinant 1e-14, at most DEGENERACY_RTOL * diam^4 = 1e-12: the
+    # batched kernels apply the same rule as the scalar helpers
+    flat = [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-7]]
+    assert G.is_degenerate(G.Simplex(flat))
+    assert G.volume(G.Simplex(flat)) == G.volume_array([flat])[0] == 0.0
+    assert G.eccentricity_array([flat])[0] == np.inf
+    with pytest.raises(DegenerateSimplexError):
+        G.eccentricity(G.Simplex(flat))
 
 
 def test_degeneracy_threshold_is_scale_invariant():

@@ -12,6 +12,8 @@ For Young products, the sampled germ norms of `estimate_germ_norms`
 declares and that sewing's analytic tail trusts.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from roughforms import forms, gaussian, sampling, sewing
 from roughforms.embedding import iota_cochain
 from roughforms.errors import BudgetExceededError
-from roughforms.geometry import Chain, Simplex, diameter, gram_determinant
+from roughforms.geometry import Chain, Simplex, diameter, volume
 
 from conftest import estimate_germ_norms, two_piece_split
 
@@ -110,7 +112,7 @@ def simplices(draw, k, d):
     coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     s = Simplex(draw(arrays(np.float64, (k + 1, d), elements=coords)))
     diam = diameter(s)
-    assume(diam > 0.05 and gram_determinant(s) > (0.05 * diam**k) ** 2)
+    assume(diam > 0.05 and math.factorial(k) * volume(s) > 0.05 * diam**k)
     return s
 
 
