@@ -403,7 +403,7 @@ SCHEMAS = {
         "properties": {
             "spec": _SPEC,
             "k": {"type": "integer", "minimum": 1},
-            "q": {"type": "integer", "minimum": 2},
+            "q": {"type": "integer", "minimum": 2, "multipleOf": 2},
             "scales": {
                 "type": "array",
                 "items": {"type": "number", "exclusiveMinimum": 0},

@@ -44,8 +44,10 @@ from .geometry import diameter_array
 from .subdivision import gauss_legendre_boxes
 
 TWO_PI = 2.0 * math.pi
-# kolmogorov_fit evaluates its draws in chunks of samples, so that the
-# samples x (2k + 3) x modes complex kernel array stays under this count
+# kolmogorov_fit draws per (scale, sample) pair but prepares and evaluates
+# its draws in chunks of samples, so that the samples x (2k + 3) x modes
+# complex kernel array stays under this count; the chunk size does not
+# change any result, bit for bit
 PAIRING_CHUNK = 1 << 14
 
 
@@ -135,20 +137,34 @@ def component_indices(d, k):
     return list(itertools.combinations(range(1, d + 1), k))
 
 
+def _symmetrize(z, symbol):
+    """Hermitian-symmetric amplitudes under the symbol from normal draws.
+
+    z (..., 2 symbol.size) holds one draw per leading index: the real parts
+    of zeta, then its imaginary parts. The result (..., *symbol.shape) is
+    (zeta + conj(zeta reversed over the mode axes)) / 2 times the symbol,
+    which keeps every mode, including the self-conjugate origin, at unit
+    variance while making the synthesized field exactly real. Each element
+    is computed alone, so a batch of draws gives each draw's amplitudes bit
+    for bit.
+    """
+    count = symbol.size
+    zeta = (z[..., :count] + 1j * z[..., count:]).reshape(
+        z.shape[:-1] + symbol.shape
+    )
+    flip = (Ellipsis,) + (slice(None, None, -1),) * symbol.ndim
+    return (zeta + np.conj(zeta[flip])) * 0.5 * symbol
+
+
 def _draw_coeffs(symbol, rng):
     """Hermitian-symmetric Gaussian mode amplitudes under the symbol.
 
-    symbol is `spec.symbol()` in the precision of the draw. The
-    symmetrization (zeta + conj(reversed zeta)) / 2 keeps every mode,
-    including the self-conjugate origin, at unit variance while making the
-    synthesized field exactly real.
+    symbol is `spec.symbol()` in the precision of the draw: one draw of
+    2 symbol.size standard normals, symmetrized by `_symmetrize`, the rule
+    kolmogorov_fit applies to a chunk of draws at once.
     """
-    count = symbol.size
-    z = rng.standard_normal(2 * count, dtype=symbol.dtype)
-    zeta = (z[:count] + 1j * z[count:]).reshape(symbol.shape)
-    flip = (slice(None, None, -1),) * symbol.ndim
-    sym = (zeta + np.conj(zeta[flip])) * 0.5
-    return sym * symbol
+    z = rng.standard_normal(2 * symbol.size, dtype=symbol.dtype)
+    return _symmetrize(z, symbol)
 
 
 class FieldSample:
@@ -533,27 +549,38 @@ class MomentFit:
         return rows
 
 
-def _random_rotation(rng, d):
-    g = rng.standard_normal((d, d))
+def _orthonormalize(g):
+    """The orthogonal QR factor of each (d, d) matrix of g, with its column
+    signs fixed so that R has a positive diagonal.
+
+    For standard normal g this is a Haar-distributed orthogonal matrix. The
+    factorization is taken matrix by matrix, so a stack (n, d, d) gives each
+    matrix's factor bit for bit.
+    """
     q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _moment_pairings(spec, k, r, coeffs, rot, x0, xc):
+def _mode_grid(spec):
+    """The (M, d) mode vectors p of spec.symbol(), flattened in C order."""
+    grids = np.meshgrid(*([spec.modes()] * spec.d), indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, spec.d)
+
+
+def _moment_pairings(spec, k, r, coeffs, rot, x0, xc, modes):
     """A(cube) and A(boundary of the (k+1)-cube) for a batch of n draws.
 
     coeffs (n, C, M) holds the flattened amplitudes of the component fields
     in component_indices(d, k) order, rot (n, d, d) rotations whose columns
-    u_0..u_k span the cubes, and x0, xc (n, d) corners. The cube has side r
-    at xc and rows u_0..u_(k-1); the (k+1)-cube has side r at x0, and its
-    face a, spanned by every row but u_a, is paired at x0 + r u_a and at x0.
+    u_0..u_k span the cubes, x0, xc (n, d) corners, and modes the (M, d)
+    mode vectors of `_mode_grid(spec)`. The cube has side r at xc and rows
+    u_0..u_(k-1); the (k+1)-cube has side r at x0, and its face a, spanned
+    by every row but u_a, is paired at x0 + r u_a and at x0.
     Each pairing is the mode sum of FieldSample.integral_cube,
     sum_I minor_I(frame) sum_p c_I[p] e^(2 pi i z.p / L) prod_rows D(u.p)
     with D(w) = (e^(2 pi i w r / L) - 1) / (2 pi i w / L) and D(0) = r.
     """
     d, L = spec.d, spec.L
-    grids = np.meshgrid(*([spec.modes()] * d), indexing="ij")
-    modes = np.stack(grids, axis=-1).reshape(-1, d)
     rows = np.swapaxes(rot[:, :, : k + 1], 1, 2)
     omega = rows @ modes.T
     zero = np.abs(omega) < 1e-12
@@ -614,11 +641,15 @@ def kolmogorov_fit(
     one amplitude set per component, so results do not depend on
     evaluation order. In "fixed" mode one set of fields per scale is reused
     across samples (spatially correlated, and flagged in the output). dtype
-    is the precision of the amplitude draws; the pairings are mode sums in
-    float64 for every (d, k), with no quadrature error, taken by
-    `_moment_pairings` over chunks of samples of at most PAIRING_CHUNK
-    kernel entries. Their corner phases are integer powers of one
-    exponential per coordinate, equal to the direct exponentials to
+    is the precision of the amplitude draws. The draws are made per pair
+    into the buffers of a chunk of samples of at most PAIRING_CHUNK kernel
+    entries, and prepared per chunk: one `_orthonormalize` of all its
+    rotations and one `_symmetrize` of all its amplitudes (the rule of
+    `_draw_coeffs`), with one mode grid per fit; the results are those of
+    drawing and preparing each pair alone, bit for bit. The pairings are
+    mode sums in float64 for every (d, k), with no quadrature error, taken
+    by `_moment_pairings` per chunk. Their corner phases are integer powers
+    of one exponential per coordinate, equal to the direct exponentials to
     rounding (about 1e-14). Predictions are refused (left as None, with
     passed None) when theta - d/2 <= 0 makes the boundary exponent
     degenerate; the slopes are still reported.
@@ -648,39 +679,48 @@ def kolmogorov_fit(
 
     d, L = spec.d, spec.L
     symbol = spec.symbol().astype(dtype)
+    modes = _mode_grid(spec)
     n_comps = len(component_indices(d, k))
+    # one pair's amplitude draws: every component's real and imaginary parts
+    n_draws = n_comps * 2 * symbol.size
     chunk = max(1, PAIRING_CHUNK // ((2 * k + 3) * symbol.size))
 
-    def draw_fields(rng):
-        return [_draw_coeffs(symbol, rng).ravel() for _ in range(n_comps)]
+    def stream(*key):
+        ss = np.random.SeedSequence((spec.seed,) + key)
+        return np.random.Generator(np.random.SFC64(ss))
+
+    def amplitudes(z):
+        """(n, n_draws) normal draws to (n, C, M) complex128 amplitudes."""
+        n = z.shape[0]
+        coeffs = _symmetrize(z.reshape(n, n_comps, -1), symbol)
+        return coeffs.reshape(n, n_comps, -1).astype(complex)
 
     mom_c, se_c, mom_b, se_b = [], [], [], []
     for si, r in enumerate(scales):
         fixed = None
         if mode == "fixed":
-            fixed = draw_fields(
-                np.random.Generator(
-                    np.random.SFC64(np.random.SeedSequence((spec.seed, si)))
-                )
-            )
+            z = stream(si).standard_normal((1, n_draws), dtype=symbol.dtype)
+            fixed = amplitudes(z)
         vals_c = np.empty(n_samples)
         vals_b = np.empty(n_samples)
         for start in range(0, n_samples, chunk):
             n = min(chunk, n_samples - start)
-            rot = np.empty((n, d, d))
-            x0 = np.empty((n, d))
-            xc = np.empty((n, d))
-            coeffs = np.empty((n, n_comps, symbol.size), dtype=complex)
+            g = np.empty((n, d, d))
+            # x0 then xc: one uniform draw of 2d coordinates per pair
+            corners = np.empty((n, 2 * d))
+            z = np.empty((n, n_draws), dtype=symbol.dtype)
             for i in range(n):
-                ss = np.random.SeedSequence((spec.seed, si, start + i))
-                rng = np.random.Generator(np.random.SFC64(ss))
-                rot[i] = _random_rotation(rng, d)
-                x0[i] = rng.uniform(0.0, L, d)
-                xc[i] = rng.uniform(0.0, L, d)
-                coeffs[i] = fixed if fixed is not None else draw_fields(rng)
+                rng = stream(si, start + i)
+                rng.standard_normal(out=g[i])
+                corners[i] = rng.uniform(0.0, L, 2 * d)
+                if fixed is None:
+                    rng.standard_normal(dtype=symbol.dtype, out=z[i])
+            coeffs = amplitudes(z) if fixed is None else fixed.repeat(n, 0)
+            rot = _orthonormalize(g)
+            x0, xc = corners[:, :d], corners[:, d:]
             part = slice(start, start + n)
             vals_c[part], vals_b[part] = _moment_pairings(
-                spec, k, r, coeffs, rot, x0, xc
+                spec, k, r, coeffs, rot, x0, xc, modes
             )
         pc = np.abs(vals_c) ** q
         pb = np.abs(vals_b) ** q

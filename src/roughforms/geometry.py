@@ -203,18 +203,6 @@ def faces(simplex):
     ]
 
 
-def heights(simplex):
-    """Height of each vertex over the opposite face's affine hull.
-
-    Within the simplex the distance to that hull is an absolute affine
-    function, so its max is attained at the opposite vertex; these values are
-    therefore the face-wise sup distances entering the alpha-mass. Each is
-    k Vol / Vol(face), base times height being k times the volume.
-    """
-    face_vols = volume_array([f.vertices for f in faces(simplex)])
-    return simplex.k * volume(simplex) / face_vols
-
-
 def mass_value(simplex, alpha):
     """Scalar alpha-mass: (max boundary-face volume) * h^alpha.
 

@@ -3,16 +3,21 @@
 Property tests draw their examples derandomized and without a deadline or
 an example database, so every run of the suite checks the same examples.
 The chain builders below (boundary of a chain, snapping to a dyadic grid,
-triangulated axis boxes), the two-piece split and the sampled germ norms
+triangulated axis boxes), the vertex heights, the two-piece split, the
+sampled germ norms, the random rotation and the per-sample moment draws
 serve only the tests; the germ norms are the oracle of the exponent and
-constant a germ declares.
+constant a germ declares, and the per-sample draws the oracle of
+kolmogorov_fit's chunked draws.
 """
+
+import math
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from hypothesis import settings
 
+from roughforms import gaussian as G
 from roughforms import sampling
 from roughforms.errors import DegenerateSimplexError
 from roughforms.geometry import (
@@ -21,7 +26,10 @@ from roughforms.geometry import (
     _signed_simplex,
     boundary,
     diameter,
+    faces,
     staircase_blocks,
+    volume,
+    volume_array,
 )
 from roughforms.subdivision import EDGEWISE, iterate_array
 
@@ -78,6 +86,25 @@ def axis_box_chain(base, axes, extents):
     steps[0, range(len(axes)), axes] = extents
     blocks = staircase_blocks(base[None], steps)
     return Chain(_signed_simplex(verts[0], sign) for sign, verts in blocks)
+
+
+def heights(simplex):
+    """Height of each vertex over the opposite face's affine hull.
+
+    Within the simplex the distance to that hull is an absolute affine
+    function, so its max is attained at the opposite vertex; these values are
+    therefore the face-wise sup distances entering the alpha-mass. Each is
+    k Vol / Vol(face), base times height being k times the volume.
+    """
+    face_vols = volume_array([f.vertices for f in faces(simplex)])
+    return simplex.k * volume(simplex) / face_vols
+
+
+def random_rotation(rng, d):
+    """One random orthogonal (d, d) matrix: a standard normal draw made
+    orthogonal by `_orthonormalize`, the rule kolmogorov_fit applies to a
+    chunk of draws at once."""
+    return G._orthonormalize(rng.standard_normal((d, d)))
 
 
 def two_piece_split(simplex, rng):
@@ -174,3 +201,62 @@ def estimate_germ_norms(germ, region, k, eta, gamma, spec):
         bands=spec.bands(),
         per_band=per_band,
     )
+
+
+def kolmogorov_moments_per_sample(
+    spec, k, scales, q=2, n_samples=200, mode="fresh", dtype=np.float32
+):
+    """The moments and standard errors of kolmogorov_fit, drawn and prepared
+    one (scale, sample) pair at a time.
+
+    Each pair's stream draws a rotation by `random_rotation`, the corners
+    x0 and xc by one uniform draw each, and one amplitude set per component
+    by `_draw_coeffs`; "fixed" mode draws one amplitude set per component
+    per scale. The pairings are taken by `_moment_pairings` over the same
+    chunks of samples as the fit. Returns (cube moments, cube std errors,
+    boundary moments, boundary std errors).
+    """
+    d, L = spec.d, spec.L
+    symbol = spec.symbol().astype(dtype)
+    modes = G._mode_grid(spec)
+    n_comps = len(G.component_indices(d, k))
+    chunk = max(1, G.PAIRING_CHUNK // ((2 * k + 3) * symbol.size))
+
+    def draw_fields(rng):
+        return [G._draw_coeffs(symbol, rng).ravel() for _ in range(n_comps)]
+
+    mom_c, se_c, mom_b, se_b = [], [], [], []
+    for si, r in enumerate(scales):
+        fixed = None
+        if mode == "fixed":
+            fixed = draw_fields(
+                np.random.Generator(
+                    np.random.SFC64(np.random.SeedSequence((spec.seed, si)))
+                )
+            )
+        vals_c = np.empty(n_samples)
+        vals_b = np.empty(n_samples)
+        for start in range(0, n_samples, chunk):
+            n = min(chunk, n_samples - start)
+            rot = np.empty((n, d, d))
+            x0 = np.empty((n, d))
+            xc = np.empty((n, d))
+            coeffs = np.empty((n, n_comps, symbol.size), dtype=complex)
+            for i in range(n):
+                ss = np.random.SeedSequence((spec.seed, si, start + i))
+                rng = np.random.Generator(np.random.SFC64(ss))
+                rot[i] = random_rotation(rng, d)
+                x0[i] = rng.uniform(0.0, L, d)
+                xc[i] = rng.uniform(0.0, L, d)
+                coeffs[i] = fixed if fixed is not None else draw_fields(rng)
+            part = slice(start, start + n)
+            vals_c[part], vals_b[part] = G._moment_pairings(
+                spec, k, r, coeffs, rot, x0, xc, modes
+            )
+        pc = np.abs(vals_c) ** q
+        pb = np.abs(vals_b) ** q
+        mom_c.append(float(np.mean(pc)))
+        se_c.append(float(np.std(pc) / math.sqrt(n_samples)))
+        mom_b.append(float(np.mean(pb)))
+        se_b.append(float(np.std(pb) / math.sqrt(n_samples)))
+    return mom_c, se_c, mom_b, se_b

@@ -54,6 +54,14 @@ def test_unknown_key_names_its_field(tmp_path, capsys):
     assert err["field"] == "bogus"
 
 
+def test_odd_moment_order_names_its_field(tmp_path, capsys):
+    config = {"spec": {"d": 2, "theta": 4.0, "N": 16}, "k": 1, "q": 3}
+    assert run(tmp_path, "kolmogorov-fit", config) == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == "q"
+
+
 @pytest.mark.parametrize(
     "geometry, field",
     [

@@ -27,7 +27,12 @@ from roughforms.errors import (
 from roughforms.forms import _duffy_rule
 from roughforms.geometry import Cube, Simplex, _permutation_sign
 
-from conftest import assert_rounding_close, axis_box_chain
+from conftest import (
+    assert_rounding_close,
+    axis_box_chain,
+    kolmogorov_moments_per_sample,
+    random_rotation,
+)
 
 
 def box_kernel(spec, pt, J):
@@ -337,7 +342,7 @@ def test_field_evaluators_match_direct_exponential_mode_sums(d):
     for k in range(1, d + 1):
         for J in G.component_indices(d, k):
             check(f.integral_axis_box(pts, J), sums(J))
-        rot = G._random_rotation(rng, d)
+        rot = random_rotation(rng, d)
         for corner, side in zip(pts[:4], (0.05, 0.3, 1.0, 2.0)):
             got.append(f.integral_cube(corner, rot[:k], side))
             want.append(direct_cube_integral(f, corner, rot[:k], side))
@@ -791,11 +796,13 @@ def test_moment_kernel_matches_integral_cube(d, k):
             for _ in range(n)
         ]
     )
-    rot = np.array([G._random_rotation(rng, d) for _ in range(n)])
+    rot = np.array([random_rotation(rng, d) for _ in range(n)])
     x0 = rng.uniform(0.0, 1.0, (n, d))
     xc = rng.uniform(0.0, 1.0, (n, d))
     for r in (0.125, 2.0**-8):
-        got = G._moment_pairings(spec, k, r, coeffs, rot, x0, xc)
+        got = G._moment_pairings(
+            spec, k, r, coeffs, rot, x0, xc, G._mode_grid(spec)
+        )
         want = _pairing_reference(spec, k, r, coeffs, rot, x0, xc)
         assert_rounding_close(got[0], want[0])
         assert_rounding_close(got[1], want[1])
@@ -840,6 +847,7 @@ def test_fast_sampler_matches_exact_pairing_law():
             )
         )
     )
+    modes = G._mode_grid(spec)
     n = 3000
     vc = np.empty(n)
     vb = np.empty(n)
@@ -849,7 +857,7 @@ def test_fast_sampler_matches_exact_pairing_law():
         )
         coeffs = [G._draw_coeffs(symbol, rng).ravel() for _ in range(2)]
         (vc[j],), (vb[j],) = G._moment_pairings(
-            spec, 1, r, np.array([coeffs]), rot[None], x0[None], xc[None]
+            spec, 1, r, np.array([coeffs]), rot[None], x0[None], xc[None], modes
         )
     assert np.mean(vc**2) == pytest.approx(var_cube, rel=0.08)
     assert np.mean(vb**2) == pytest.approx(var_bdry, rel=0.08)
@@ -866,7 +874,7 @@ def test_boundary_kernel_annihilates_gradients():
     coeffs = np.array(
         [[2j * np.pi * h[:, None] * pot, 2j * np.pi * h[None, :] * pot]]
     ).reshape(1, 2, -1)
-    rot = G._random_rotation(np.random.default_rng(5), 2)
+    rot = random_rotation(np.random.default_rng(5), 2)
     _, (a_bdry,) = G._moment_pairings(
         spec,
         1,
@@ -875,6 +883,7 @@ def test_boundary_kernel_annihilates_gradients():
         rot[None],
         np.array([[0.3, 0.4]]),
         np.array([[0.1, 0.9]]),
+        G._mode_grid(spec),
     )
     assert abs(a_bdry) < 1e-10
 
@@ -921,6 +930,74 @@ def test_kolmogorov_draws_in_chunks_of_samples():
     assert peak < 16 * 2**20
 
 
+def test_kolmogorov_draw_buffers_stay_per_chunk():
+    # d = 3, N = 8, k = 1 draws in chunks of 9 samples: buffers sized per
+    # chunk keep the peak flat as the sample count grows eightfold
+    spec = G.SpectralFieldSpec(d=3, theta=3.0, N=8, seed=0)
+    scales = [2.0**-e for e in range(4, 8)]
+    assert G.PAIRING_CHUNK // (5 * spec.symbol().size) == 9
+
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            G.kolmogorov_fit(
+                spec, 1, scales=scales, n_samples=n_samples, tolerance=0.3
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) <= 1.5 * peak(50)
+
+
+_CLI_MIX_SCALES = [2.0**-e for e in range(4, 8)]
+
+
+@pytest.mark.parametrize(
+    "spec, k, options",
+    [
+        # the kolmogorov-fit config of the cli_mix benchmark workload
+        (
+            G.SpectralFieldSpec(d=2, theta=4.0, N=16, seed=2),
+            1,
+            {"scales": _CLI_MIX_SCALES, "n_samples": 60},
+        ),
+        (
+            G.SpectralFieldSpec(d=2, theta=1.5, N=8, seed=7),
+            1,
+            {"scales": _CLI_MIX_SCALES, "n_samples": 80, "mode": "fixed"},
+        ),
+        (
+            G.SpectralFieldSpec(d=2, theta=1.5, N=8, seed=7),
+            1,
+            {"scales": _CLI_MIX_SCALES, "n_samples": 80, "dtype": np.float64},
+        ),
+        # 45 and 42: whole chunks of 9 and of 6
+        (
+            G.SpectralFieldSpec(d=3, theta=3.0, N=8, seed=0),
+            1,
+            {"scales": _CLI_MIX_SCALES, "n_samples": 45},
+        ),
+        (
+            G.SpectralFieldSpec(d=3, theta=3.0, N=8, seed=0),
+            2,
+            {"scales": _CLI_MIX_SCALES, "n_samples": 42},
+        ),
+        # 50 = 5 chunks of 9 and a last chunk of 5
+        (
+            G.SpectralFieldSpec(d=3, theta=3.0, N=8, seed=1),
+            1,
+            {"scales": _CLI_MIX_SCALES, "n_samples": 50},
+        ),
+    ],
+    ids=["cli_mix", "fixed", "float64", "d3_k1", "d3_k2", "ragged_chunk"],
+)
+def test_kolmogorov_chunked_draws_equal_per_sample_draws(spec, k, options):
+    fc, fb = G.kolmogorov_fit(spec, k, tolerance=0.3, **options)
+    got = (fc.moments, fc.std_errors, fb.moments, fb.std_errors)
+    assert got == kolmogorov_moments_per_sample(spec, k, **options)
+
+
 def test_kolmogorov_is_deterministic():
     spec = G.SpectralFieldSpec(d=2, theta=1.5, N=8, seed=7)
     scales = [2.0**-e for e in range(4, 7)]
@@ -955,6 +1032,7 @@ def test_kolmogorov_gaussianity_kurtosis():
     spec = G.SpectralFieldSpec(d=2, theta=1.5, N=16, seed=0)
     symbol = spec.symbol()
     rot = np.eye(2)[None]
+    modes = G._mode_grid(spec)
     vals = np.empty(500)
     for j in range(500):
         rng = np.random.Generator(
@@ -964,7 +1042,7 @@ def test_kolmogorov_gaussianity_kurtosis():
         xc = rng.uniform(0, 1, 2)
         coeffs = [G._draw_coeffs(symbol, rng).ravel() for _ in range(2)]
         (vals[j],), _ = G._moment_pairings(
-            spec, 1, 0.125, np.array([coeffs]), rot, x0[None], xc[None]
+            spec, 1, 0.125, np.array([coeffs]), rot, x0[None], xc[None], modes
         )
     kurt = float(np.mean(vals**4) / np.mean(vals**2) ** 2)
     assert abs(kurt - 3.0) <= 0.3

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from roughforms import geometry as G
 from roughforms.errors import DegenerateSimplexError
 
-from conftest import axis_box_chain, boundary_chain, snap_to_grid
+from conftest import axis_box_chain, boundary_chain, heights, snap_to_grid
 
 
 def canon(chain):
@@ -233,14 +233,14 @@ def _lattice_weights(n_parts, total):
 def test_heights_match_dense_grid_sup():
     rng = np.random.default_rng(5)
     s = G.Simplex(rng.normal(size=(3, 3)))
-    hs = G.heights(s)
+    hs = heights(s)
     for i in range(3):
         assert grid_sup_distance_to_face_hull(s, i) == pytest.approx(hs[i], rel=1e-9)
 
 
 def test_mass_quantities_of_unit_right_triangle():
     s = unit_right_triangle()
-    assert min(G.heights(s)) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+    assert min(heights(s)) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
     assert max(G.volume(f) for f in G.faces(s)) == pytest.approx(
         math.sqrt(2.0), rel=1e-12
     )
@@ -298,7 +298,7 @@ def test_base_height_identity_for_every_face():
         v = rng.normal(size=(k + 1, 5))
         s = G.Simplex(v)
         vol = G.volume(s)
-        hs = G.heights(s)
+        hs = heights(s)
         fs = G.faces(s)
         for i in range(k + 1):
             assert vol == pytest.approx(G.volume(fs[i]) * hs[i] / k, rel=1e-10)
