@@ -81,7 +81,7 @@ from .gaussian import (
 )
 from .geometry import Chain, Cube, Simplex, boundary
 from .sampling import Box, SamplerSpec
-from .subdivision import get_scheme, stats
+from .subdivision import SCHEMES, stats
 
 log = logging.getLogger("roughforms.cli")
 
@@ -292,7 +292,7 @@ SCHEMAS = {
         "additionalProperties": False,
         "required": ["scheme", "k"],
         "properties": {
-            "scheme": {"type": "string"},
+            "scheme": {"enum": sorted(SCHEMES)},
             "k": {"type": "integer", "minimum": 1},
             "levels": {"type": "integer", "minimum": 1},
             "simplex": _SIMPLEX,
@@ -489,31 +489,35 @@ def _exactly_one(obj, keys, field):
     return present[0]
 
 
-def _load_geometry(obj, base_dir, field="geometry", depth=0):
+def _load_geometry(obj, base_dir, depth=0):
     """Simplex, Chain, or Cube from an inline object or a JSON file."""
 
-    kind = _exactly_one(obj, ("simplex", "chain", "cube", "file"), field)
+    kind = _exactly_one(obj, ("simplex", "chain", "cube", "file"), "geometry")
     if kind == "file":
         if depth > 0:
             raise ConfigError(
                 "geometry files may not reference further files",
-                field=f"{field}.file",
+                field="geometry.file",
             )
         path = os.path.join(base_dir, obj["file"])
         with open(path, "r", encoding="utf-8") as handle:
             inner = json.load(handle)
         _schema_check(_GEOMETRY, inner)
-        return _load_geometry(inner, base_dir, field=field, depth=depth + 1)
+        return _load_geometry(inner, base_dir, depth=depth + 1)
     if "boundary" in obj and kind != "simplex":
         raise ConfigError(
             "the boundary flag applies to simplex geometry only",
-            field=f"{field}.boundary",
+            field="geometry.boundary",
         )
     if kind == "simplex":
         simplex = Simplex(obj["simplex"])
-        if obj.get("boundary"):
-            return boundary(simplex)
-        return simplex
+        if not obj.get("boundary"):
+            return simplex
+        if simplex.k == 0:
+            raise ConfigError(
+                "a point has no boundary", field="geometry.boundary"
+            )
+        return boundary(simplex)
     if kind == "chain":
         terms = []
         for term in obj["chain"]:
@@ -535,7 +539,7 @@ def _target_dims(target):
     return simplex.k, simplex.d
 
 
-def _compiled_scalar(text, d, field):
+def _compiled_scalar(text, d):
     tree = parse_expr(text, d=d)
 
     def fn(x, _tree=tree):
@@ -544,8 +548,8 @@ def _compiled_scalar(text, d, field):
     return fn
 
 
-def _load_form(obj, field="form"):
-    kind = _exactly_one(obj, ("catalog", "components", "gaussian"), field)
+def _load_form(obj):
+    kind = _exactly_one(obj, ("catalog", "components", "gaussian"), "form")
     if kind == "catalog":
         name = obj["catalog"]
         try:
@@ -554,22 +558,20 @@ def _load_form(obj, field="form"):
             raise ConfigError(
                 f"unknown catalog form {name!r}; available: "
                 f"{', '.join(catalog_names())}",
-                field=f"{field}.catalog",
+                field="form.catalog",
             ) from None
     if kind == "components":
         if "d" not in obj:
             raise ConfigError(
                 "component forms need the ambient dimension d",
-                field=f"{field}.d",
+                field="form.d",
             )
         d = obj["d"]
         comps = {}
         for key, value in obj["components"].items():
             index = tuple(int(part) for part in key.split(","))
             if isinstance(value, str):
-                comps[index] = _compiled_scalar(
-                    value, d, f"{field}.components.{key}"
-                )
+                comps[index] = _compiled_scalar(value, d)
             else:
                 comps[index] = float(value)
         return smooth_form(comps, d)
@@ -583,20 +585,20 @@ def _load_function(obj, d, field):
     if kind == "weierstrass":
         head = obj["weierstrass"]
         return WeierstrassFunction(head["gamma"], d, seed=head.get("seed", 0))
-    fn = _compiled_scalar(obj["expression"], d, f"{field}.expression")
+    fn = _compiled_scalar(obj["expression"], d)
     gamma = obj.get("gamma", 1.0)
     constant = obj.get("constant", 1.0)
     return HolderFunction(fn, gamma, constant, d=d)
 
 
-def _load_map(obj, field="map"):
+def _load_map(obj):
     trees = [parse_expr(text) for text in obj["F"]]
     d = len(trees)
     used = max([expr_dimension(tree) for tree in trees] + [1])
     m = obj.get("m", used)
     if used > m:
         raise ConfigError(
-            f"map components use x{used} but m = {m}", field=f"{field}.m"
+            f"map components use x{used} but m = {m}", field="map.m"
         )
 
     def fn(x, _trees=trees):
@@ -648,17 +650,17 @@ def _load_test_function(obj, d):
     )
 
 
-def _check_dims(a, target, field="geometry"):
+def _check_dims(a, target):
     k, d = _target_dims(target)
     if d != a.d:
         raise ConfigError(
             f"geometry lives in R^{d} but the form expects R^{a.d}",
-            field=field,
+            field="geometry",
         )
     if k != a.k:
         raise ConfigError(
             f"geometry has degree {k} but the form has degree {a.k}",
-            field=field,
+            field="geometry",
         )
 
 
@@ -771,7 +773,7 @@ def _cmd_stokes(config, base_dir):
 
 
 def _cmd_subdiv_stats(config, base_dir):
-    scheme = get_scheme(config["scheme"])
+    scheme = SCHEMES[config["scheme"]]
     k = config["k"]
     if "simplex" in config:
         simplex = Simplex(config["simplex"])
@@ -806,13 +808,14 @@ def _cmd_subdiv_stats(config, base_dir):
 
 def _cmd_norms(config, base_dir):
     a = _load_form(config["form"])
+    for corner in ("lo", "hi"):
+        if len(config["region"][corner]) != a.d:
+            raise ConfigError(
+                f"region dimension {len(config['region'][corner])} does not "
+                f"match the form dimension {a.d}",
+                field=f"region.{corner}",
+            )
     region = Box(config["region"]["lo"], config["region"]["hi"])
-    if len(config["region"]["lo"]) != a.d:
-        raise ConfigError(
-            f"region dimension {len(config['region']['lo'])} does not match "
-            f"the form dimension {a.d}",
-            field="region.lo",
-        )
     sampler = SamplerSpec(**config.get("sampler", {}))
     alpha = config.get("alpha", a.alpha)
     beta = config.get("beta", a.beta)

@@ -370,20 +370,24 @@ def _weier_function(gamma, seed):
     return WeierstrassFunction(gamma, 1, seed=seed)
 
 
+def _variables(e):
+    """Set of the variable indices an expression uses."""
+
+    if isinstance(e, Lit):
+        return set()
+    if isinstance(e, Var):
+        return {e.index}
+    if isinstance(e, Bin):
+        return _variables(e.left) | _variables(e.right)
+    if isinstance(e, (Neg, Call, Weier)):
+        return _variables(e.arg)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def expr_dimension(e):
     """Largest variable index used, 0 for a constant expression."""
 
-    if isinstance(e, Lit):
-        return 0
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Neg):
-        return expr_dimension(e.arg)
-    if isinstance(e, Bin):
-        return max(expr_dimension(e.left), expr_dimension(e.right))
-    if isinstance(e, (Call, Weier)):
-        return expr_dimension(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    return max(_variables(e), default=0)
 
 
 _CALL_IMPL = {
@@ -546,18 +550,6 @@ def _pow(a, b):
     return Bin("^", a, b)
 
 
-def _contains_var(e, index):
-    if isinstance(e, Var):
-        return e.index == index
-    if isinstance(e, Lit):
-        return False
-    if isinstance(e, Neg):
-        return _contains_var(e.arg, index)
-    if isinstance(e, Bin):
-        return _contains_var(e.left, index) or _contains_var(e.right, index)
-    return _contains_var(e.arg, index)
-
-
 def _constant_value(e):
     """Value of a variable-free subexpression, else None."""
 
@@ -581,7 +573,7 @@ def _var_index(var):
 
 
 def _diff(e, index):
-    if not _contains_var(e, index):
+    if index not in _variables(e):
         return Lit(0.0)
     if isinstance(e, Var):
         return Lit(1.0)

@@ -22,19 +22,17 @@ tails, best effort. A simplex is the one-term chain [(1, simplex)], a cube
 its triangulation, and a chain one eval_batch of its simplices. The
 default eval_batch computes each vertex-sorted row by _eval_simplex (sewn
 and Whitney cochains) through a per-cochain memo keyed on the row's exact
-bytes; an entry remembers its tolerance and serves a later request only
-when its tail meets that request or the request is no tighter, or when a
-tighter request would compute it again unchanged (a depth-capped sew).
-0-forms override it with point values (zero tails), smooth forms,
-Gaussian forms among them, with adaptive two-order quadrature (estimated
-tails), and sums of parts (combinations, signed faces, chains, staircase
-boxes) go through linear_sum, the one tolerance split: each part at
-tol / sum |c_j|, its tail counted |c_j| times. Smooth forms and
-coboundaries sort each row's vertices as the memo does and restore its
-sign, so every cochain is odd under permutations row by row. Exact forms
-need no class of their own: the increment form dg is the coboundary of
-the 0-form g, and the zero cochain is a combination whose coefficients
-are all zero.
+bytes and the tolerance, so a cached answer is the fresh one at that
+tolerance. 0-forms override it with point values (zero tails), smooth
+forms, Gaussian forms among them, with adaptive two-order quadrature
+(estimated tails), and sums of parts (combinations, signed faces,
+chains, staircase boxes) go through linear_sum, the one tolerance split:
+each part at tol / sum |c_j|, its tail counted |c_j| times. Smooth forms
+and coboundaries sort each row's vertices as the memo does and restore
+its sign, so every cochain is odd under permutations row by row. Exact
+forms need no class of their own: the increment form dg is the
+coboundary of the 0-form g, and the zero cochain is a combination whose
+coefficients are all zero.
 
 Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
 writes its germ once, as _germ_rows(pts, vals, tol, root_diam) returning
@@ -241,9 +239,9 @@ class Cochain:
 
     eval_batch(pts, tols), always best effort, is the one way a cochain is
     evaluated. The default memoizes _eval_simplex() on each vertex-sorted
-    row, keyed on its exact bytes; classes that evaluate whole batches
-    (closed forms, smooth forms, sums of parts) override eval_batch() and
-    need no _eval_simplex().
+    row, keyed on its exact bytes and the tolerance; classes that evaluate
+    whole batches (closed forms, smooth forms, sums of parts) override
+    eval_batch() and need no _eval_simplex().
     """
 
     provenance = "smooth"
@@ -258,30 +256,26 @@ class Cochain:
         self.alpha_norm_bound = None
 
     # subclasses using the default eval_batch: return (value, tail_bound,
-    # budget_exhausted), with budget_exhausted = tail_bound > tol; a fourth
-    # item True marks a result that every tighter tolerance would compute
-    # again unchanged
+    # budget_exhausted), with budget_exhausted = tail_bound > tol
     def _eval_simplex(self, simplex, tol):
         raise NotImplementedError
 
     def eval_batch(self, pts, tols):
         """Values and tails on a batch, one memoized sorted row at a time.
 
-        An entry serves requests its tail meets or no tighter than its own;
-        a tighter one is recomputed and replaces it, unless the entry is
-        final, which serves every request.
+        An entry is the (value, tail) of one sorted row at one tolerance
+        and answers only that row at that tolerance.
         """
         rows, signs = canonical_rows(pts)
         values = np.empty(len(rows))
         tails = np.empty(len(rows))
         for i, (row, tol) in enumerate(zip(rows, tols)):
-            key = row.tobytes()
+            key = (row.tobytes(), float(tol))
             hit = self._memo.get(key)
-            if hit is None or (hit[2] > tol and tol < hit[0]):
-                value, tail, _, *final = self._eval_simplex(Simplex(row), tol)
-                hit = (0.0 if any(final) else tol, value, tail)
+            if hit is None:
+                hit = self._eval_simplex(Simplex(row), tol)[:2]
                 self._memo[key] = hit
-            values[i], tails[i] = hit[1], hit[2]
+            values[i], tails[i] = hit
         return signs * values, tails
 
     def eval(self, target, tol=1e-6, best_effort=False):
@@ -339,9 +333,7 @@ class SewnCochain(Cochain):
     Since the returned value is the last level sum, the summed inner tails
     of that level bound the extra error and are added to the sewing tail.
     _eval_simplex sews one vertex-sorted row for the memoized default
-    eval_batch. A sew that stops at the depth cap with exact inner values
-    (zero inner tail) is what any tighter tolerance would compute again,
-    so its memo entry serves every request.
+    eval_batch, which keeps its (value, tail) for that row and tolerance.
     """
 
     delta_norm = None
@@ -371,7 +363,7 @@ class SewnCochain(Cochain):
         except BudgetExceededError as exc:
             res = exc.partial
         tail = res.tail_bound + inner_tail
-        return res.value, tail, tail > tol, res.depth_capped and not inner_tail
+        return res.value, tail, tail > tol
 
 
 class ZeroFormCochain(Cochain):

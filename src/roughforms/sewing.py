@@ -93,8 +93,8 @@ class SewingResult:
     `increment_rate` is the least-squares slope of log |level increment|
     against the level, over the increments above the floating-point floor
     1e-13 * max(1, max |level sum|); NaN when fewer than two are above it.
-    `depth_capped` says that the sew stopped at its depth cap because no
-    stopping rule fired earlier.
+    A result depends only on the germ, the simplex and tol, so a cochain
+    memo keeps one per (row, tol) and reuses it for nothing else.
     """
 
     value: float
@@ -102,7 +102,6 @@ class SewingResult:
     depth_used: int
     level_values: list
     increment_rate: float = float("nan")
-    depth_capped: bool = False
 
 
 def _empirical_tail(increments):
@@ -199,14 +198,13 @@ def sew(germ, simplex, tol, *, depth_max=None):
             def analytic(n):
                 return card * q**n / (1.0 - q) * delta_norm * diam**gamma
 
-    def result(tail, depth_capped=False):
+    def result(tail):
         return SewingResult(
             value=level_values[-1],
             tail_bound=tail,
             depth_used=n,
             level_values=level_values,
             increment_rate=fitting.increment_rate(level_values),
-            depth_capped=depth_capped,
         )
 
     def estimated_tail():
@@ -221,7 +219,7 @@ def sew(germ, simplex, tol, *, depth_max=None):
     while True:
         scale_floor = 1e-14 * max(1.0, max(abs(v) for v in level_values))
         if n == depth_max:
-            res = result(estimated_tail(), depth_capped=True)
+            res = result(estimated_tail())
             if res.tail_bound > tol:
                 raise BudgetExceededError(
                     f"depth {depth_max} reached with tail "

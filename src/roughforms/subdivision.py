@@ -147,16 +147,7 @@ class SubdivisionScheme:
 EDGEWISE = SubdivisionScheme("edgewise", _edgewise_weights)
 BARYCENTRIC = SubdivisionScheme("barycentric", _barycentric_weights)
 
-_SCHEMES = {"edgewise": EDGEWISE, "barycentric": BARYCENTRIC}
-
-
-def get_scheme(name):
-    try:
-        return _SCHEMES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheme {name!r}; expected one of {sorted(_SCHEMES)}"
-        ) from None
+SCHEMES = {"edgewise": EDGEWISE, "barycentric": BARYCENTRIC}
 
 
 def iterate_array(scheme, pts, levels):

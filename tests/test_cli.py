@@ -54,6 +54,37 @@ def test_unknown_key_names_its_field(tmp_path, capsys):
     assert err["field"] == "bogus"
 
 
+def test_unknown_scheme_names_its_field(tmp_path, capsys):
+    assert run(tmp_path, "subdiv-stats", {"scheme": "dyadic", "k": 2}) == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == "scheme"
+
+
+@pytest.mark.parametrize("corner", ["lo", "hi"])
+def test_region_corner_of_the_wrong_dimension_names_its_field(
+    tmp_path, capsys, corner
+):
+    region = {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+    region[corner] = [0.0, 0.0, 1.0]
+    config = {"form": {"catalog": "x_dy"}, "region": region}
+    assert run(tmp_path, "norms", config) == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == f"region.{corner}"
+
+
+def test_boundary_of_a_point_names_its_field(tmp_path, capsys):
+    config = {
+        "form": {"catalog": "x_dy"},
+        "geometry": {"simplex": [[0.5, 0.5]], "boundary": True},
+    }
+    assert run(tmp_path, "integrate", config) == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == "geometry.boundary"
+
+
 def test_odd_moment_order_names_its_field(tmp_path, capsys):
     config = {"spec": {"d": 2, "theta": 4.0, "N": 16}, "k": 1, "q": 3}
     assert run(tmp_path, "kolmogorov-fit", config) == 2

@@ -307,3 +307,5 @@ def test_expr_dimension():
     assert expr_dimension(parse("x3 + sin(x1)")) == 3
     assert expr_dimension(parse("2 + 2")) == 0
     assert expr_dimension(parse("weierstrass(0.5, 1)(x2)")) == 2
+    with pytest.raises(TypeError):
+        expr_dimension("x1")

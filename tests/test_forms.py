@@ -356,8 +356,10 @@ def test_memo_never_serves_a_tail_above_the_request():
     # the cached entry does not meet the tighter request either
     with pytest.raises(BudgetExceededError):
         p.eval_with_tail(seg, 1e-5)
-    # a looser request is served from the cache, orientation included
-    assert p.eval_with_tail(seg.flipped(), 1e-3) == (-value, tail)
+    # a looser request gets what a fresh cochain returns at that
+    # tolerance, orientation included
+    fresh_value, fresh_tail = build().eval_with_tail(seg, 1e-3)
+    assert p.eval_with_tail(seg.flipped(), 1e-3) == (-fresh_value, fresh_tail)
 
 
 def _resonant_product(rule="vertex_average"):
@@ -376,9 +378,12 @@ def test_looser_tolerance_passes_where_a_tighter_one_does():
     assert loose[1] == pytest.approx(3.145e-6, rel=1e-3)
 
 
-def test_memo_answers_a_tighter_request_from_a_depth_capped_sew(monkeypatch):
-    # with an exact base, a tighter tolerance would repeat the capped sew
-    # bit for bit; the entry answers it, and still raises above tol
+def test_memo_sews_a_tighter_request_again_after_a_depth_capped_sew(
+    monkeypatch,
+):
+    # an entry answers only its own tolerance: a tighter request sews
+    # again, although with an exact base the capped sew repeats bit for
+    # bit, and still raises above tol
     sews = []
 
     def counting_sew(*args, **kw):
@@ -393,12 +398,17 @@ def test_memo_answers_a_tighter_request_from_a_depth_capped_sew(monkeypatch):
         p.eval_with_tail(seg, 1e-5)
     assert exc.value.partial == (value, tail)
     assert tail == pytest.approx(1.245e-5, rel=1e-3)
-    assert len(sews) == 1
+    assert len(sews) == 2
+    # the same request again is answered by its entry
+    with pytest.raises(BudgetExceededError) as again:
+        p.eval_with_tail(seg, 1e-5)
+    assert again.value.partial == (value, tail)
+    assert len(sews) == 2
     # a fresh cochain raises at 1e-5 with the same partial result
     with pytest.raises(BudgetExceededError) as fresh:
         _resonant_product().eval_with_tail(seg, 1e-5)
     assert fresh.value.partial == (value, tail)
-    assert len(sews) == 2
+    assert len(sews) == 3
 
 
 @pytest.mark.parametrize(

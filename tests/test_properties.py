@@ -9,7 +9,9 @@ of a pulled-back form. On integer chains of these forms and of Whitney
 cochains, a result's tail meets the tolerance or the evaluation raises.
 For Young products, the sampled germ norms of `estimate_germ_norms`
 (conftest) check the defect exponent and constant that the product
-declares and that sewing's analytic tail trusts.
+declares and that sewing's analytic tail trusts, and on segments a
+product answers from its memo exactly what a fresh cochain returns at
+that tolerance, whatever was evaluated before.
 """
 
 import math
@@ -149,6 +151,49 @@ def test_smooth_forms_are_odd_through_the_memo(k, d, build, data):
     fresh = build(k, d)
     assert fresh.eval_with_tail(swapped, TOL) == (-v, tail)
     assert fresh.eval_with_tail(s, TOL) == (v, tail)
+
+
+TOLS = st.sampled_from([1e-3, 1e-5, 1e-7])
+
+
+@st.composite
+def unit_segments(draw):
+    """Segments in [0, 1]^2 longer than 0.1."""
+    coords = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+    s = Simplex(draw(arrays(np.float64, (2, 2), elements=coords)))
+    assume(diameter(s) > 0.1)
+    return s
+
+
+def _sin_dy():
+    f = forms.HolderFunction(lambda x: np.sin(3 * x[..., 0]), 1.0, 3.0, d=2)
+    return forms.product(f, forms.catalog_form("dy"))
+
+
+def _resonant():
+    f = forms.WeierstrassFunction(0.6, 2, seed=13)
+    g = forms.WeierstrassFunction(0.7, 2, seed=14)
+    return forms.product(f, forms.increment_form(g))
+
+
+@settings(max_examples=6)
+@given(s=unit_segments(), t1=TOLS, t2=TOLS, flip=st.booleans())
+def test_a_cached_answer_is_the_fresh_one(s, t1, t2, flip):
+    # the memo answers a row only at the tolerance it was computed at, so
+    # what came before changes nothing, orientation included
+    p = _sin_dy()
+    p.eval_with_tail(s, t1, best_effort=True)
+    second = p.eval_with_tail(s.flipped() if flip else s, t2, best_effort=True)
+    v, tail = _sin_dy().eval_with_tail(s, t2, best_effort=True)
+    assert second == ((-v if flip else v), tail)
+    # a rough product, flipped: cold, then warm from t1, then warm from t2
+    v, tail = _resonant().eval_with_tail(s, t2, best_effort=True)
+    q = _resonant()
+    assert q.eval_with_tail(s.flipped(), t2, best_effort=True) == (-v, tail)
+    q = _resonant()
+    q.eval_with_tail(s, t1, best_effort=True)
+    assert q.eval_with_tail(s.flipped(), t2, best_effort=True) == (-v, tail)
+    assert q.eval_with_tail(s.flipped(), t2, best_effort=True) == (-v, tail)
 
 
 def _iota(k, d):
