@@ -583,6 +583,12 @@ def _load_form(obj):
 def _load_function(obj, d, field):
     kind = _exactly_one(obj, ("expression", "weierstrass"), field)
     if kind == "weierstrass":
+        for key in ("gamma", "constant"):
+            if key in obj:
+                raise ConfigError(
+                    f"a weierstrass function reads no {key!r} beside its head",
+                    field=f"{field}.{key}",
+                )
         head = obj["weierstrass"]
         return WeierstrassFunction(head["gamma"], d, seed=head.get("seed", 0))
     fn = _compiled_scalar(obj["expression"], d)
@@ -602,12 +608,7 @@ def _load_map(obj):
         )
 
     def fn(x, _trees=trees):
-        x = np.asarray(x, dtype=float)
-        parts = [
-            np.broadcast_to(np.asarray(evaluate(t, x)), x.shape[:-1])
-            for t in _trees
-        ]
-        return np.stack(parts, axis=-1)
+        return np.stack([evaluate(t, x) for t in _trees], axis=-1)
 
     jac = None
     try:
@@ -616,17 +617,8 @@ def _load_map(obj):
         ]
 
         def jac(x, _grads=grads):
-            x = np.asarray(x, dtype=float)
             rows = [
-                np.stack(
-                    [
-                        np.broadcast_to(
-                            np.asarray(evaluate(g, x)), x.shape[:-1]
-                        )
-                        for g in row
-                    ],
-                    axis=-1,
-                )
+                np.stack([evaluate(g, x) for g in row], axis=-1)
                 for row in _grads
             ]
             return np.stack(rows, axis=-2)
@@ -868,19 +860,48 @@ def _cmd_flatnorm(config, base_dir):
     return result, passed, {}
 
 
-def _require(config, keys, mode):
-    for key in keys:
+# embed mode -> (required fields, other fields it reads); the keys of the
+# expect block are named expect.<key>
+_EMBED_FIELDS = {
+    "iota": (
+        ("F", "simplex", "d"),
+        ("n_max", "nodes", "expect.value", "expect.tol"),
+    ),
+    "pi": (
+        ("form", "J"),
+        ("test", "nodes", "tol", "expect.value", "expect.tol"),
+    ),
+    "scaling": (
+        ("form", "J", "x"),
+        ("test", "nodes", "lambdas", "expect.min_slope"),
+    ),
+}
+
+
+def _check_embed_fields(config, mode):
+    """ConfigError naming the first field the mode needs but is missing, or
+    is given but the mode never reads."""
+    required, optional = _EMBED_FIELDS[mode]
+    for key in required:
         if key not in config:
             raise ConfigError(
                 f"embed mode {mode!r} requires the {key!r} field", field=key
+            )
+    given = [key for key in config if key not in ("mode", "expect")]
+    given += [f"expect.{key}" for key in config.get("expect", {})]
+    for key in given:
+        if key not in required + optional:
+            raise ConfigError(
+                f"embed mode {mode!r} does not read the {key!r} field",
+                field=key,
             )
 
 
 def _cmd_embed(config, base_dir):
     mode = config["mode"]
+    _check_embed_fields(config, mode)
     expect = config.get("expect")
     if mode == "iota":
-        _require(config, ("F", "simplex", "d"), mode)
         d = config["d"]
         F = _load_function(config["F"], d, "F")
         simplex = Simplex(config["simplex"])
@@ -899,7 +920,6 @@ def _cmd_embed(config, base_dir):
         result.update(report.to_json())
         return result, _value_check(report.value, expect), {}
 
-    _require(config, ("form", "J"), mode)
     a = _load_form(config["form"])
     J = tuple(config["J"])
     if len(J) != a.k or any(not 1 <= j <= a.d for j in J) or list(J) != sorted(set(J)):
@@ -920,7 +940,6 @@ def _cmd_embed(config, base_dir):
         }
         return result, _value_check(value, expect), {}
 
-    _require(config, ("x",), mode)
     x = np.asarray(config["x"], dtype=float)
     if x.shape != (a.d,):
         raise ConfigError(f"x must be a point in R^{a.d}", field="x")

@@ -49,7 +49,25 @@ __all__ = [
     "expr_dimension",
 ]
 
-FUNCTIONS = ("sin", "cos", "exp", "abs", "sqrt")
+# One table per kind of node: each binary operator's binding level (the
+# printer's and the parser's) and numpy ufunc, and each function's ufunc.
+_BINARY = {
+    "+": (1, np.add),
+    "-": (1, np.subtract),
+    "*": (2, np.multiply),
+    "/": (2, np.divide),
+    "^": (4, np.power),
+}
+
+_CALLS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+}
+
+FUNCTIONS = tuple(_CALLS)
 
 
 class Expr:
@@ -195,18 +213,17 @@ class _Parser:
             self._fail(token, f"unexpected trailing input {token.text!r}")
         return expr
 
-    def _parse_sum(self):
-        left = self._parse_term()
-        while self._peek().kind in ("+", "-"):
-            op = self._advance().kind
-            left = Bin(op, left, self._parse_term())
-        return left
+    def _parse_sum(self, level=1):
+        """Left-associative chain of the operators of binding level 1
+        (``+ -``, over level 2) or 2 (``* /``, over unary operands)."""
 
-    def _parse_term(self):
-        left = self._parse_unary()
-        while self._peek().kind in ("*", "/"):
+        def operand():
+            return self._parse_sum(2) if level == 1 else self._parse_unary()
+
+        left = operand()
+        while _BINARY.get(self._peek().kind, (None,))[0] == level:
             op = self._advance().kind
-            left = Bin(op, left, self._parse_unary())
+            left = Bin(op, left, operand())
         return left
 
     def _parse_unary(self):
@@ -309,12 +326,10 @@ def parse(text, d=None):
 # ---------------------------------------------------------------------------
 # printer
 
-_BIN_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
 
 def _node_level(e):
     if isinstance(e, Bin):
-        return _BIN_LEVEL[e.op]
+        return _BINARY[e.op][0]
     if isinstance(e, Neg):
         return 3
     return 5
@@ -340,14 +355,12 @@ def _print(e, context):
     elif isinstance(e, Weier):
         head = f"weierstrass({_format_number(e.gamma)}, {e.seed})"
         text = f"{head}({_print(e.arg, 1)})"
+    elif isinstance(e, Bin) and e.op == "^":
+        text = f"{_print(e.left, 5)}^{_print(e.right, 3)}"
     elif isinstance(e, Bin):
-        level = _BIN_LEVEL[e.op]
-        if e.op in ("+", "-"):
-            text = f"{_print(e.left, level)} {e.op} {_print(e.right, level + 1)}"
-        elif e.op in ("*", "/"):
-            text = f"{_print(e.left, level)}{e.op}{_print(e.right, level + 1)}"
-        else:
-            text = f"{_print(e.left, 5)}^{_print(e.right, 3)}"
+        level = _node_level(e)
+        op = f" {e.op} " if level == 1 else e.op
+        text = f"{_print(e.left, level)}{op}{_print(e.right, level + 1)}"
     else:
         raise TypeError(f"not an expression node: {e!r}")
     if _node_level(e) < context:
@@ -390,15 +403,6 @@ def expr_dimension(e):
     return max(_variables(e), default=0)
 
 
-_CALL_IMPL = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-}
-
-
 def _eval(e, points):
     if isinstance(e, Lit):
         return e.value
@@ -407,19 +411,9 @@ def _eval(e, points):
     if isinstance(e, Neg):
         return np.negative(_eval(e.arg, points))
     if isinstance(e, Bin):
-        left = _eval(e.left, points)
-        right = _eval(e.right, points)
-        if e.op == "+":
-            return np.add(left, right)
-        if e.op == "-":
-            return np.subtract(left, right)
-        if e.op == "*":
-            return np.multiply(left, right)
-        if e.op == "/":
-            return np.divide(left, right)
-        return np.power(left, right)
+        return _BINARY[e.op][1](_eval(e.left, points), _eval(e.right, points))
     if isinstance(e, Call):
-        return _CALL_IMPL[e.name](_eval(e.arg, points))
+        return _CALLS[e.name](_eval(e.arg, points))
     if isinstance(e, Weier):
         values = np.asarray(_eval(e.arg, points), dtype=float)
         return _weier_function(e.gamma, e.seed)(values[..., None])
@@ -481,14 +475,6 @@ def _lit_value(e):
     return None
 
 
-def _fold(op, a, b, fallback):
-    with np.errstate(all="ignore"):
-        value = float(op(a, b))
-    if math.isfinite(value):
-        return _lit(value)
-    return fallback
-
-
 def _neg(a):
     value = _lit_value(a)
     if value is not None:
@@ -498,56 +484,43 @@ def _neg(a):
     return Neg(a)
 
 
-def _add(a, b):
-    if _lit_value(a) == 0.0:
-        return b
-    if _lit_value(b) == 0.0:
+def _binary(op, a, b):
+    """Bin(op, a, b) with op's identities folded, tested in the order below,
+    and a pair of literals folded into one when their value is finite."""
+
+    x, y = _lit_value(a), _lit_value(b)
+    if op == "+":
+        if x == 0.0:
+            return b
+        if y == 0.0:
+            return a
+    elif op == "-":
+        if y == 0.0:
+            return a
+        if x == 0.0:
+            return _neg(b)
+    elif op == "*":
+        if x == 0.0 or y == 0.0:
+            return Lit(0.0)
+        if x == 1.0:
+            return b
+        if y == 1.0:
+            return a
+    elif op == "/":
+        if x == 0.0:
+            return Lit(0.0)
+        if y == 1.0:
+            return a
+    elif y == 1.0:  # op is "^"
         return a
-    if _lit_value(a) is not None and _lit_value(b) is not None:
-        return _fold(np.add, _lit_value(a), _lit_value(b), Bin("+", a, b))
-    return Bin("+", a, b)
-
-
-def _sub(a, b):
-    if _lit_value(b) == 0.0:
-        return a
-    if _lit_value(a) == 0.0:
-        return _neg(b)
-    if _lit_value(a) is not None and _lit_value(b) is not None:
-        return _fold(np.subtract, _lit_value(a), _lit_value(b), Bin("-", a, b))
-    return Bin("-", a, b)
-
-
-def _mul(a, b):
-    if _lit_value(a) == 0.0 or _lit_value(b) == 0.0:
-        return Lit(0.0)
-    if _lit_value(a) == 1.0:
-        return b
-    if _lit_value(b) == 1.0:
-        return a
-    if _lit_value(a) is not None and _lit_value(b) is not None:
-        return _fold(np.multiply, _lit_value(a), _lit_value(b), Bin("*", a, b))
-    return Bin("*", a, b)
-
-
-def _div(a, b):
-    if _lit_value(a) == 0.0:
-        return Lit(0.0)
-    if _lit_value(b) == 1.0:
-        return a
-    if _lit_value(a) is not None and _lit_value(b) is not None:
-        return _fold(np.divide, _lit_value(a), _lit_value(b), Bin("/", a, b))
-    return Bin("/", a, b)
-
-
-def _pow(a, b):
-    if _lit_value(b) == 1.0:
-        return a
-    if _lit_value(b) == 0.0:
+    elif y == 0.0:
         return Lit(1.0)
-    if _lit_value(a) is not None and _lit_value(b) is not None:
-        return _fold(np.power, _lit_value(a), _lit_value(b), Bin("^", a, b))
-    return Bin("^", a, b)
+    if x is not None and y is not None:
+        with np.errstate(all="ignore"):
+            value = float(_BINARY[op][1](x, y))
+        if math.isfinite(value):
+            return _lit(value)
+    return Bin(op, a, b)
 
 
 def _constant_value(e):
@@ -580,28 +553,25 @@ def _diff(e, index):
     if isinstance(e, Neg):
         return _neg(_diff(e.arg, index))
     if isinstance(e, Bin):
-        if e.op == "+":
-            return _add(_diff(e.left, index), _diff(e.right, index))
-        if e.op == "-":
-            return _sub(_diff(e.left, index), _diff(e.right, index))
-        if e.op == "*":
-            return _add(
-                _mul(_diff(e.left, index), e.right),
-                _mul(e.left, _diff(e.right, index)),
-            )
-        if e.op == "/":
-            numerator = _sub(
-                _mul(_diff(e.left, index), e.right),
-                _mul(e.left, _diff(e.right, index)),
-            )
-            return _div(numerator, _pow(e.right, Lit(2.0)))
+        if e.op in ("+", "-"):
+            return _binary(e.op, _diff(e.left, index), _diff(e.right, index))
+        if e.op in ("*", "/"):
+            # (u v)' = u' v + u v' and (u / v)' = (u' v - u v') / v^2
+            left = _binary("*", _diff(e.left, index), e.right)
+            right = _binary("*", e.left, _diff(e.right, index))
+            if e.op == "*":
+                return _binary("+", left, right)
+            square = _binary("^", e.right, Lit(2.0))
+            return _binary("/", _binary("-", left, right), square)
         exponent = _constant_value(e.right)
         if exponent is not None:
-            scaled = _mul(_lit(exponent), _pow(e.left, _lit(exponent - 1.0)))
-            return _mul(scaled, _diff(e.left, index))
+            power = _binary("^", e.left, _lit(exponent - 1.0))
+            scaled = _binary("*", _lit(exponent), power)
+            return _binary("*", scaled, _diff(e.left, index))
         base = _constant_value(e.left)
         if base is not None and base > 0.0:
-            return _mul(_mul(_lit(math.log(base)), e), _diff(e.right, index))
+            scaled = _binary("*", _lit(math.log(base)), e)
+            return _binary("*", scaled, _diff(e.right, index))
         raise NotDifferentiableError(
             "a^b with a varying base and exponent has no derivative in "
             "this language (no log function)"
@@ -609,13 +579,13 @@ def _diff(e, index):
     if isinstance(e, Call):
         inner = _diff(e.arg, index)
         if e.name == "sin":
-            return _mul(Call("cos", e.arg), inner)
+            return _binary("*", Call("cos", e.arg), inner)
         if e.name == "cos":
-            return _neg(_mul(Call("sin", e.arg), inner))
+            return _neg(_binary("*", Call("sin", e.arg), inner))
         if e.name == "exp":
-            return _mul(e, inner)
+            return _binary("*", e, inner)
         if e.name == "sqrt":
-            return _div(inner, _mul(Lit(2.0), Call("sqrt", e.arg)))
+            return _binary("/", inner, _binary("*", Lit(2.0), e))
         raise NotDifferentiableError("abs is not differentiable at zero")
     if isinstance(e, Weier):
         raise NotDifferentiableError(

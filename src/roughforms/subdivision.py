@@ -339,6 +339,13 @@ def stats(scheme, simplex, levels_max):
 # Whitney cubes
 
 
+# _inward_halfspaces and _inradius keep their own heights (an lstsq per
+# face, a volume call per face) rather than sharing the batched geometry
+# kernels: taken from the rows of the inverse flat edge matrix, the unit
+# triangle's hypotenuse normal moves by 3e-16, and since cube centers lie
+# at exactly side * sqrt(2) from the hypotenuse, the admissibility test of
+# whitney_cubes flips and selects other cubes at every level from 3 to 9.
+# The whitney benchmark workload pins the level-7 cubes of that triangle.
 def _inward_halfspaces(flat_vertices):
     """Unit inward normals and offsets: the simplex is {x : N x >= c}."""
     k = flat_vertices.shape[1]

@@ -93,6 +93,95 @@ def test_odd_moment_order_names_its_field(tmp_path, capsys):
     assert err["field"] == "q"
 
 
+EMBED_PI = {
+    "mode": "pi",
+    "form": {"catalog": "x_dy"},
+    "J": [2],
+    "nodes": 16,
+    "expect": {"value": 0.05609987149107822, "tol": 1e-8},
+}
+
+EMBED_SCALING = {
+    "mode": "scaling",
+    "form": {"catalog": "dx"},
+    "J": [1],
+    "x": [0.5, 0.5],
+    "nodes": 12,
+}
+
+EMBED_IOTA = {
+    "mode": "iota",
+    "F": {"expression": "x1 + x2"},
+    "d": 2,
+    "simplex": [[0, 0], [1, 0], [0, 1]],
+    "n_max": 6,
+    "nodes": 6,
+}
+
+WEIERSTRASS = {"weierstrass": {"gamma": 0.9}}
+
+
+def _without(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        (
+            "embed",
+            {**EMBED_PI, "expect": {"min_slope": 100}},
+            "expect.min_slope",
+        ),
+        ("embed", {**EMBED_SCALING, "tol": 1e-8}, "tol"),
+        ("embed", {**EMBED_SCALING, "n_max": 6}, "n_max"),
+        ("embed", {**EMBED_SCALING, "simplex": [[0, 0], [1, 0]]}, "simplex"),
+        ("embed", {**EMBED_SCALING, "expect": {"value": 0.0}}, "expect.value"),
+        ("embed", {**EMBED_IOTA, "tol": 1e-8}, "tol"),
+        ("embed", {**EMBED_IOTA, "form": {"catalog": "x_dy"}}, "form"),
+        (
+            "embed",
+            {**EMBED_IOTA, "F": {**WEIERSTRASS, "gamma": 0.1}},
+            "F.gamma",
+        ),
+        (
+            "product",
+            {
+                "form": {"catalog": "dy"},
+                "f": {**WEIERSTRASS, "constant": 99},
+                "geometry": {"simplex": [[0, 0], [0.1, 0.1]]},
+                "tol": 1e-2,
+            },
+            "f.constant",
+        ),
+        ("embed", _without(EMBED_PI, "J"), "J"),
+        ("embed", _without(EMBED_SCALING, "x"), "x"),
+        ("embed", _without(EMBED_IOTA, "simplex"), "simplex"),
+    ],
+    ids=[
+        "pi_min_slope",
+        "scaling_tol",
+        "scaling_n_max",
+        "scaling_simplex",
+        "scaling_value",
+        "iota_tol",
+        "iota_form",
+        "weierstrass_gamma",
+        "weierstrass_constant",
+        "pi_without_J",
+        "scaling_without_x",
+        "iota_without_simplex",
+    ],
+)
+def test_a_field_out_of_place_names_itself(
+    tmp_path, capsys, command, config, field
+):
+    assert run(tmp_path, command, config, "--assert") == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == field
+
+
 @pytest.mark.parametrize(
     "geometry, field",
     [

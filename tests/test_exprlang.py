@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roughforms import exprlang
 from roughforms.errors import (
     EvalDomainError,
     ExprSyntaxError,
@@ -105,33 +108,33 @@ def test_printer_uses_minimal_parentheses():
     assert to_source(parse("x1 - (x2 + x3)")) == "x1 - (x2 + x3)"
 
 
-def random_tree(rng, depth):
-    if depth == 0:
-        kind = rng.integers(3)
-        if kind == 0:
-            return Lit(float(rng.integers(0, 5)))
-        if kind == 1:
-            return Lit(round(float(rng.uniform(0.0, 3.0)), 3))
-        return Var(int(rng.integers(1, 4)))
-    kind = rng.integers(8)
-    if kind < 4:
-        op = "+-*/"[kind]
-        return Bin(op, random_tree(rng, depth - 1), random_tree(rng, depth - 1))
-    if kind == 4:
-        return Neg(random_tree(rng, depth - 1))
-    if kind == 5:
-        return Bin("^", random_tree(rng, depth - 1), random_tree(rng, depth - 1))
-    if kind == 6:
-        name = FUNCTIONS[rng.integers(len(FUNCTIONS))]
-        return Call(name, random_tree(rng, depth - 1))
-    return Weier(0.5, 3, random_tree(rng, depth - 1))
+# Every node type, operator and function; literals are nonnegative and
+# finite (a negative number is Neg(Lit)), weierstrass heads are literals.
+LITERALS = st.builds(Lit, st.floats(min_value=0.0, allow_infinity=False))
+LEAVES = LITERALS | st.builds(Var, st.integers(1, 12))
 
 
-def test_print_parse_round_trip_is_identity_on_random_trees():
-    rng = np.random.default_rng(2)
-    for _ in range(300):
-        tree = random_tree(rng, int(rng.integers(1, 5)))
-        assert parse(to_source(tree)) == tree, to_source(tree)
+def _branches(children):
+    return (
+        st.builds(Neg, children)
+        | st.builds(Bin, st.sampled_from("+-*/^"), children, children)
+        | st.builds(Call, st.sampled_from(FUNCTIONS), children)
+        | st.builds(
+            Weier,
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+            st.integers(0, 2**32),
+            children,
+        )
+    )
+
+
+TREES = st.recursive(LEAVES, _branches, max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(tree=TREES)
+def test_print_parse_round_trip_is_identity_on_random_trees(tree):
+    assert parse(to_source(tree)) == tree
 
 
 def test_unknown_identifiers_are_rejected():
@@ -309,3 +312,55 @@ def test_expr_dimension():
     assert expr_dimension(parse("weierstrass(0.5, 1)(x2)")) == 2
     with pytest.raises(TypeError):
         expr_dimension("x1")
+
+
+X = Var(1)
+
+# (op, a, b, folded): the identities of each operator, with cases where
+# the order they are tested in shows, then literal pairs; a pair whose
+# value is not finite stays a Bin.
+FOLDING_RULES = [
+    ("+", X, Lit(0.0), X),
+    ("+", Lit(0.0), X, X),
+    ("+", Neg(Lit(0.0)), X, X),
+    ("+", Lit(0.0), Neg(Lit(0.0)), Neg(Lit(0.0))),
+    ("-", X, Lit(0.0), X),
+    ("-", Lit(0.0), X, Neg(X)),
+    ("-", Lit(0.0), Neg(X), X),
+    ("-", Lit(0.0), Lit(0.0), Lit(0.0)),
+    ("-", Neg(Lit(0.0)), Lit(0.0), Neg(Lit(0.0))),
+    ("*", Lit(0.0), X, Lit(0.0)),
+    ("*", X, Lit(0.0), Lit(0.0)),
+    ("*", Lit(1.0), X, X),
+    ("*", X, Lit(1.0), X),
+    ("*", Neg(Lit(0.0)), Lit(1.0), Lit(0.0)),
+    ("*", Neg(Lit(1.0)), X, Bin("*", Neg(Lit(1.0)), X)),
+    ("/", Lit(0.0), X, Lit(0.0)),
+    ("/", Lit(0.0), Lit(0.0), Lit(0.0)),
+    ("/", Neg(Lit(0.0)), Lit(1.0), Lit(0.0)),
+    ("/", X, Lit(1.0), X),
+    ("/", X, Lit(0.0), Bin("/", X, Lit(0.0))),
+    ("^", X, Lit(1.0), X),
+    ("^", X, Lit(0.0), Lit(1.0)),
+    ("^", Lit(0.0), Lit(0.0), Lit(1.0)),
+    ("+", Lit(2.0), Lit(3.0), Lit(5.0)),
+    ("-", Lit(2.0), Lit(3.0), Neg(Lit(1.0))),
+    ("-", Lit(2.0), Lit(2.0), Lit(0.0)),
+    ("*", Lit(2.0), Neg(Lit(3.0)), Neg(Lit(6.0))),
+    ("/", Lit(3.0), Lit(2.0), Lit(1.5)),
+    ("^", Lit(2.0), Lit(3.0), Lit(8.0)),
+    ("^", Lit(4.0), Lit(0.5), Lit(2.0)),
+    ("+", Lit(1e308), Lit(1e308), Bin("+", Lit(1e308), Lit(1e308))),
+    ("-", Neg(Lit(1e308)), Lit(1e308), Bin("-", Neg(Lit(1e308)), Lit(1e308))),
+    ("*", Lit(1e200), Lit(1e200), Bin("*", Lit(1e200), Lit(1e200))),
+    ("/", Lit(1.0), Lit(0.0), Bin("/", Lit(1.0), Lit(0.0))),
+    ("/", Lit(1e300), Lit(1e-300), Bin("/", Lit(1e300), Lit(1e-300))),
+    ("^", Lit(10.0), Lit(400.0), Bin("^", Lit(10.0), Lit(400.0))),
+    ("^", Neg(Lit(8.0)), Lit(0.5), Bin("^", Neg(Lit(8.0)), Lit(0.5))),
+    ("+", X, Lit(2.0), Bin("+", X, Lit(2.0))),
+]
+
+
+@pytest.mark.parametrize("op, a, b, folded", FOLDING_RULES)
+def test_derivative_constructors_fold_rule_by_rule(op, a, b, folded):
+    assert exprlang._binary(op, a, b) == folded

@@ -1434,3 +1434,26 @@ def test_product_declares_provenance_and_exponents():
     assert p.provenance == "product"
     assert p.alpha == pytest.approx(0.7)
     assert p.beta == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize(
+    "build_a, build_b",
+    [
+        (
+            lambda: forms.catalog_form("sin_y_dx"),
+            lambda: forms.catalog_form("x_dy"),
+        ),
+        (_product, lambda: forms.increment_form(_poly_fn())),
+    ],
+    ids=["smooth", "sewn"],
+)
+def test_negation_and_sum_evaluate_term_by_term(build_a, build_b):
+    s = Simplex([[0.1, 0.2], [0.7, 0.5]])
+    a, ta = build_a().eval_with_tail(s, 1e-6)
+    b, tb = build_b().eval_with_tail(s, 1e-6)
+    neg, t_neg = (-build_a()).eval_with_tail(s, 1e-6)
+    total, t_total = (build_a() + build_b()).eval_with_tail(s, 1e-6)
+    rounding = 4 * np.finfo(float).eps * (abs(a) + abs(b))
+    assert abs(neg + a) <= t_neg + ta + rounding
+    assert abs(total - (a + b)) <= t_total + ta + tb + rounding
+    assert neg != 0.0 and total != a

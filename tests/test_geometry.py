@@ -600,3 +600,12 @@ def test_minimal_enclosing_ball_random_points():
         np.linalg.norm(p - q) for i, p in enumerate(pts) for q in pts[i + 1 :]
     )
     assert diam / 2 - 1e-12 <= r <= diam
+
+
+def test_negation_flips_and_equal_simplices_hash_equally():
+    s = G.Simplex([[0, 0], [1, 0], [0, 1]])
+    assert -s == s.flipped() != s
+    assert -(-s) == s
+    same = G.Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert same == s and hash(same) == hash(s)
+    assert len({s, same, -s}) == 2

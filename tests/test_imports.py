@@ -1,6 +1,6 @@
 """Every module-level import of src/roughforms is used by its module, and
-every top-level function and class, and every method and property of a
-top-level class, is read by some module of src/.
+every top-level function, class and assignment, and every method and
+property of a top-level class, is read by some module of src/.
 
 No linter runs on this tree, so these tests guard against imports left
 behind when code is deleted. A name counts as used when the module reads
@@ -11,7 +11,8 @@ definition counts as read when a statement other than the definition
 itself names it (a bare name, an attribute, a `from` import, or a string
 constant that is an identifier, as a `getattr` name is), and only the
 public calculus and what the benchmark calls are kept unread. Dunder
-methods are called by Python itself and are not scanned.
+methods are called by Python itself and are not scanned; of the top-level
+assignments, those to one name are scanned, except `__all__`.
 """
 
 import ast
@@ -101,11 +102,27 @@ _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = _FUNCS + (ast.ClassDef,)
 
 
+def _defined_name(node):
+    """The name a top-level statement defines: a function, a class, or the
+    one name an assignment other than to __all__ binds; else None."""
+    if isinstance(node, _DEFS):
+        return node.name
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target = node.targets[0]
+    elif isinstance(node, ast.AnnAssign):
+        target = node.target
+    else:
+        return None
+    if isinstance(target, ast.Name) and target.id != "__all__":
+        return target.id
+    return None
+
+
 def _units(sources):
     """(qualified name or None, index of its top-level statement, names
     read) for every top-level statement, a top-level class split into its
-    header and its body statements; methods and properties but dunders are
-    named module.Class.name."""
+    header and its body statements; a statement is named by the name it
+    defines, and methods and properties but dunders module.Class.name."""
     statements = [
         (module, node)
         for module, text in sources.items()
@@ -113,7 +130,8 @@ def _units(sources):
     ]
     units = []
     for i, (module, node) in enumerate(statements):
-        name = f"{module}.{node.name}" if isinstance(node, _DEFS) else None
+        defined = _defined_name(node)
+        name = f"{module}.{defined}" if defined else None
         if not isinstance(node, ast.ClassDef):
             units.append((name, i, _names_read(node)))
             continue
@@ -129,7 +147,7 @@ def _units(sources):
 
 
 def _unread_definitions(sources):
-    """module.name of every top-level function or class, and
+    """module.name of every top-level function, class or assignment, and
     module.Class.name of every method or property of a top-level class but
     dunders, that no statement of the sources, other than its own
     definition, reads."""
@@ -206,4 +224,27 @@ def test_unread_method_scan_sees_what_it_should():
         "a.Box.recursive",
         "a.Box.unread",
         "b.caller",
+    ]
+
+
+def test_unread_assignment_scan_sees_what_it_should():
+    sources = {
+        "a": (
+            "__all__ = ['read_by_all']\n"
+            "def read_by_all(): pass\n"
+            "_LEVELS = {'+': 1}\n"
+            "_UNREAD = {'+': 1}\n"
+            "FUNCTIONS = tuple(_LEVELS)\n"
+            "ANNOTATED: int = 3\n"
+            "first, second = 1, 2\n"
+        ),
+        "b": (
+            "from .a import ANNOTATED\n"
+            "RESULT = ANNOTATED\n"
+        ),
+    }
+    assert _unread_definitions(sources) == [
+        "a._UNREAD",
+        "a.FUNCTIONS",
+        "b.RESULT",
     ]

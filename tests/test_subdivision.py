@@ -606,3 +606,15 @@ def test_partition_gradient_scales_like_level():
 def test_partition_rejects_unflat_cases():
     with pytest.raises(UnsupportedDimensionError):
         S.whitney_partition(G.Simplex([[0.0, 0.0], [1.0, 1.0]]), 5)
+
+
+def test_disjoint_boxes_keep_separated_boxes_apart():
+    # one x slab holding two y intervals that do not meet
+    lo = np.array([[0.0, 2.0], [0.0, 0.0]])
+    hi = np.array([[1.0, 3.0], [1.0, 1.0]])
+    boxes = S._disjoint_boxes(lo, hi)
+    np.testing.assert_array_equal(boxes, np.stack([lo, hi], axis=1)[::-1])
+    segments = S._disjoint_boxes(
+        np.array([[2.0], [0.0]]), np.array([[3.0], [1.0]])
+    )
+    np.testing.assert_array_equal(segments, [[[0.0], [1.0]], [[2.0], [3.0]]])
