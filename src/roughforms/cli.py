@@ -656,8 +656,19 @@ def _check_dims(a, target):
         )
 
 
+def _expect(config, *keys):
+    """The expect block, or None; one with none of keys checks nothing."""
+    expect = config.get("expect")
+    if expect is not None and not any(key in expect for key in keys):
+        raise ConfigError(
+            f"expect checks nothing without any of {', '.join(keys)}",
+            field=f"expect.{keys[0]}",
+        )
+    return expect
+
+
 def _value_check(value, expect):
-    if not expect or "value" not in expect:
+    if not expect:
         return None
     return abs(value - expect["value"]) <= expect.get("tol", 1e-6)
 
@@ -765,6 +776,7 @@ def _cmd_stokes(config, base_dir):
 
 
 def _cmd_subdiv_stats(config, base_dir):
+    expect = _expect(config, "c", "cardinality")
     scheme = SCHEMES[config["scheme"]]
     k = config["k"]
     if "simplex" in config:
@@ -782,7 +794,6 @@ def _cmd_subdiv_stats(config, base_dir):
     result = {"command": "subdiv-stats"}
     result.update(report.to_json())
     passed = None
-    expect = config.get("expect")
     if expect:
         passed = True
         tol = expect.get("tol", 1e-9)
@@ -799,6 +810,7 @@ def _cmd_subdiv_stats(config, base_dir):
 
 
 def _cmd_norms(config, base_dir):
+    expect = _expect(config, "alpha_norm_max", "beta_norm_max", "ratio_max")
     a = _load_form(config["form"])
     for corner in ("lo", "hi"):
         if len(config["region"][corner]) != a.d:
@@ -817,7 +829,6 @@ def _cmd_norms(config, base_dir):
     result = {"command": "norms"}
     result.update(report.to_json())
     passed = None
-    expect = config.get("expect")
     if expect:
         passed = True
         if "alpha_norm_max" in expect:
@@ -900,7 +911,7 @@ def _check_embed_fields(config, mode):
 def _cmd_embed(config, base_dir):
     mode = config["mode"]
     _check_embed_fields(config, mode)
-    expect = config.get("expect")
+    expect = _expect(config, "min_slope" if mode == "scaling" else "value")
     if mode == "iota":
         d = config["d"]
         F = _load_function(config["F"], d, "F")
@@ -948,7 +959,7 @@ def _cmd_embed(config, base_dir):
     result = {"command": "embed", "mode": "scaling", "J": list(J)}
     result.update(probe.to_json())
     passed = None
-    if expect and "min_slope" in expect:
+    if expect:
         passed = probe.slope >= expect["min_slope"]
     rows = [(rec.lam, rec.value) for rec in probe.records]
     return result, passed, {"scalings.csv": (("lambda", "value"), rows)}

@@ -165,6 +165,8 @@ def _tokenize(text):
         else:
             if kind == "op":
                 kind = lexeme
+            elif kind == "num" and math.isinf(float(lexeme)):
+                raise ExprSyntaxError(f"{lexeme} overflows", line, column)
             tokens.append(_Token(kind, lexeme, line, column))
             column += len(lexeme)
         pos = match.end()
@@ -316,7 +318,8 @@ def parse(text, d=None):
 
     ``d`` optionally limits the variable range to x1..xd; without it any
     positive index is accepted.  Raises ExprSyntaxError (with 1-based
-    line/column) on malformed input and UnknownIdentifierError for
+    line/column) on malformed input, a number literal that overflows a
+    double included, and UnknownIdentifierError for
     identifiers that are neither variables nor known functions.
     """
 

@@ -93,6 +93,8 @@ class SewingResult:
     `increment_rate` is the least-squares slope of log |level increment|
     against the level, over the increments above the floating-point floor
     1e-13 * max(1, max |level sum|); NaN when fewer than two are above it.
+    `rule` names the rule of `_stop` that ended the sew; only the tail of
+    `analytic` is certified.
     A result depends only on the germ, the simplex and tol, so a cochain
     memo keeps one per (row, tol) and reuses it for nothing else.
     """
@@ -101,6 +103,7 @@ class SewingResult:
     tail_bound: float
     depth_used: int
     level_values: list
+    rule: str
     increment_rate: float = float("nan")
 
 
@@ -109,9 +112,7 @@ def _empirical_tail(increments):
     mags = [abs(x) for x in increments[-3:]]
     if not mags or mags[-1] == 0.0:
         return 0.0
-    ratios = [
-        b / a for a, b in zip(mags, mags[1:]) if a > 0
-    ]
+    ratios = [b / a for a, b in zip(mags, mags[1:]) if a > 0]
     if not ratios:
         return mags[-1]
     rho = min(max(ratios), 0.97)
@@ -144,12 +145,6 @@ def _lattice_levels(simplex, vertex_fn=None):
         n += 1
 
 
-def _level_sums(germ, simplex):
-    """Level sums of the germ on the edgewise levels 0, 1, 2, ... of simplex."""
-    for pts, vals in _lattice_levels(simplex, germ.vertex_fn):
-        yield float(np.sum(germ.eval_batch(pts, vals)))
-
-
 def _edgewise_contraction(simplex):
     """Largest child/parent diameter ratio over edgewise levels 1 and 2.
 
@@ -164,29 +159,60 @@ def _edgewise_contraction(simplex):
     )
 
 
+def _grew(sums, tol):
+    """Whether the last increment of sums is at least the one before it
+    and above both tol and the rounding floor of the earlier sums."""
+    prev, cur = abs(sums[-2] - sums[-3]), abs(sums[-1] - sums[-2])
+    floor = 1e-14 * max(1.0, max(abs(v) for v in sums[:-1]))
+    return cur >= prev * (1 - 1e-12) and cur > max(tol, floor)
+
+
+def _stop(sums, tol, analytic, depth_max, card):
+    """(rule, tail) that ends a sew after level n = len(sums) - 1, or None.
+
+    Tried in order: `analytic`, from level 1, when the certified tail
+    analytic(n) meets tol; `empirical` when the last three increments are
+    below tol/10 and their extrapolated tail (capped by analytic(n)) meets
+    tol; `no_convergence` (tail inf) when the last three increments each
+    grew (`_grew`); `depth_cap` at depth_max, with that extrapolated tail;
+    `eval_cap` (tail inf) when level n + 1 would need more than
+    LEVEL_EVAL_CAP evaluations.
+    """
+    n = len(sums) - 1
+    certified = math.inf if analytic is None else analytic(n)
+    if analytic is not None and n and certified <= tol:
+        return "analytic", certified
+    last = sums[-4:]
+    increments = [b - a for a, b in zip(last, last[1:])]
+    estimated = min(_empirical_tail(increments), certified)
+    settled = n >= 3 and all(abs(x) < tol / 10 for x in increments)
+    if settled and estimated <= tol:
+        return "empirical", estimated
+    # a certificate guarantees convergence, and rough germs fluctuate under it
+    if analytic is None and n >= 4 and all(
+        _grew(sums[: m + 1], tol) for m in (n - 2, n - 1, n)
+    ):
+        return "no_convergence", math.inf
+    if n == depth_max:
+        return "depth_cap", estimated
+    if card ** (n + 1) > LEVEL_EVAL_CAP:
+        return "eval_cap", math.inf
+    return None
+
+
 def sew(germ, simplex, tol, *, depth_max=None):
     """Sewing I(germ)(sigma): the limit of edgewise level sums.
 
-    Levels come from the dyadic lattice of sigma (see the module
-    docstring), one germ.eval_batch call each. Stops when the analytic
-    geometric tail bound
-    card * q^n / (1 - q) * delta_norm * diam^gamma with q = card * c^gamma
-    drops below tol (when the germ declares gamma and delta_norm and
-    q < 1), or when three consecutive level increments fall below tol/10
-    and the tail extrapolated from them is at most tol (empirical Cauchy
-    rule).
-    Raises NoConvergence when increments fail to decrease over three
-    consecutive levels past a burn-in, and BudgetExceeded when depth_max is
-    reached with the tail estimate still above tol; both carry the partial
-    result.
+    Levels come from the dyadic lattice of sigma, one germ.eval_batch
+    call each, until a rule of `_stop` fires. The certified tail is
+    card * q^n / (1 - q) * delta_norm * diam^gamma with q = card * c^gamma,
+    when the germ declares gamma and delta_norm and q < 1. Raises
+    NoConvergenceError for `no_convergence` and BudgetExceededError for a
+    cap whose tail is above tol; both carry the partial result.
     """
-    k = simplex.k
-    if depth_max is None:
-        depth_max = DEPTH_MAX_BY_K.get(k, 6)
+    card = EDGEWISE.card(simplex.k)
+    depth_max = DEPTH_MAX_BY_K[simplex.k] if depth_max is None else depth_max
     gamma, delta_norm = germ.gamma, germ.delta_norm
-    diam = diameter(simplex)
-
-    card = EDGEWISE.card(k)
     analytic = None
     if gamma is not None and delta_norm is not None:
         # level m holds card^m simplices of diameter <= c^m diam, each with
@@ -194,69 +220,28 @@ def sew(germ, simplex, tol, *, depth_max=None):
         # tail past level n is a geometric series in q = card * c^gamma
         q = card * _edgewise_contraction(simplex) ** gamma
         if q < 1.0:
+            diam = diameter(simplex)
 
             def analytic(n):
                 return card * q**n / (1.0 - q) * delta_norm * diam**gamma
 
-    def result(tail):
-        return SewingResult(
-            value=level_values[-1],
-            tail_bound=tail,
-            depth_used=n,
-            level_values=level_values,
-            increment_rate=fitting.increment_rate(level_values),
+    sums = []
+    for pts, vals in _lattice_levels(simplex, germ.vertex_fn):
+        sums.append(float(np.sum(germ.eval_batch(pts, vals))))
+        stop = _stop(sums, tol, analytic, depth_max, card)
+        if stop is not None:
+            break
+    rule, tail = stop
+    n, rate = len(sums) - 1, fitting.increment_rate(sums)
+    res = SewingResult(sums[-1], tail, n, sums, rule, rate)
+    if rule == "no_convergence":
+        raise NoConvergenceError(
+            f"increments non-decreasing over 3 levels at depth {n}",
+            partial=res,
         )
-
-    def estimated_tail():
-        tail = _empirical_tail(increments)
-        return tail if analytic is None else min(tail, analytic(n))
-
-    sums = _level_sums(germ, simplex)
-    level_values = [next(sums)]
-    increments = []
-    grow_streak = 0
-    n = 0
-    while True:
-        scale_floor = 1e-14 * max(1.0, max(abs(v) for v in level_values))
-        if n == depth_max:
-            res = result(estimated_tail())
-            if res.tail_bound > tol:
-                raise BudgetExceededError(
-                    f"depth {depth_max} reached with tail "
-                    f"{res.tail_bound:.3g} > tol {tol:.3g}",
-                    partial=res,
-                )
-            return res
-        if card ** (n + 1) > LEVEL_EVAL_CAP:
-            raise BudgetExceededError(
-                f"level {n + 1} would need {card ** (n + 1)} evaluations",
-                partial=result(math.inf),
-            )
-        s_n = next(sums)
-        n += 1
-        level_values.append(s_n)
-        increments.append(s_n - level_values[-2])
-
-        if analytic is not None and analytic(n) <= tol:
-            return result(analytic(n))
-        if len(increments) >= 3 and all(
-            abs(x) < tol / 10 for x in increments[-3:]
-        ):
-            tail = estimated_tail()
-            if tail <= tol:
-                return result(tail)
-        # divergence watch: consecutive non-decreasing increment magnitudes.
-        # Suppressed while an analytic certificate (q < 1) is active, since
-        # the geometric tail bound already guarantees convergence and rough
-        # germs fluctuate without that meaning divergence.
-        if len(increments) >= 2:
-            prev, cur = abs(increments[-2]), abs(increments[-1])
-            if cur >= prev * (1 - 1e-12) and cur > max(tol, scale_floor):
-                grow_streak += 1
-            else:
-                grow_streak = 0
-        if analytic is None and n >= 4 and grow_streak >= 3:
-            raise NoConvergenceError(
-                f"increments non-decreasing over 3 levels at depth {n}",
-                partial=result(math.inf),
-            )
+    if tail > tol:
+        raise BudgetExceededError(
+            f"{rule} at depth {n}: tail {tail:.3g} > tol {tol:.3g}",
+            partial=res,
+        )
+    return res

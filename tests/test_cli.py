@@ -182,6 +182,37 @@ def test_a_field_out_of_place_names_itself(
     assert err["field"] == field
 
 
+NORMS_X_DY = {
+    "form": {"catalog": "x_dy"},
+    "region": {"lo": [0, 0], "hi": [1, 1]},
+    "sampler": {"samples_per_band": 4, "n_bands": 3, "diam_max": 0.4},
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("embed", {**EMBED_PI, "expect": {"tol": 1e-8}}, "expect.value"),
+        ("embed", {**EMBED_IOTA, "expect": {"tol": 0.05}}, "expect.value"),
+        ("embed", {**EMBED_SCALING, "expect": {}}, "expect.min_slope"),
+        (
+            "subdiv-stats",
+            {"scheme": "edgewise", "k": 2, "expect": {"tol": 1e-9}},
+            "expect.c",
+        ),
+        ("norms", {**NORMS_X_DY, "expect": {}}, "expect.alpha_norm_max"),
+    ],
+    ids=["pi", "iota", "scaling", "subdiv_stats", "norms"],
+)
+def test_an_expect_block_that_checks_nothing_names_its_missing_field(
+    tmp_path, capsys, command, config, field
+):
+    assert run(tmp_path, command, config, "--assert") == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == field
+
+
 @pytest.mark.parametrize(
     "geometry, field",
     [
@@ -265,6 +296,15 @@ def test_domain_errors_exit_2_with_their_type(
 ):
     assert run(tmp_path, command, config) == 2
     assert error_of(capsys)["type"] == kind
+
+
+def test_a_number_literal_that_overflows_exits_2(tmp_path, capsys):
+    # 1e309 parses to inf, which the normalized source cannot print
+    assert run(tmp_path, "expr-check", {"expression": "x1 + 1e309"}) == 2
+    err = error_of(capsys)
+    assert err["type"] == "expression"
+    assert err["field"] == "line 1, column 6"
+    assert "1e309" in err["message"]
 
 
 def test_unreachable_tolerance_exits_3(tmp_path, capsys):

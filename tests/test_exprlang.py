@@ -179,6 +179,20 @@ def test_literal_formats():
     assert evaluate(parse("1.5e-2"), ()) == 0.015
 
 
+def test_a_literal_that_overflows_is_a_syntax_error():
+    # it would parse to inf, which the printer cannot write
+    for source, column in [
+        ("x1 + 1e309", 6),
+        ("weierstrass(1e400, 2)(x1)", 13),
+        ("weierstrass(0.5, 1e309)(x1)", 18),
+    ]:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(source)
+        assert (err.value.line, err.value.column) == (1, column)
+    largest = parse("1.7976931348623157e308")
+    assert parse(to_source(largest)) == largest
+
+
 def test_evaluate_vectorizes_over_leading_axes():
     rng = np.random.default_rng(3)
     points = rng.normal(size=(7, 2))

@@ -9,9 +9,10 @@ of a pulled-back form. On integer chains of these forms and of Whitney
 cochains, a result's tail meets the tolerance or the evaluation raises.
 For Young products, the sampled germ norms of `estimate_germ_norms`
 (conftest) check the defect exponent and constant that the product
-declares and that sewing's analytic tail trusts, and on segments a
-product answers from its memo exactly what a fresh cochain returns at
-that tolerance, whatever was evaluated before.
+declares and that sewing's analytic tail trusts; on segments a product
+answers from its memo exactly what a fresh cochain returns at that
+tolerance, whatever was evaluated before, and a rough product adds over
+two-piece splits within the sum of its three tails.
 """
 
 import math
@@ -157,11 +158,11 @@ TOLS = st.sampled_from([1e-3, 1e-5, 1e-7])
 
 
 @st.composite
-def unit_segments(draw):
-    """Segments in [0, 1]^2 longer than 0.1."""
-    coords = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+def segments(draw, side=1.0):
+    """Segments in [0, side]^2 longer than side / 10."""
+    coords = st.floats(0.0, side, allow_nan=False, allow_infinity=False)
     s = Simplex(draw(arrays(np.float64, (2, 2), elements=coords)))
-    assume(diameter(s) > 0.1)
+    assume(diameter(s) > 0.1 * side)
     return s
 
 
@@ -177,7 +178,7 @@ def _resonant():
 
 
 @settings(max_examples=6)
-@given(s=unit_segments(), t1=TOLS, t2=TOLS, flip=st.booleans())
+@given(s=segments(), t1=TOLS, t2=TOLS, flip=st.booleans())
 def test_a_cached_answer_is_the_fresh_one(s, t1, t2, flip):
     # the memo answers a row only at the tolerance it was computed at, so
     # what came before changes nothing, orientation included
@@ -194,6 +195,20 @@ def test_a_cached_answer_is_the_fresh_one(s, t1, t2, flip):
     q.eval_with_tail(s, t1, best_effort=True)
     assert q.eval_with_tail(s.flipped(), t2, best_effort=True) == (-v, tail)
     assert q.eval_with_tail(s.flipped(), t2, best_effort=True) == (-v, tail)
+
+
+@settings(max_examples=12)
+@given(s=segments(0.6), seed=st.integers(0, 2**32 - 1))
+def test_rough_products_add_over_two_piece_splits(s, seed):
+    # best effort: these sews stop by extrapolation or at the depth cap
+    a = _resonant()
+    whole, tail = a.eval_with_tail(s, 1e-4, best_effort=True)
+    parts = [
+        a.eval_with_tail(p, 1e-4, best_effort=True)
+        for p in two_piece_split(s, np.random.default_rng(seed))
+    ]
+    gap = abs(whole - sum(v for v, _ in parts))
+    assert gap <= tail + sum(t for _, t in parts) + 1e-12
 
 
 def _iota(k, d):

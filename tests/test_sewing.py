@@ -337,10 +337,12 @@ def _reference_sew(germ, simplex, tol, depth_max=None):
     """sew's stopping rules over levels built by children_array.
 
     Each level calls eval_batch on the full vertex array, so a germ with a
-    vertex function evaluates it at every vertex of every simplex.
+    vertex function evaluates it at every vertex of every simplex. The
+    rules are checked where the loop reaches them, with a streak counter
+    for divergence, and each result names the rule that ended it.
     """
     k = simplex.k
-    depth_max = depth_max or sewing.DEPTH_MAX_BY_K.get(k, 6)
+    depth_max = depth_max or sewing.DEPTH_MAX_BY_K[k]
     card = EDGEWISE.card(k)
     analytic = None
     if germ.gamma is not None and germ.delta_norm is not None:
@@ -361,30 +363,36 @@ def _reference_sew(germ, simplex, tol, depth_max=None):
         est = sewing._empirical_tail(incs)
         return est if analytic is None else min(est, analytic(n))
 
-    def partial(n, t):
-        return sewing.SewingResult(sums[-1], t, n, sums)
+    def partial(n, t, rule):
+        return sewing.SewingResult(sums[-1], t, n, sums, rule)
 
     for n in range(1, depth_max + 2):
         if n > depth_max:
-            res = partial(depth_max, tail(depth_max))
+            res = partial(depth_max, tail(depth_max), "depth_cap")
             if res.tail_bound > tol:
                 raise BudgetExceededError("depth cap", partial=res)
             return res
+        if card**n > sewing.LEVEL_EVAL_CAP:
+            raise BudgetExceededError(
+                "eval cap", partial=partial(n - 1, math.inf, "eval_cap")
+            )
         pts = EDGEWISE.children_array(pts)
         sums.append(float(np.sum(germ.eval_batch(pts))))
         incs.append(sums[-1] - sums[-2])
         if analytic is not None and analytic(n) <= tol:
-            return partial(n, analytic(n))
+            return partial(n, analytic(n), "analytic")
         if len(incs) >= 3 and all(abs(x) < tol / 10 for x in incs[-3:]):
             if tail(n) <= tol:
-                return partial(n, tail(n))
+                return partial(n, tail(n), "empirical")
         if len(incs) >= 2:
             prev, cur = abs(incs[-2]), abs(incs[-1])
-            floor = 1e-14 * max(1.0, max(abs(v) for v in sums))
+            floor = 1e-14 * max(1.0, max(abs(v) for v in sums[:-1]))
             grows = cur >= prev * (1 - 1e-12) and cur > max(tol, floor)
             streak = streak + 1 if grows else 0
         if analytic is None and n >= 4 and streak >= 3:
-            raise NoConvergenceError("growing", partial=partial(n, math.inf))
+            raise NoConvergenceError(
+                "growing", partial=partial(n, math.inf, "no_convergence")
+            )
 
 
 def _outcome(run):
@@ -402,12 +410,14 @@ def _assert_same_sew(germ, simplex, tol, depth_max=None):
         lambda: _reference_sew(germ, simplex, tol, depth_max)
     )
     assert got_exc is want_exc
+    assert got.rule == want.rule
     assert got.depth_used == want.depth_used
     assert_rounding_close(got.level_values, want.level_values)
     if math.isinf(want.tail_bound):
         assert got.tail_bound == want.tail_bound
     else:
         assert_rounding_close(got.tail_bound, want.tail_bound)
+    return got.rule
 
 
 def _subcritical_germ():
@@ -420,31 +430,65 @@ def _subcritical_germ():
 
 TRIANGLE = Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]]))
 
+# name -> (germ builder, simplex, tol, depth_max, the rule that stops it)
 LATTICE_CASES = {
-    "dx": (dx_germ, UNIT, 1e-8, None),
+    "dx": (dx_germ, UNIT, 1e-8, None, "empirical"),
     "square_diameter": (
-        lambda: square_diameter_germ(gamma=2.0, delta_norm=0.25), UNIT, 1e-3, None
+        lambda: square_diameter_germ(gamma=2.0, delta_norm=0.25),
+        UNIT,
+        1e-3,
+        None,
+        "analytic",
     ),
     "midpoint_cos": (
         lambda: midpoint_germ(np.cos, gamma=3.0, delta_norm=0.02),
         seg(0.3, 2.1),
         1e-9,
         None,
+        "depth_cap",
     ),
-    "left_anchor": (lambda: left_anchor_germ(np.sin), UNIT, 1e-3, None),
-    "subcritical": (_subcritical_germ, UNIT, 1e-6, None),
-    "depth_capped": (lambda: midpoint_germ(lambda x: x * x), UNIT, 1e-14, 5),
+    "left_anchor": (
+        lambda: left_anchor_germ(np.sin), UNIT, 1e-3, None, "depth_cap"
+    ),
+    "subcritical": (_subcritical_germ, UNIT, 1e-6, None, "no_convergence"),
+    "depth_capped": (
+        lambda: midpoint_germ(lambda x: x * x), UNIT, 1e-14, 5, "depth_cap"
+    ),
+    # fewer than three increments to extrapolate from
+    "shallow_depth_cap": (
+        lambda: midpoint_germ(lambda x: x * x), UNIT, 1e-14, 2, "depth_cap"
+    ),
+    # run with LEVEL_EVAL_CAP = 16, so level 5 (32 rows) is over the cap
+    "eval_capped": (
+        lambda: midpoint_germ(lambda x: x * x), UNIT, 1e-14, None, "eval_cap"
+    ),
     "centroid_area": (
-        lambda: centroid_area_germ(lambda x, y: x * x), TRIANGLE, 1e-4, None
+        lambda: centroid_area_germ(lambda x, y: x * x),
+        TRIANGLE,
+        1e-4,
+        None,
+        "empirical",
     ),
-    "diameter_cubed": (tri_diameter_cubed_germ, TRIANGLE, 5e-3, None),
+    "diameter_cubed": (
+        tri_diameter_cubed_germ, TRIANGLE, 5e-3, None, "analytic"
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_CASES))
-def test_lattice_sew_matches_children_loop(name):
-    build, simplex, tol, depth_max = LATTICE_CASES[name]
-    _assert_same_sew(build(), simplex, tol, depth_max)
+def test_lattice_sew_matches_children_loop(name, monkeypatch):
+    build, simplex, tol, depth_max, rule = LATTICE_CASES[name]
+    if rule == "eval_cap":
+        # a real 2^22-row level is too large for a test
+        monkeypatch.setattr(sewing, "LEVEL_EVAL_CAP", 16)
+    assert _assert_same_sew(build(), simplex, tol, depth_max) == rule
+
+
+def test_lattice_cases_reach_every_rule():
+    rules = {case[-1] for case in LATTICE_CASES.values()}
+    assert rules == {
+        "analytic", "empirical", "no_convergence", "depth_cap", "eval_cap"
+    }
 
 
 def _bend():

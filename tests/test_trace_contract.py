@@ -3,7 +3,8 @@
 This guards the names and shapes it relies on: `sew` reached through
 `forms`, `Germ.eval_batch` and `FunctionGerm.eval_batch` in their class
 bodies, `SewnCochain._eval_simplex` returning an exhausted flag at
-index 2, and `subdivision.whitney_partition` returning (Cube, weight)
+index 2, `sew` raising BudgetExceededError with a partial result at the
+depth cap, and `subdivision.whitney_partition` returning (Cube, weight)
 pairs. It also checks that leaving the tracer restores every original.
 """
 
@@ -40,6 +41,26 @@ def test_traced_product_counts_one_sew_and_one_batch_per_level():
     # f and g once per lattice point, 2^depth + 1 points on a segment
     assert metrics["forms.fn_points"] == 2 * (2**depth + 1)
     assert FunctionGerm.__dict__["eval_batch"] is original
+
+
+def test_traced_product_counts_a_sew_that_raises_at_the_depth_cap():
+    original_sew = forms.sew
+    original_batch = FunctionGerm.__dict__["eval_batch"]
+    f = forms.WeierstrassFunction(0.6, 2, seed=13)
+    a = forms.increment_form(forms.WeierstrassFunction(0.7, 2, seed=14))
+    seg = Simplex(np.array([[0.1, 0.2], [0.3, 0.25]]))
+    with tracing.Installed(tracing.Tracer(), roughforms) as tracer:
+        _, tail = forms.product(f, a).eval_with_tail(
+            seg, 1e-9, best_effort=True
+        )
+    metrics = tracing.layer_metrics(tracer)
+    assert tail > 1e-9
+    assert metrics["sewing.sew_calls"] == 1
+    assert metrics["sewing.depth_cap_hits"] == 1
+    assert metrics["sewing.budget_raised"] == 1
+    assert metrics["forms.exhausted"] == 1
+    assert forms.sew is original_sew
+    assert FunctionGerm.__dict__["eval_batch"] is original_batch
 
 
 def test_traced_partition_counts_weight_calls_and_keeps_pairs():
