@@ -17,11 +17,24 @@ written from the ``to_json`` reports of the objects a command builds
 (and, for ``gaussian-sample --out``, ``FieldSample.export``); an object
 that no command reports has no serializer.
 
+One table, ``_CHECKS``, judges every ``expect`` block. Each check key
+reads one result field: ``value``, ``c`` and each entry of ``values``
+pass within the block's ``tol`` (default 1e-6, 1e-9 and 1e-9), and
+``tol`` is accepted only beside one of them; ``cardinality`` passes when
+equal; ``alpha_norm_max``, ``beta_norm_max``, ``ratio_max`` and ``max``
+pass when ``alpha_norm``, ``beta_norm``, ``ratio`` and ``upper_bound``
+are at most the key's value; ``min_slope`` when ``slope`` is at least it.
+A block passes when all its keys pass. One without a check key of its
+command or embed mode, or an ``expr-check`` one without ``points``, is a
+validation error. ``stokes`` checks ``max_residual``, and
+``kolmogorov-fit`` reports the verdict of its fits.
+
 Exit codes: 0 success, 2 validation error, 3 convergence/budget
-failure, 4 failed expectation under ``--assert``. Errors are emitted as
-one machine-readable JSON object on stderr. ``--seed`` overrides the
-sampler/spec seeds in the config. Set ROUGHFORMS_LOG=debug|info|...
-for stderr logging.
+failure, 4 failed expectation (``passed`` false) under ``--assert``.
+Errors are emitted as one machine-readable JSON object on stderr; an
+expression error names the config field that held the expression.
+``--seed`` overrides the sampler/spec seeds in the config. Set
+ROUGHFORMS_LOG=debug|info|... for stderr logging.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ import os
 import re
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -212,17 +226,37 @@ _TEST_FUNCTION = {
     },
 }
 
-_EXPECT_VALUE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["value"],
-    "properties": {
-        "value": {"type": "number"},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-    },
+_TOL = {"type": "number", "exclusiveMinimum": 0}
+
+_NUMBER = {"type": "number"}
+
+# check key -> (schema, the result field it reads, comparison, default tol);
+# the module docstring states the comparisons
+_CHECKS = {
+    "value": (_NUMBER, "value", "close", 1e-6),
+    "c": (_NUMBER, "c", "close", 1e-9),
+    "values": ({"type": "array", "items": _NUMBER}, "values", "close", 1e-9),
+    "cardinality": ({"type": "integer"}, "cardinality", "equal", None),
+    "alpha_norm_max": (_NUMBER, "alpha_norm", "max", None),
+    "beta_norm_max": (_NUMBER, "beta_norm", "max", None),
+    "ratio_max": (_NUMBER, "ratio", "max", None),
+    "max": (_NUMBER, "upper_bound", "max", None),
+    "min_slope": (_NUMBER, "slope", "min", None),
 }
 
-_TOL = {"type": "number", "exclusiveMinimum": 0}
+
+def _expect_schema(*keys):
+    """The schema of an expect block that may hold the check keys, and tol
+    beside one compared within it."""
+    properties = {key: _CHECKS[key][0] for key in keys}
+    if any(_CHECKS[key][2] == "close" for key in keys):
+        properties["tol"] = _TOL
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": properties,
+    }
+
 
 _SAMPLER = {
     "type": "object",
@@ -248,7 +282,7 @@ SCHEMAS = {
             "form": _FORM,
             "tol": _TOL,
             "best_effort": {"type": "boolean"},
-            "expect": _EXPECT_VALUE,
+            "expect": _expect_schema("value"),
         },
     },
     "product": {
@@ -261,7 +295,7 @@ SCHEMAS = {
             "f": _FUNCTION,
             "rule": {"enum": ["vertex_average", "barycenter"]},
             "tol": _TOL,
-            "expect": _EXPECT_VALUE,
+            "expect": _expect_schema("value"),
         },
     },
     "pullback": {
@@ -273,7 +307,7 @@ SCHEMAS = {
             "form": _FORM,
             "map": _MAP,
             "tol": _TOL,
-            "expect": _EXPECT_VALUE,
+            "expect": _expect_schema("value"),
         },
     },
     "stokes": {
@@ -296,15 +330,7 @@ SCHEMAS = {
             "k": {"type": "integer", "minimum": 1},
             "levels": {"type": "integer", "minimum": 1},
             "simplex": _SIMPLEX,
-            "expect": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "c": {"type": "number"},
-                    "cardinality": {"type": "integer"},
-                    "tol": _TOL,
-                },
-            },
+            "expect": _expect_schema("c", "cardinality"),
         },
     },
     "norms": {
@@ -323,15 +349,9 @@ SCHEMAS = {
             },
             "sampler": _SAMPLER,
             "tol": _TOL,
-            "expect": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "alpha_norm_max": {"type": "number"},
-                    "beta_norm_max": {"type": "number"},
-                    "ratio_max": {"type": "number"},
-                },
-            },
+            "expect": _expect_schema(
+                "alpha_norm_max", "beta_norm_max", "ratio_max"
+            ),
         },
     },
     "flatnorm": {
@@ -343,12 +363,7 @@ SCHEMAS = {
             "s2": _SIMPLEX,
             "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             "beta": {"type": "number", "exclusiveMinimum": 0},
-            "expect": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["max"],
-                "properties": {"max": {"type": "number"}},
-            },
+            "expect": _expect_schema("max"),
         },
     },
     "embed": {
@@ -375,15 +390,7 @@ SCHEMAS = {
             "d": {"type": "integer", "minimum": 1},
             "simplex": _SIMPLEX,
             "n_max": {"type": "integer", "minimum": 1},
-            "expect": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "value": {"type": "number"},
-                    "tol": _TOL,
-                    "min_slope": {"type": "number"},
-                },
-            },
+            "expect": _expect_schema("value", "min_slope"),
         },
     },
     "gaussian-sample": {
@@ -424,15 +431,7 @@ SCHEMAS = {
             "d": {"type": "integer", "minimum": 1},
             "points": {"type": "array", "items": _POINT},
             "derivative": {"type": "string"},
-            "expect": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["values"],
-                "properties": {
-                    "values": {"type": "array", "items": {"type": "number"}},
-                    "tol": _TOL,
-                },
-            },
+            "expect": _expect_schema("values"),
         },
     },
 }
@@ -467,13 +466,68 @@ def _schema_check(schema, instance):
     raise ConfigError(exc.message, field=".".join(parts) or None) from exc
 
 
+# embed mode -> (required fields, other fields it reads, its check key)
+_EMBED_FIELDS = {
+    "iota": (("F", "simplex", "d"), ("n_max", "nodes"), "value"),
+    "pi": (("form", "J"), ("test", "nodes", "tol"), "value"),
+    "scaling": (("form", "J", "x"), ("test", "nodes", "lambdas"), "min_slope"),
+}
+
+
+def _check_embed_fields(config, mode):
+    """ConfigError naming the first field the mode needs but is missing, or
+    is given but the mode never reads; a key of the expect block is named
+    expect.<key>."""
+    required, optional, check = _EMBED_FIELDS[mode]
+    for key in required:
+        if key not in config:
+            raise ConfigError(
+                f"embed mode {mode!r} requires the {key!r} field", field=key
+            )
+    reads = required + optional + tuple(
+        f"expect.{key}" for key in _expect_schema(check)["properties"]
+    )
+    given = [key for key in config if key not in ("mode", "expect")]
+    given += [f"expect.{key}" for key in config.get("expect", {})]
+    for key in given:
+        if key not in reads:
+            raise ConfigError(
+                f"embed mode {mode!r} does not read the {key!r} field",
+                field=key,
+            )
+
+
 def validate_config(command, config):
     """Schema-check a config; raises ConfigError naming the failing field.
 
-    jsonschema loads at the first call (see ``_schema_check``).
+    Beyond the schema: an embed config holds only its mode's fields, and
+    an expect block holds a check key of its command or embed mode (an
+    expr-check one also needs points). jsonschema loads at the first call
+    (see ``_schema_check``).
     """
 
-    _schema_check(SCHEMAS[command], config)
+    schema = SCHEMAS[command]
+    _schema_check(schema, config)
+    if command == "embed":
+        _check_embed_fields(config, config["mode"])
+    expect = config.get("expect")
+    if expect is None:
+        return
+    if command == "embed":
+        keys = [_EMBED_FIELDS[config["mode"]][2]]
+    else:
+        keys = list(schema["properties"]["expect"]["properties"])
+    keys = [key for key in keys if key != "tol"]
+    if not any(key in expect for key in keys):
+        raise ConfigError(
+            f"expect checks nothing without any of {', '.join(keys)}",
+            field=f"expect.{keys[0]}",
+        )
+    if command == "expr-check" and "points" not in config:
+        raise ConfigError(
+            "expect.values checks the values at points, and none are given",
+            field="points",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +593,13 @@ def _target_dims(target):
     return simplex.k, simplex.d
 
 
-def _compiled_scalar(text, d):
-    tree = parse_expr(text, d=d)
-
-    def fn(x, _tree=tree):
-        return evaluate(_tree, x)
-
-    return fn
+def _parse(text, field, d=None):
+    """parse_expr, naming in a syntax error the config field of the text."""
+    try:
+        return parse_expr(text, d=d)
+    except ExprSyntaxError as exc:
+        exc.field = field
+        raise
 
 
 def _load_form(obj):
@@ -571,7 +625,8 @@ def _load_form(obj):
         for key, value in obj["components"].items():
             index = tuple(int(part) for part in key.split(","))
             if isinstance(value, str):
-                comps[index] = _compiled_scalar(value, d)
+                tree = _parse(value, f"form.components.{key}", d=d)
+                comps[index] = partial(evaluate, tree)
             else:
                 comps[index] = float(value)
         return smooth_form(comps, d)
@@ -591,14 +646,15 @@ def _load_function(obj, d, field):
                 )
         head = obj["weierstrass"]
         return WeierstrassFunction(head["gamma"], d, seed=head.get("seed", 0))
-    fn = _compiled_scalar(obj["expression"], d)
+    tree = _parse(obj["expression"], f"{field}.expression", d=d)
+    fn = partial(evaluate, tree)
     gamma = obj.get("gamma", 1.0)
     constant = obj.get("constant", 1.0)
     return HolderFunction(fn, gamma, constant, d=d)
 
 
 def _load_map(obj):
-    trees = [parse_expr(text) for text in obj["F"]]
+    trees = [_parse(text, f"map.F.{i}") for i, text in enumerate(obj["F"])]
     d = len(trees)
     used = max([expr_dimension(tree) for tree in trees] + [1])
     m = obj.get("m", used)
@@ -656,33 +712,16 @@ def _check_dims(a, target):
         )
 
 
-def _expect(config, *keys):
-    """The expect block, or None; one with none of keys checks nothing."""
-    expect = config.get("expect")
-    if expect is not None and not any(key in expect for key in keys):
-        raise ConfigError(
-            f"expect checks nothing without any of {', '.join(keys)}",
-            field=f"expect.{keys[0]}",
-        )
-    return expect
-
-
-def _value_check(value, expect):
-    if not expect:
-        return None
-    return abs(value - expect["value"]) <= expect.get("tol", 1e-6)
-
-
 # ---------------------------------------------------------------------------
-# command handlers: config -> (result dict, passed, {csv name: (header, rows)})
+# command handlers: config -> (result dict, own verdict, {csv name: (header,
+# rows)}); run_command judges the expect block (see _passed)
 
 
 def _integral(command, a, config, base_dir, **extra):
     """Evaluate a built cochain on the configured geometry.
 
-    The result holds command, value, tail_bound and tol, then `extra`;
-    the value is checked against the config's expect block. Only the
-    integrate schema admits best_effort.
+    The result holds command, value, tail_bound and tol, then `extra`.
+    Only the integrate schema admits best_effort.
     """
     target = _load_geometry(config["geometry"], base_dir)
     _check_dims(a, target)
@@ -697,7 +736,7 @@ def _integral(command, a, config, base_dir, **extra):
         "tol": tol,
         **extra,
     }
-    return result, _value_check(value, config.get("expect")), {}
+    return result, None, {}
 
 
 def _cmd_integrate(config, base_dir):
@@ -776,7 +815,6 @@ def _cmd_stokes(config, base_dir):
 
 
 def _cmd_subdiv_stats(config, base_dir):
-    expect = _expect(config, "c", "cardinality")
     scheme = SCHEMES[config["scheme"]]
     k = config["k"]
     if "simplex" in config:
@@ -793,24 +831,15 @@ def _cmd_subdiv_stats(config, base_dir):
     report = stats(scheme, simplex, config.get("levels", 3))
     result = {"command": "subdiv-stats"}
     result.update(report.to_json())
-    passed = None
-    if expect:
-        passed = True
-        tol = expect.get("tol", 1e-9)
-        if "c" in expect:
-            passed = passed and abs(report.c_m - expect["c"]) <= tol
-        if "cardinality" in expect:
-            passed = passed and report.cardinality == expect["cardinality"]
     rows = [
         (rec["level"], rec["card"], rec["c"], rec["ecc_ratio"], rec["vol_ratio"])
         for rec in result["records"]
     ]
     header = ("level", "card", "c", "ecc_ratio", "vol_ratio")
-    return result, passed, {"levels.csv": (header, rows)}
+    return result, None, {"levels.csv": (header, rows)}
 
 
 def _cmd_norms(config, base_dir):
-    expect = _expect(config, "alpha_norm_max", "beta_norm_max", "ratio_max")
     a = _load_form(config["form"])
     for corner in ("lo", "hi"):
         if len(config["region"][corner]) != a.d:
@@ -828,15 +857,6 @@ def _cmd_norms(config, base_dir):
     )
     result = {"command": "norms"}
     result.update(report.to_json())
-    passed = None
-    if expect:
-        passed = True
-        if "alpha_norm_max" in expect:
-            passed = passed and report.alpha_norm <= expect["alpha_norm_max"]
-        if "beta_norm_max" in expect:
-            passed = passed and report.beta_norm <= expect["beta_norm_max"]
-        if "ratio_max" in expect:
-            passed = passed and report.ratio <= expect["ratio_max"]
     rows = [
         (
             band["band"][0],
@@ -849,7 +869,7 @@ def _cmd_norms(config, base_dir):
         for band in result["per_band"]
     ]
     header = ("band_lo", "band_hi", "count", "sup_mass", "sup_diam", "sup_boundary")
-    return result, passed, {"bands.csv": (header, rows)}
+    return result, None, {"bands.csv": (header, rows)}
 
 
 def _cmd_flatnorm(config, base_dir):
@@ -858,60 +878,17 @@ def _cmd_flatnorm(config, base_dir):
     alpha = config.get("alpha", 1.0)
     beta = config.get("beta", 1.0)
     upper = flat_norm_upper(s1, s2, alpha, beta)
-    passed = None
-    expect = config.get("expect")
-    if expect:
-        passed = upper <= expect["max"]
     result = {
         "command": "flatnorm",
         "upper_bound": upper,
         "alpha": alpha,
         "beta": beta,
     }
-    return result, passed, {}
-
-
-# embed mode -> (required fields, other fields it reads); the keys of the
-# expect block are named expect.<key>
-_EMBED_FIELDS = {
-    "iota": (
-        ("F", "simplex", "d"),
-        ("n_max", "nodes", "expect.value", "expect.tol"),
-    ),
-    "pi": (
-        ("form", "J"),
-        ("test", "nodes", "tol", "expect.value", "expect.tol"),
-    ),
-    "scaling": (
-        ("form", "J", "x"),
-        ("test", "nodes", "lambdas", "expect.min_slope"),
-    ),
-}
-
-
-def _check_embed_fields(config, mode):
-    """ConfigError naming the first field the mode needs but is missing, or
-    is given but the mode never reads."""
-    required, optional = _EMBED_FIELDS[mode]
-    for key in required:
-        if key not in config:
-            raise ConfigError(
-                f"embed mode {mode!r} requires the {key!r} field", field=key
-            )
-    given = [key for key in config if key not in ("mode", "expect")]
-    given += [f"expect.{key}" for key in config.get("expect", {})]
-    for key in given:
-        if key not in required + optional:
-            raise ConfigError(
-                f"embed mode {mode!r} does not read the {key!r} field",
-                field=key,
-            )
+    return result, None, {}
 
 
 def _cmd_embed(config, base_dir):
     mode = config["mode"]
-    _check_embed_fields(config, mode)
-    expect = _expect(config, "min_slope" if mode == "scaling" else "value")
     if mode == "iota":
         d = config["d"]
         F = _load_function(config["F"], d, "F")
@@ -929,7 +906,7 @@ def _cmd_embed(config, base_dir):
         )
         result = {"command": "embed", "mode": "iota", "d": d}
         result.update(report.to_json())
-        return result, _value_check(report.value, expect), {}
+        return result, None, {}
 
     a = _load_form(config["form"])
     J = tuple(config["J"])
@@ -949,7 +926,7 @@ def _cmd_embed(config, base_dir):
             "J": list(J),
             "nodes": nodes,
         }
-        return result, _value_check(value, expect), {}
+        return result, None, {}
 
     x = np.asarray(config["x"], dtype=float)
     if x.shape != (a.d,):
@@ -958,11 +935,8 @@ def _cmd_embed(config, base_dir):
     probe = scaling_probe(a, psi, J, x, lambdas=lambdas, nodes=nodes)
     result = {"command": "embed", "mode": "scaling", "J": list(J)}
     result.update(probe.to_json())
-    passed = None
-    if expect:
-        passed = probe.slope >= expect["min_slope"]
     rows = [(rec.lam, rec.value) for rec in probe.records]
-    return result, passed, {"scalings.csv": (("lambda", "value"), rows)}
+    return result, None, {"scalings.csv": (("lambda", "value"), rows)}
 
 
 def _cmd_gaussian_sample(config, base_dir, out_dir=None):
@@ -1047,7 +1021,7 @@ def _cmd_kolmogorov_fit(config, base_dir):
 
 
 def _cmd_expr_check(config, base_dir):
-    tree = parse_expr(config["expression"], d=config.get("d"))
+    tree = _parse(config["expression"], "expression", d=config.get("d"))
     source = to_source(tree)
     round_trip = parse_expr(source) == tree
     result = {
@@ -1057,34 +1031,19 @@ def _cmd_expr_check(config, base_dir):
         "dimension": expr_dimension(tree),
         "round_trip": round_trip,
     }
-    passed = None
     if "points" in config:
-        points = [
+        result["values"] = [
             float(evaluate(tree, np.asarray(p, dtype=float)))
             for p in config["points"]
         ]
-        result["values"] = points
-        expect = config.get("expect")
-        if expect:
-            tol = expect.get("tol", 1e-9)
-            targets = expect["values"]
-            if len(targets) != len(points):
-                raise ConfigError(
-                    "expect.values must match the number of points",
-                    field="expect.values",
-                )
-            passed = all(
-                abs(v - t) <= tol for v, t in zip(points, targets)
-            )
     if "derivative" in config:
         derivative = differentiate(tree, config["derivative"])
         result["derivative"] = {
             "variable": config["derivative"],
             "source": to_source(derivative),
         }
-    if not round_trip:  # pragma: no cover - printer invariant
-        passed = False
-    return result, passed, {}
+    # a normalized source that does not parse back is a failed check
+    return result, None if round_trip else False, {}
 
 
 _HANDLERS = {
@@ -1158,11 +1117,43 @@ def _apply_seed_override(command, config, seed):
             gaussian["spec"]["seed"] = seed
 
 
+def _passed(expect, result):
+    """The verdict of an expect block on a result by the rule of _CHECKS:
+    True when every check key it holds passes, None without a block."""
+
+    if expect is None:
+        return None
+    passed = True
+    for key, want in expect.items():
+        if key == "tol":
+            continue
+        _, field, comparison, default_tol = _CHECKS[key]
+        got = result[field]
+        if comparison == "close":
+            if np.shape(got) != np.shape(want):
+                raise ConfigError(
+                    f"expect.{key} must match the number of points",
+                    field=f"expect.{key}",
+                )
+            tol = expect.get("tol", default_tol)
+            holds = np.all(np.abs(np.subtract(got, want)) <= tol)
+        elif comparison == "equal":
+            holds = got == want
+        elif comparison == "max":
+            holds = got <= want
+        else:
+            holds = got >= want
+        passed = passed and bool(holds)
+    return passed
+
+
 def run_command(command, config, base_dir=".", seed=None, out_dir=None):
     """Validate and execute one subcommand.
 
-    Returns (result dict, passed flag, csv map); raises on failure. The
-    caller decides the exit code from `passed` and the raised type.
+    Returns (result dict, passed, csv map); raises on failure. `passed`
+    is the bool verdict of the expect block (see _passed) or of the
+    command's own check, and None when nothing was checked. The caller
+    decides the exit code from `passed` and the raised type.
     """
 
     validate_config(command, config)
@@ -1170,7 +1161,11 @@ def run_command(command, config, base_dir=".", seed=None, out_dir=None):
     log.info("running %s", command)
     if command == "gaussian-sample":
         return _cmd_gaussian_sample(config, base_dir, out_dir=out_dir)
-    return _HANDLERS[command](config, base_dir)
+    result, own, csvs = _HANDLERS[command](config, base_dir)
+    passed = _passed(config.get("expect"), result)
+    if own is not None:
+        passed = bool(own) and passed is not False
+    return result, passed, csvs
 
 
 def _configure_logging():
@@ -1244,12 +1239,7 @@ def main(argv=None):
     except ConfigError as exc:
         return _emit_error(2, "validation", str(exc), field=exc.field)
     except ExprSyntaxError as exc:
-        return _emit_error(
-            2,
-            "expression",
-            str(exc),
-            field=f"line {exc.line}, column {exc.column}",
-        )
+        return _emit_error(2, "expression", str(exc), field=exc.field)
     except (
         NoConvergenceError,
         BudgetExceededError,

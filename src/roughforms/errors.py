@@ -66,6 +66,7 @@ class ExprSyntaxError(RoughFormsError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+        self.field = None  # the config field of the source, if known
 
 
 class UnknownIdentifierError(ExprSyntaxError):

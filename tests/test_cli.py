@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import roughforms
-from roughforms.cli import main, run_command
+from roughforms.cli import _CHECKS, main, run_command, validate_config
 
 TRIANGLE_LOOP = {
     "form": {"catalog": "x_dy"},
@@ -188,6 +189,10 @@ NORMS_X_DY = {
     "sampler": {"samples_per_band": 4, "n_bands": 3, "diam_max": 0.4},
 }
 
+FLATNORM = {"s1": [[0, 0], [1, 0]], "s2": [[0, 0.1], [1, 0.1]]}
+
+EXPR_CHECK = {"expression": "x1^2", "points": [[1], [2]]}
+
 
 @pytest.mark.parametrize(
     "command, config, field",
@@ -201,8 +206,20 @@ NORMS_X_DY = {
             "expect.c",
         ),
         ("norms", {**NORMS_X_DY, "expect": {}}, "expect.alpha_norm_max"),
+        ("integrate", {**TRIANGLE_LOOP, "expect": {"tol": 1}}, "expect.value"),
+        ("flatnorm", {**FLATNORM, "expect": {}}, "expect.max"),
+        ("expr-check", {**EXPR_CHECK, "expect": {"tol": 1}}, "expect.values"),
     ],
-    ids=["pi", "iota", "scaling", "subdiv_stats", "norms"],
+    ids=[
+        "pi",
+        "iota",
+        "scaling",
+        "subdiv_stats",
+        "norms",
+        "integrate",
+        "flatnorm",
+        "expr_check",
+    ],
 )
 def test_an_expect_block_that_checks_nothing_names_its_missing_field(
     tmp_path, capsys, command, config, field
@@ -303,8 +320,56 @@ def test_a_number_literal_that_overflows_exits_2(tmp_path, capsys):
     assert run(tmp_path, "expr-check", {"expression": "x1 + 1e309"}) == 2
     err = error_of(capsys)
     assert err["type"] == "expression"
-    assert err["field"] == "line 1, column 6"
+    assert err["field"] == "expression"
     assert "1e309" in err["message"]
+    assert "line 1, column 6" in err["message"]
+
+
+SEGMENT = {"simplex": [[0, 0], [1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        (
+            "integrate",
+            {
+                "form": {"components": {"1": "x1", "2": "sin(x2"}, "d": 2},
+                "geometry": SEGMENT,
+            },
+            "form.components.2",
+        ),
+        (
+            "product",
+            {
+                "form": {"catalog": "dy"},
+                "f": {"expression": "x1 *"},
+                "geometry": SEGMENT,
+            },
+            "f.expression",
+        ),
+        ("embed", {**EMBED_IOTA, "F": {"expression": "x3"}}, "F.expression"),
+        (
+            "pullback",
+            {
+                "form": {"components": {"3": 1.0}, "d": 3},
+                "map": {"F": ["x1", "x2", "x1^2 + foo(x2)"]},
+                "geometry": SEGMENT,
+            },
+            "map.F.2",
+        ),
+        ("expr-check", {"expression": "x1 + + "}, "expression"),
+    ],
+    ids=["form", "function", "embed_function", "map", "expr_check"],
+)
+def test_an_expression_error_names_its_config_field(
+    tmp_path, capsys, command, config, field
+):
+    assert run(tmp_path, command, config) == 2
+    err = error_of(capsys)
+    assert err["type"] == "expression"
+    assert err["field"] == field
+    assert "(line 1, column " in err["message"]
 
 
 def test_unreachable_tolerance_exits_3(tmp_path, capsys):
@@ -384,6 +449,66 @@ def test_failed_expectation_exits_4_under_assert(tmp_path, capsys):
     capsys.readouterr()
     assert run(tmp_path, "integrate", config, "--assert") == 4
     assert error_of(capsys)["type"] == "assertion"
+
+
+def test_failed_flatnorm_bound_exits_4_under_assert(tmp_path, capsys):
+    config = {**FLATNORM, "expect": {"max": 0.0}}
+    assert run(tmp_path, "flatnorm", config) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    assert run(tmp_path, "flatnorm", config, "--assert") == 4
+    assert error_of(capsys)["type"] == "assertion"
+
+
+def test_expr_check_expect_without_points_names_its_field(tmp_path, capsys):
+    config = {"expression": "x1^2", "expect": {"values": [1.0]}}
+    assert run(tmp_path, "expr-check", config, "--assert") == 2
+    err = error_of(capsys)
+    assert err["type"] == "validation"
+    assert err["field"] == "points"
+
+
+def test_an_expect_block_that_checks_nothing_is_judged_before_computing(
+    tmp_path, capsys
+):
+    # without the expect block this tolerance exits 3 (see below)
+    config = {**GAUSSIAN_SEGMENT, "tol": 1e-17, "expect": {"tol": 1e-3}}
+    assert run(tmp_path, "integrate", config) == 2
+    assert error_of(capsys)["field"] == "expect.value"
+
+
+# check key -> (command, config without expect, a passing and a failing value)
+CHECK_CASES = {
+    "value": ("integrate", _without(TRIANGLE_LOOP, "expect"), 0.5, 0.25),
+    "c": ("subdiv-stats", {"scheme": "edgewise", "k": 2}, 0.5, 0.4),
+    "values": ("expr-check", EXPR_CHECK, [1.0, 4.0], [1.0, 5.0]),
+    "cardinality": ("subdiv-stats", {"scheme": "edgewise", "k": 2}, 4, 5),
+    "alpha_norm_max": ("norms", NORMS_X_DY, 10.0, -1.0),
+    "beta_norm_max": ("norms", NORMS_X_DY, 10.0, -1.0),
+    "ratio_max": ("norms", NORMS_X_DY, 10.0, -1.0),
+    "max": ("flatnorm", FLATNORM, 1.0, 0.0),
+    "min_slope": ("embed", {**EMBED_SCALING, "lambdas": [0.5, 0.25]}, -1, 9),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CHECKS))
+def test_every_check_key_judges_with_a_bool(key):
+    command, config, good, bad = CHECK_CASES[key]
+    for want, verdict in ((good, True), (bad, False)):
+        block = {**copy.deepcopy(config), "expect": {key: want}}
+        passed = run_command(command, block)[1]
+        assert type(passed) is bool and passed is verdict
+
+
+CLI_MIX = Path(__file__).resolve().parents[1] / "perfbench" / "cli_mix.json"
+
+
+@pytest.mark.parametrize(
+    "op", json.loads(CLI_MIX.read_text())["ops"], ids=lambda op: op["name"]
+)
+def test_the_benchmark_configs_validate_and_pass(op):
+    command, config = op["command"], op["config"]
+    validate_config(command, copy.deepcopy(config))
+    assert run_command(command, copy.deepcopy(config))[1] is not False
 
 
 def test_tight_pullback_of_a_smooth_form_is_one_third():

@@ -5,8 +5,9 @@ Hypothesis draws well-shaped simplices in R^2 and R^3. The properties are
 the paper's invariants for additive cochains: additivity under
 subdivision, oddness under a vertex transposition (in either evaluation
 order, on one cochain), and boundary of boundary = 0 for the coboundary
-of a pulled-back form. On integer chains of these forms and of Whitney
-cochains, a result's tail meets the tolerance or the evaluation raises.
+of a pulled-back form and of a sewn rough product. On integer chains of
+these forms and of Whitney cochains, a result's tail meets the tolerance
+or the evaluation raises.
 For Young products, the sampled germ norms of `estimate_germ_norms`
 (conftest) check the defect exponent and constant that the product
 declares and that sewing's analytic tail trusts; on segments a product
@@ -195,6 +196,20 @@ def test_a_cached_answer_is_the_fresh_one(s, t1, t2, flip):
     q.eval_with_tail(s, t1, best_effort=True)
     assert q.eval_with_tail(s.flipped(), t2, best_effort=True) == (-v, tail)
     assert q.eval_with_tail(s.flipped(), t2, best_effort=True) == (-v, tail)
+
+
+@settings(max_examples=5)
+@given(s=simplices(3, 3))
+def test_coboundary_of_coboundary_of_a_rough_product_vanishes(s):
+    # a sewn 1-form in R^3, on tetrahedra in [0, 0.5]^3: d(dA) sums the
+    # values of A over the boundary of the boundary, whose edges cancel
+    f = forms.WeierstrassFunction(0.6, 3, seed=13)
+    g = forms.WeierstrassFunction(0.7, 3, seed=14)
+    p = forms.product(f, forms.increment_form(g))
+    dd = forms.coboundary(forms.coboundary(p))
+    tetrahedron = Simplex(0.25 * (s.vertices + 1.0))
+    value, _ = dd.eval_with_tail(tetrahedron, 1e-3, best_effort=True)
+    assert abs(value) <= 1e-12
 
 
 @settings(max_examples=12)
