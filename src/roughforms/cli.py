@@ -293,7 +293,6 @@ SCHEMAS = {
             "geometry": _GEOMETRY,
             "form": _FORM,
             "f": _FUNCTION,
-            "rule": {"enum": ["vertex_average", "barycenter"]},
             "tol": _TOL,
             "expect": _expect_schema("value"),
         },
@@ -749,14 +748,12 @@ def _cmd_integrate(config, base_dir):
 def _cmd_product(config, base_dir):
     a = _load_form(config["form"])
     f = _load_function(config["f"], a.d, "f")
-    rule = config.get("rule", "vertex_average")
-    fa = product(f, a, rule=rule)
+    fa = product(f, a)
     return _integral(
         "product",
         fa,
         config,
         base_dir,
-        rule=rule,
         alpha=fa.alpha,
         beta=fa.beta,
         gamma=f.gamma,

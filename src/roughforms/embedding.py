@@ -12,6 +12,7 @@ a cochain by summing its integrals against a smooth partition of unity
 subordinate to the Whitney cubes of each simplex.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,18 +28,20 @@ EVAL_CAP = 1 << 22
 
 
 class TestFunction:
-    """A polynomial bump psi(x) = sum c z^p (1 - |z|^2)^q, z = (x-c)/R.
+    """The bump psi(x) = s (1 - |z|^2)^m, z = (x - c) / R, on |z| < 1.
 
-    Supported on the ball of the declared radius around the center; all
-    mixed first partial derivatives are available in the same closed form,
-    so D^J psi is exact for index sets J. The bump order m controls
-    smoothness at the support boundary (q >= m - |J| after |J|
-    derivatives).
+    Supported on the ball of radius R around the center c. For a set J of
+    distinct axes the mixed derivative has the closed form
+        D^J psi = s (-2/R)^|J| m! / (m - |J|)! prod_{j in J} z_j
+                  (1 - |z|^2)^(m - |J|),
+    exact for |J| <= m; the bump order m controls smoothness at the
+    support boundary. The scale s is 1 for a plain bump, and rescaling
+    multiplies it by lambda^-d.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
-    def __init__(self, d, center=None, radius=0.5, m=6, _terms=None):
+    def __init__(self, d, center=None, radius=0.5, m=6, scale=1.0):
         self.d = int(d)
         self.center = (
             np.zeros(self.d)
@@ -53,46 +56,28 @@ class TestFunction:
         self.m = int(m)
         if self.m < 1:
             raise ValueError("bump order m must be at least 1")
-        # terms: (coeff, powers tuple length d, envelope exponent q)
-        self._terms = (
-            [(1.0, (0,) * self.d, self.m)] if _terms is None else _terms
-        )
+        self.scale = float(scale)
 
     def __call__(self, x):
+        return self._derivative((), x)
+
+    def _derivative(self, J, x):
         x = np.asarray(x, dtype=float)
         z = (x - self.center) / self.radius
         u = 1.0 - np.sum(z * z, axis=-1)
         inside = u > 0.0
-        u = np.where(inside, u, 0.0)
-        out = np.zeros(x.shape[:-1])
-        for c, powers, q in self._terms:
-            term = np.full(x.shape[:-1], c)
-            for axis, p in enumerate(powers):
-                if p:
-                    term = term * z[..., axis] ** p
-            out += term * u**q
+        # s (-2/R)^|J| m! / (m - |J|)!, one factor per axis
+        coeff = self.scale
+        for q in range(self.m, self.m - len(J), -1):
+            coeff = -2.0 * coeff * q / self.radius
+        out = np.full(x.shape[:-1], coeff)
+        for axis in sorted(J):
+            out = out * z[..., axis - 1]
+        out = out * np.where(inside, u, 0.0) ** (self.m - len(J))
         return np.where(inside, out, 0.0)
 
-    def _partial(self, terms, axis):
-        new = {}
-        for c, powers, q in terms:
-            p = powers[axis]
-            if p:
-                key = (
-                    powers[:axis] + (p - 1,) + powers[axis + 1 :],
-                    q,
-                )
-                new[key] = new.get(key, 0.0) + c * p / self.radius
-            if q:
-                key = (
-                    powers[:axis] + (p + 1,) + powers[axis + 1 :],
-                    q - 1,
-                )
-                new[key] = new.get(key, 0.0) - 2.0 * c * q / self.radius
-        return [(c, powers, q) for (powers, q), c in new.items() if c]
-
     def derivative(self, J):
-        """D^J psi for a set of distinct 1-based axes, as a TestFunction."""
+        """D^J psi for a set of distinct 1-based axes, as a callable."""
         J = tuple(J)
         if len(set(J)) != len(J):
             raise ValueError("derivative axes must be distinct")
@@ -100,12 +85,7 @@ class TestFunction:
             raise ValueError("derivative axes must lie in 1..d")
         if len(J) > self.m:
             raise ValueError("bump order too low for this derivative")
-        terms = self._terms
-        for j in J:
-            terms = self._partial(terms, j - 1)
-        return TestFunction(
-            self.d, self.center, self.radius, self.m, _terms=terms
-        )
+        return functools.partial(self._derivative, J)
 
     def rescaled(self, lam, x):
         """psi_lambda_x(y) = lam^-d psi((y - x) / lam), in closed form."""
@@ -113,14 +93,12 @@ class TestFunction:
         if lam <= 0:
             raise ValueError("lambda must be positive")
         x = np.asarray(x, dtype=float)
-        scale = lam**-self.d
-        terms = [(c * scale, powers, q) for c, powers, q in self._terms]
         return TestFunction(
             self.d,
             x + lam * self.center,
             lam * self.radius,
             self.m,
-            _terms=terms,
+            self.scale * lam**-self.d,
         )
 
     def support_box(self):

@@ -38,11 +38,13 @@ Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
 writes its germ once, as _germ_rows(pts, vals, tol, root_diam) returning
 one subdivision level's values and inner tails, so product and pullback
 germs call eval_batch once per level, and component extraction calls it
-once per staircase block. Products and pullbacks read their functions
-only at the vertices, so they declare a vertex function that sewing
-evaluates once per lattice point. Stokes residuals need no germ: A is
-additive, so dA summed over a subdivision of omega is A on the
-subdivided boundary, one chain evaluation.
+once per staircase block. Every sewn cochain reads its functions only at
+lattice vertices: a product germ averages f over the vertices of a
+simplex (and reads g there when A = dg), a pullback germ maps the
+vertices by F. Each declares a vertex function, which sewing evaluates
+once per lattice point. Stokes residuals need no germ: A is additive, so
+dA summed over a subdivision of omega is A on the subdivided boundary,
+one chain evaluation.
 """
 
 from __future__ import annotations
@@ -114,14 +116,19 @@ class HolderFunction:
     """A scalar function with declared Hoelder exponent and constant.
 
     The callable must vectorize over leading axes of an (..., d) array.
+    The constant must be finite and nonnegative: product germs turn it
+    into the delta-norm behind sewing's certified tail.
     """
 
     def __init__(self, fn, gamma, constant, d=None):
         if not (0 < gamma <= 1):
             raise ValueError("gamma must lie in (0, 1]")
+        constant = float(constant)
+        if not 0 <= constant < math.inf:
+            raise ValueError("constant must be finite and nonnegative")
         self._fn = fn
         self.gamma = float(gamma)
-        self.constant = float(constant)
+        self.constant = constant
         self.d = d
 
     def __call__(self, x):
@@ -572,24 +579,21 @@ def _inner_tols(pts, tol, root_diam):
 class ProductCochain(SewnCochain):
     """Young product f * A sewn from the germ mu_sigma(f) A(sigma).
 
-    mu is the vertex average or the barycenter evaluation; the sewn limit
-    is rule independent. Requires alpha + gamma > 1; the result carries
-    (alpha, (alpha + gamma - 1) ^ beta) and the germ's defect exponent is
-    gamma + k - 1 + alpha. Inner evaluations of A use a geometrically
-    shrinking share of the tolerance; their total is folded into the
-    reported tail. Under the vertex-average rule the germ reads f only at
-    the vertices, and when A is an increment dg, the coboundary of the
-    0-form g, A(sigma) = g(v_1) - g(v_0) reads g only there: those
-    functions make up the vertex function.
+    mu_sigma(f) is the average of f over the vertices of sigma; the sewn
+    limit does not depend on where in sigma the germ samples f. Requires
+    alpha + gamma > 1; the result carries (alpha, (alpha + gamma - 1) ^
+    beta) and the germ's defect exponent is gamma + k - 1 + alpha. The
+    vertex function holds f, followed by g when A is an increment dg, the
+    coboundary of the 0-form g, since A(sigma) = g(v_1) - g(v_0) reads g
+    only at the vertices too. Any other A is evaluated on the germ rows at
+    a geometrically shrinking share of the tolerance, and the total of
+    those inner tails is folded into the reported tail.
     """
 
     provenance = "product"
-    RULES = ("vertex_average", "barycenter")
 
-    def __init__(self, f, a, rule="vertex_average"):
+    def __init__(self, f, a):
         # product() builds every product through here, shortcuts included
-        if rule not in self.RULES:
-            raise ValueError(f"rule must be one of {self.RULES}")
         if f.gamma + a.alpha <= 1:
             raise ExponentViolationError(
                 f"product needs alpha + gamma > 1, "
@@ -600,42 +604,31 @@ class ProductCochain(SewnCochain):
         )
         self.f = f
         self.base = a
-        self.rule = rule
         self.germ_gamma = f.gamma + a.k - 1 + a.alpha
         if f.constant and a.alpha_norm_bound is not None:
             self.delta_norm = f.constant * a.alpha_norm_bound
-        # the columns of the vertex values that hold f and g, if any
-        self._vertex_parts = []
-        self._f_col = self._g_col = None
-        if rule == "vertex_average":
-            self._f_col = len(self._vertex_parts)
-            self._vertex_parts.append(f)
+        self._vertex_parts = [f]
         if isinstance(a, CoboundaryCochain) and isinstance(
             a.base, ZeroFormCochain
         ):
-            self._g_col = len(self._vertex_parts)
             self._vertex_parts.append(a.base.f)
-        if self._vertex_parts:
-            self.vertex_fn = self._at_vertices
+        self.vertex_fn = self._at_vertices
 
     def _at_vertices(self, x):
         return np.stack([fn(x) for fn in self._vertex_parts], axis=-1)
 
     def _germ_rows(self, pts, vals, tol, root_diam):
-        if self._f_col is None:
-            mu = self.f(pts.mean(axis=1))
-        else:
-            mu = vals[..., self._f_col].mean(axis=1)
-        if self._g_col is None:
+        mu = vals[..., 0].mean(axis=1)
+        if len(self._vertex_parts) == 1:
             a_vals, tails = self.base.eval_batch(
                 pts, _inner_tols(pts, tol, root_diam)
             )
             return mu * a_vals, np.abs(mu) * tails
-        g = vals[..., self._g_col]
+        g = vals[..., 1]
         return mu * (g[:, 1] - g[:, 0]), np.zeros(len(pts))
 
 
-def product(f, a, rule="vertex_average"):
+def product(f, a):
     """The Young product cochain f * A (Hoelder f, rough A).
 
     Products with 0-forms are pointwise. A declared Hoelder constant of
@@ -654,7 +647,7 @@ def product(f, a, rule="vertex_average"):
             d=a.d,
         )
         return ZeroFormCochain(g)
-    prod = ProductCochain(f, a, rule)  # checks the rule and the exponents
+    prod = ProductCochain(f, a)  # checks the exponents
     if a.alpha_norm_bound == 0.0 or f.constant == 0.0:
         c = 0.0 if a.alpha_norm_bound == 0.0 else float(f(np.zeros(a.d)))
         return combination(

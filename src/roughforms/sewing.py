@@ -68,10 +68,14 @@ class FunctionGerm(Germ):
 
     With a vertex function, batch_fn takes the vertex array and the values
     of vertex_fn at its vertices; the same formula serves sewing levels,
-    which pass the gathered lattice values, and every other caller.
+    which pass the gathered lattice values, and every other caller. A
+    declared delta_norm must be finite and nonnegative, since the analytic
+    stop takes it as a bound.
     """
 
     def __init__(self, batch_fn, gamma=None, delta_norm=None, vertex_fn=None):
+        if delta_norm is not None and not 0 <= delta_norm < math.inf:
+            raise ValueError("delta_norm must be finite and nonnegative")
         self._batch_fn = batch_fn
         self.gamma = gamma
         self.delta_norm = delta_norm

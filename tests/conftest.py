@@ -4,10 +4,11 @@ Property tests draw their examples derandomized and without a deadline or
 an example database, so every run of the suite checks the same examples.
 The chain builders below (boundary of a chain, snapping to a dyadic grid,
 triangulated axis boxes), the vertex heights, the two-piece split, the
-sampled germ norms, the random rotation and the per-sample moment draws
-serve only the tests; the germ norms are the oracle of the exponent and
-constant a germ declares, and the per-sample draws the oracle of
-kolmogorov_fit's chunked draws.
+sampled germ norms, the random rotation, the per-sample moment draws and
+the barycenter product serve only the tests; the germ norms are the
+oracle of the exponent and constant a germ declares, the per-sample draws
+the oracle of kolmogorov_fit's chunked draws, and the barycenter product
+a second germ with the library product's sewn limit.
 """
 
 import math
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from hypothesis import settings
 
+from roughforms import forms, sampling
 from roughforms import gaussian as G
-from roughforms import sampling
 from roughforms.errors import DegenerateSimplexError
 from roughforms.geometry import (
     Chain,
@@ -86,6 +87,33 @@ def axis_box_chain(base, axes, extents):
     steps[0, range(len(axes)), axes] = extents
     blocks = staircase_blocks(base[None], steps)
     return Chain(_signed_simplex(verts[0], sign) for sign, verts in blocks)
+
+
+class BarycenterProduct(forms.ProductCochain):
+    """The Young product f * A sewn from f at the barycenter times A(sigma).
+
+    The library's germ averages f over the vertices instead; the sewn limit
+    does not depend on where in sigma the germ samples f. When A is an
+    increment dg, g stays the vertex function; any other A is evaluated on
+    the germ rows at the library's inner tolerances, and the germ has no
+    vertex function.
+    """
+
+    def __init__(self, f, a):
+        super().__init__(f, a)  # checks the exponents
+        increment = isinstance(a, forms.CoboundaryCochain) and isinstance(
+            a.base, forms.ZeroFormCochain
+        )
+        self.vertex_fn = a.base.f if increment else None
+
+    def _germ_rows(self, pts, vals, tol, root_diam):
+        mu = self.f(pts.mean(axis=1))
+        if self.vertex_fn is None:
+            a_vals, tails = self.base.eval_batch(
+                pts, forms._inner_tols(pts, tol, root_diam)
+            )
+            return mu * a_vals, np.abs(mu) * tails
+        return mu * (vals[:, 1] - vals[:, 0]), np.zeros(len(pts))
 
 
 def heights(simplex):

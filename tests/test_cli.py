@@ -155,6 +155,16 @@ def _without(config, key):
             },
             "f.constant",
         ),
+        (
+            "product",
+            {
+                "form": {"catalog": "dy"},
+                "f": {"expression": "x1", "gamma": 1.0, "constant": 1.0},
+                "geometry": {"simplex": [[0, 0], [1, 1]]},
+                "rule": "barycenter",
+            },
+            "rule",
+        ),
         ("embed", _without(EMBED_PI, "J"), "J"),
         ("embed", _without(EMBED_SCALING, "x"), "x"),
         ("embed", _without(EMBED_IOTA, "simplex"), "simplex"),
@@ -169,6 +179,7 @@ def _without(config, key):
         "iota_form",
         "weierstrass_gamma",
         "weierstrass_constant",
+        "product_rule",
         "pi_without_J",
         "scaling_without_x",
         "iota_without_simplex",
@@ -566,7 +577,7 @@ def test_kolmogorov_fit_writes_passing_moments(tmp_path, capsys, config):
                 "tol": 1e-6,
                 "expect": {"value": 0.5, "tol": 1e-5},
             },
-            {"command", "value", "tail_bound", "tol", "rule", "alpha", "beta",
+            {"command", "value", "tail_bound", "tol", "alpha", "beta",
              "gamma", "passed"},
         ),
         (

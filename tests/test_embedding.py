@@ -64,6 +64,25 @@ def test_bump_derivative_matches_finite_differences():
     fd12 = (d1(pts + e2) - d1(pts - e2)) / (2 * h)
     got12 = psi.derivative((1, 2))(pts)
     assert np.max(np.abs(got12 - fd12)) < 1e-5
+    # d = 3, J = (1, 2, 3), on the bump and on its rescaling; m = 3 leaves
+    # no envelope power, |J| = m
+    lam, x = 0.6, np.array([0.2, 0.1, -0.1])
+    offsets = rng.uniform(-0.4, 0.4, (30, 3))  # inside either support
+    e3 = np.array([0.0, 0.0, h])
+    for m in (6, 3):
+        psi = TestFunction(3, center=[0.1, -0.2, 0.3], radius=0.8, m=m)
+        scaled = psi.rescaled(lam, x)
+        for bump, pts in (
+            (psi, psi.center + offsets),
+            (scaled, scaled.center + lam * offsets),
+        ):
+            d12 = bump.derivative((1, 2))
+            fd = (d12(pts + e3) - d12(pts - e3)) / (2 * h)
+            got = bump.derivative((1, 2, 3))(pts)
+            assert np.max(np.abs(got - fd)) < 1e-6 * np.max(np.abs(got))
+        # each derivative of the rescaled bump picks up one 1/lambda
+        want = lam ** (-3 - 3) * psi.derivative((3, 1, 2))((pts - x) / lam)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_bump_rescale_law_is_exact():

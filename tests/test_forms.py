@@ -31,7 +31,13 @@ from roughforms.sampling import Box, SamplerSpec
 from roughforms.sewing import FunctionGerm
 from roughforms.subdivision import EDGEWISE, SubdivisionScheme, iterate
 
-from conftest import assert_rounding_close, boundary_chain, snap_to_grid
+from conftest import (
+    BarycenterProduct,
+    assert_rounding_close,
+    boundary_chain,
+    snap_to_grid,
+)
+from oracles import weierstrass_young_segment
 from test_geometry import canon
 
 
@@ -362,18 +368,18 @@ def test_memo_never_serves_a_tail_above_the_request():
     assert p.eval_with_tail(seg.flipped(), 1e-3) == (-fresh_value, fresh_tail)
 
 
-def _resonant_product(rule="vertex_average"):
+def _resonant_product(build=forms.product):
     f = forms.WeierstrassFunction(0.6, 2, seed=13)
     g = forms.WeierstrassFunction(0.7, 2, seed=14)
-    return forms.product(f, forms.increment_form(g), rule=rule)
+    return build(f, forms.increment_form(g))
 
 
 def test_looser_tolerance_passes_where_a_tighter_one_does():
     # the empirical stop used to fire at 1e-3 with an extrapolated tail of
     # 1.23e-3, although sewing on reached a tail of 3.1e-6
     seg = Simplex([[0.1, 0.2], [0.3, 0.25]])
-    tight = _resonant_product("barycenter").eval_with_tail(seg, 1e-4)
-    loose = _resonant_product("barycenter").eval_with_tail(seg, 1e-3)
+    tight = _resonant_product(BarycenterProduct).eval_with_tail(seg, 1e-4)
+    loose = _resonant_product(BarycenterProduct).eval_with_tail(seg, 1e-3)
     assert loose == tight
     assert loose[1] == pytest.approx(3.145e-6, rel=1e-3)
 
@@ -698,14 +704,102 @@ def test_product_with_declared_constant_still_converges():
 def test_product_rules_agree_on_rough_data():
     f = forms.WeierstrassFunction(0.6, 2, seed=11)
     a = forms.increment_form(forms.WeierstrassFunction(0.7, 2, seed=12))
-    p_va = forms.product(f, a, rule="vertex_average")
-    p_bc = forms.product(f, a, rule="barycenter")
+    p_va = forms.product(f, a)
+    p_bc = BarycenterProduct(f, a)
     rng = np.random.default_rng(23)
     for _ in range(5):
         s = rand_simplex(rng, 1, 2)
         v1, t1 = p_va.eval_with_tail(s, 1e-4, best_effort=True)
         v2, t2 = p_bc.eval_with_tail(s, 1e-4, best_effort=True)
         assert abs(v1 - v2) <= t1 + t2 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Weierstrass products against the exact Young integral of tests/oracles.py
+
+_F13 = forms.WeierstrassFunction(0.6, 2, seed=13)
+_G14 = forms.WeierstrassFunction(0.7, 2, seed=14)
+
+
+def _composite_gauss_young(segment, panels=512, order=32):
+    """int f dg on a segment by composite Gauss-Legendre on g's gradient."""
+    x, w = leggauss(order)
+    t = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
+    a, b = np.asarray(segment, dtype=float)
+    pts = a + t[:, None] * (b - a)
+    j = np.arange(_G14.LEVELS)
+    rate = 2.0 * np.pi * 2.0**j
+    phase = rate * (pts @ _G14.xi.T)
+    grad = -(2.0 ** (-_G14.gamma * j) * rate * np.sin(phase)) @ _G14.xi
+    weights = np.tile(0.5 * w / panels, panels)
+    return float(np.sum(weights * _F13(pts) * (grad @ (b - a))))
+
+
+def _short_segments(n, seed):
+    """n segments shorter than 0.22 inside [0, 0.6]^2."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        a = rng.uniform(0.0, 0.6, 2)
+        step = rng.uniform(-0.22, 0.22, 2)
+        b = a + step
+        if np.linalg.norm(step) < 0.22 and np.all((b >= 0.0) & (b <= 0.6)):
+            out.append(np.stack([a, b]))
+    return out
+
+
+def test_weierstrass_oracle_matches_composite_gauss_legendre():
+    rng = np.random.default_rng(31)
+    segments = [rng.uniform(0.0, 0.6, (2, 2)) for _ in range(4)]
+    for segment in [[(0.1, 0.2), (0.3, 0.25)], *segments]:
+        exact = weierstrass_young_segment(_F13, _G14, segment)
+        assert abs(exact - _composite_gauss_young(segment)) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-3])
+def test_weierstrass_product_is_within_tol_of_exact(tol):
+    p = forms.product(_F13, forms.increment_form(_G14))
+    for segment in _short_segments(40, 17):
+        try:
+            value, _ = p.eval_with_tail(Simplex(segment), tol)
+        except (BudgetExceededError, NoConvergenceError):
+            continue
+        assert abs(value - weierstrass_young_segment(_F13, _G14, segment)) <= tol
+
+
+def test_both_product_germs_are_within_tol_of_exact():
+    for build in (forms.product, BarycenterProduct):
+        p = build(_F13, forms.increment_form(_G14))
+        for segment in _short_segments(20, 19):
+            value, _ = p.eval_with_tail(Simplex(segment), 1e-3)
+            exact = weierstrass_young_segment(_F13, _G14, segment)
+            assert abs(value - exact) <= 1e-3
+
+
+def test_rough_stokes_error_is_within_its_tail():
+    # dA(omega) is A on the boundary of omega: three exact segment integrals
+    omega = Simplex([[0.0, 0.0], [0.6, 0.1], [0.2, 0.5]])
+    da = forms.coboundary(forms.product(_F13, forms.increment_form(_G14)))
+    value, tail = da.eval_with_tail(omega, 1e-4, best_effort=True)
+    exact = sum(
+        c * weierstrass_young_segment(_F13, _G14, edge.vertices)
+        for c, edge in boundary(omega)
+    )
+    assert abs(value - exact) <= tail
+
+
+@pytest.mark.parametrize("constant", [-5.0, math.inf, math.nan])
+def test_holder_constant_must_be_finite_and_nonnegative(constant):
+    # a constant of -5 made the product's delta-norm negative, and sewing's
+    # analytic stop certified a tail of -321.8 at depth 1, 0.29 off exact
+    with pytest.raises(ValueError, match="constant"):
+        forms.HolderFunction(_F13, 0.6, constant, d=2)
+    f = forms.HolderFunction(_F13, 0.6, 5.0, d=2)
+    segment = [(0.1, 0.2), (0.3, 0.25)]
+    p = forms.product(f, forms.increment_form(_G14))
+    value, tail = p.eval_with_tail(Simplex(segment), 1e-4)
+    assert 0.0 <= tail <= 1e-4
+    assert abs(value - weierstrass_young_segment(_F13, _G14, segment)) <= tail
 
 
 def test_product_requires_young_exponents():
@@ -715,12 +809,6 @@ def test_product_requires_young_exponents():
     )
     with pytest.raises(ExponentViolationError, match="0.5 \\+ 0.3"):
         forms.product(f, a)
-
-
-def test_product_rejects_unknown_rule():
-    f = forms.HolderFunction(lambda p: p[..., 0], 1.0, 1.0, d=2)
-    with pytest.raises(ValueError):
-        forms.product(f, forms.catalog_form("dx"), rule="midpoint")
 
 
 def test_product_with_zero_form_is_pointwise():

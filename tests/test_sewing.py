@@ -10,6 +10,7 @@ from roughforms.sewing import FunctionGerm, sew
 from roughforms.subdivision import EDGEWISE
 
 from conftest import (
+    BarycenterProduct,
     assert_rounding_close,
     axis_box_chain,
     estimate_germ_norms,
@@ -139,6 +140,16 @@ def test_sew_no_convergence_for_subcritical_exponent():
     partial = exc.value.partial
     assert partial.depth_used >= 4
     assert partial.level_values[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("delta_norm", [-0.125, math.inf, math.nan])
+def test_function_germ_rejects_a_delta_norm_that_bounds_nothing(delta_norm):
+    # a negative delta-norm makes the analytic tail negative, so the first
+    # level would stop as certified
+    with pytest.raises(ValueError, match="delta_norm"):
+        FunctionGerm(
+            lambda p: p[:, 1, 0] - p[:, 0, 0], gamma=3.0, delta_norm=delta_norm
+        )
 
 
 def test_sew_budget_exceeded_carries_partial():
@@ -501,22 +512,21 @@ def _bend():
     )
 
 
-def _resonant(rule):
+def _resonant(build):
     f = forms.WeierstrassFunction(0.6, 2, seed=13)
     dg = forms.increment_form(forms.WeierstrassFunction(0.7, 2, seed=14))
-    return forms.product(f, dg, rule=rule)
+    return build(f, dg)
 
 
 # vertex functions: f and g; g alone; F; none (f at barycenters against
 # a quadrature base)
 SEWN_CASES = {
-    "product_vertex_average": lambda: _resonant("vertex_average"),
-    "product_barycenter": lambda: _resonant("barycenter"),
+    "product_vertex_average": lambda: _resonant(forms.product),
+    "product_barycenter": lambda: _resonant(BarycenterProduct),
     "pullback": lambda: forms.pullback(_bend(), forms.catalog_form("sin_y_dx")),
-    "product_smooth_base": lambda: forms.product(
+    "product_smooth_base": lambda: BarycenterProduct(
         forms.WeierstrassFunction(0.6, 2, seed=13),
         forms.catalog_form("x_dy"),
-        rule="barycenter",
     ),
 }
 
