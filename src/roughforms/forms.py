@@ -34,17 +34,17 @@ forms need no class of their own: the increment form dg is the
 coboundary of the 0-form g, and the zero cochain is a combination whose
 coefficients are all zero.
 
-Germs (sewing.py) are batch functions on vertex arrays. A sewn cochain
-writes its germ once, as _germ_rows(pts, vals, tol, root_diam) returning
-one subdivision level's values and inner tails, so product and pullback
-germs call eval_batch once per level, and component extraction calls it
-once per staircase block. Every sewn cochain reads its functions only at
-lattice vertices: a product germ averages f over the vertices of a
-simplex (and reads g there when A = dg), a pullback germ maps the
-vertices by F. Each declares a vertex function, which sewing evaluates
-once per lattice point. Stokes residuals need no germ: A is additive, so
-dA summed over a subdivision of omega is A on the subdivided boundary,
-one chain evaluation.
+Germs (sewing.py) are batch functions on vertex arrays. Every sewn
+cochain is a SewnCochain, a sum of terms c u dv_1 ^ ... ^ dv_k with u and
+each v_i products of point functions, sewn from Zust's vertex germ
+c mu_sigma(u) det[v_i(p_l) - v_i(p_0)] / k!, which reads each function
+once per lattice point. Cochains that can be read at vertices (0-forms,
+smooth and Gaussian forms, combinations, coboundaries by d(u dv...) =
+du ^ dv..., sewn cochains) declare such vertex_terms, so products, wedges
+and pullbacks rewrite terms and never evaluate a cochain inside a germ.
+Stokes residuals need no germ: A is additive, so dA summed over a
+subdivision of omega is A on the subdivided boundary, one chain
+evaluation.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .geometry import (
     coordinate_projection_array,
     cube_to_chain,
     diameter,
-    diameter_array,
     mass_value,
     minimal_enclosing_ball,
 )
@@ -116,16 +115,17 @@ class HolderFunction:
     """A scalar function with declared Hoelder exponent and constant.
 
     The callable must vectorize over leading axes of an (..., d) array.
-    The constant must be finite and nonnegative: product germs turn it
-    into the delta-norm behind sewing's certified tail.
+    A declared constant must be finite and nonnegative, None if unknown:
+    product germs turn it into the delta-norm behind the certified tail.
     """
 
     def __init__(self, fn, gamma, constant, d=None):
         if not (0 < gamma <= 1):
             raise ValueError("gamma must lie in (0, 1]")
-        constant = float(constant)
-        if not 0 <= constant < math.inf:
-            raise ValueError("constant must be finite and nonnegative")
+        if constant is not None:
+            constant = float(constant)
+            if not 0 <= constant < math.inf:
+                raise ValueError("constant must be finite and nonnegative")
         self._fn = fn
         self.gamma = float(gamma)
         self.constant = constant
@@ -248,10 +248,12 @@ class Cochain:
     evaluated. The default memoizes _eval_simplex() on each vertex-sorted
     row, keyed on its exact bytes and the tolerance; classes that evaluate
     whole batches (closed forms, smooth forms, sums of parts) override
-    eval_batch() and need no _eval_simplex().
+    eval_batch() and need no _eval_simplex(). A cochain that can be read at
+    vertices declares the SewnCochain terms it sums as vertex_terms.
     """
 
     provenance = "smooth"
+    vertex_terms = None
 
     def __init__(self, k, d, alpha, beta):
         self.k = int(k)
@@ -327,40 +329,73 @@ class Cochain:
         return combination([(float(scalar), self)])
 
 
-class SewnCochain(Cochain):
-    """A cochain whose value is the edgewise sewing of a simplex germ.
+def _gamma(fns):
+    """Exponent of a product of point functions: its least factor's; any
+    point function but a HolderFunction is Lipschitz on bounded sets."""
+    return min([f.gamma for f in fns if isinstance(f, HolderFunction)] + [1.0])
 
-    Subclasses implement _germ_rows(pts, vals, tol, root_diam), which
-    returns the germ's values on one subdivision level of the root simplex
-    together with the tails of the inner evaluations behind them, and
-    declare the germ's defect exponent `germ_gamma` (and `delta_norm` when
-    known). A subclass whose germ reads point data only at the vertices
-    sets `vertex_fn` (see sewing.Germ) and gets its values at the level's
-    vertices as `vals`; `vals` is None otherwise.
-    Since the returned value is the last level sum, the summed inner tails
-    of that level bound the extra error and are added to the sewing tail.
-    _eval_simplex sews one vertex-sorted row for the memoized default
-    eval_batch, which keeps its (value, tail) for that row and tolerance.
+
+class SewnCochain(Cochain):
+    """sum_j c_j u_j dv_j1 ^ ... ^ dv_jk, sewn from Zust's vertex germ.
+
+    `terms` lists (c, u, vs): a coefficient, the factors of u (a tuple of
+    point functions, empty for u = 1), and one such tuple per v_i. The
+    germ on [p_0, ..., p_k] is sum_j c_j mu(u_j) det[v_ji(p_l) - v_ji(p_0)]
+    / k! (i, l = 1..k), mu the vertex average; vertex_fn evaluates each
+    distinct factor once per lattice point. germ_gamma is the least over
+    the terms of gamma(u) + sum_i gamma(v_i). No germ evaluates a cochain,
+    so the sewing tail is the whole tail. _eval_simplex sews one sorted
+    row for the memoized default eval_batch.
     """
 
-    delta_norm = None
-    vertex_fn = None
+    def __init__(self, k, d, alpha, beta, terms, provenance, delta_norm=None):
+        super().__init__(k, d, alpha, beta)
+        self.vertex_terms = terms
+        self.provenance = provenance
+        self.delta_norm = delta_norm
+        self.germ_gamma = min(
+            (_gamma(u) + sum(map(_gamma, vs)) for _, u, vs in terms),
+            default=math.inf,
+        )
+        fns = [fn for _, u, vs in terms for fn in itertools.chain(u, *vs)]
+        col = {fn: j for j, fn in enumerate(dict.fromkeys(fns))}
+        self._fns = list(col)
+        self._slots = [
+            (c / math.factorial(k), *([col[f] for f in g] for g in (u, *vs)))
+            for c, u, vs in terms
+        ]
 
-    def _germ_rows(self, pts, vals, tol, root_diam):
-        raise NotImplementedError
+    def vertex_fn(self, x):
+        """The distinct factors at (..., d) points, one per last-axis slot."""
+        flat = x.reshape(-1, x.shape[-1])
+        out = np.empty((len(flat), len(self._fns)))
+        for j, fn in enumerate(self._fns):
+            out[:, j] = fn(flat)
+        return out.reshape(x.shape[:-1] + (len(self._fns),))
+
+    def _germ(self, pts, vals):
+        """The germ on rows pts, from vals = vertex_fn at their vertices."""
+
+        def times(cols):  # a product of factors at the vertices, 1 for none
+            out = vals[..., cols[0]] if cols else np.ones(vals.shape[:2])
+            for j in cols[1:]:
+                out = out * vals[..., j]
+            return out
+
+        out = np.zeros(len(pts))
+        for c, u, *vs in self._slots:
+            if len(vs) == 1:  # LAPACK's det rounds even a 1 x 1 matrix
+                v = times(vs[0])
+                det = v[:, 1] - v[:, 0]
+            else:
+                v = np.stack([times(cols) for cols in vs], 1)
+                det = np.linalg.det(v[:, :, 1:] - v[:, :, :1])
+            out += c * times(u).mean(axis=1) * det
+        return out
 
     def _eval_simplex(self, simplex, tol):
-        root_diam = diameter(simplex)
-        inner_tail = 0.0
-
-        def batch(pts, vals=None):
-            nonlocal inner_tail
-            values, tails = self._germ_rows(pts, vals, tol, root_diam)
-            inner_tail = float(np.sum(tails))
-            return values
-
         germ = FunctionGerm(
-            batch,
+            self._germ,
             gamma=self.germ_gamma,
             delta_norm=self.delta_norm,
             vertex_fn=self.vertex_fn,
@@ -369,8 +404,14 @@ class SewnCochain(Cochain):
             res = sew(germ, simplex, tol)
         except BudgetExceededError as exc:
             res = exc.partial
-        tail = res.tail_bound + inner_tail
-        return res.value, tail, tail > tol
+        return res.value, res.tail_bound, res.tail_bound > tol
+
+
+def _terms(a, construction):
+    if a.vertex_terms is None:
+        name = type(a).__name__
+        raise TypeError(f"{construction} needs vertex terms; {name} has none")
+    return a.vertex_terms
 
 
 class ZeroFormCochain(Cochain):
@@ -384,6 +425,7 @@ class ZeroFormCochain(Cochain):
             raise ValueError("the function needs a declared ambient d")
         super().__init__(0, d, 0.0, f.gamma)
         self.f = f
+        self.vertex_terms = [(1.0, (f,), ())]
 
     def eval_batch(self, pts, tols):
         return self.f(pts[:, 0, :]), np.zeros(len(pts))
@@ -437,6 +479,10 @@ class SmoothFormCochain(Cochain):
         super().__init__(k, d, alpha, beta)
         self.components = comps
         self.provenance = provenance
+        axis = {i: (lambda x, i=i: x[..., i - 1],) for i in range(1, d + 1)}
+        self.vertex_terms = [
+            (1.0, (fn,), tuple(axis[i] for i in I)) for I, fn in comps.items()
+        ]
 
     def _coarse_orders(self, pts):
         """Coarse quadrature order of each row; the fine one is twice it."""
@@ -546,6 +592,12 @@ class CombinationCochain(Cochain):
             self.alpha_norm_bound = sum(
                 (abs(c) * a.alpha_norm_bound for c, a in self.terms), 0.0
             )
+        if all(a.vertex_terms is not None for _, a in self.terms):
+            self.vertex_terms = [
+                (c * b, u, vs)
+                for c, a in self.terms
+                for b, u, vs in a.vertex_terms
+            ]
 
     def eval_batch(self, pts, tols):
         """The terms' batches, summed at the one tolerance split."""
@@ -567,93 +619,42 @@ def combination(terms, alpha=None, beta=None, provenance=None):
 # products, coboundary, wedges
 
 
-def _inner_tols(pts, tol, root_diam):
-    """Tolerances for inner evaluations on the rows of one germ batch.
-
-    A row gets a quarter of tol times its squared relative diameter, so
-    the shares shrink geometrically with the subdivision level.
-    """
-    return tol * 0.25 * np.minimum(1.0, (diameter_array(pts) / root_diam) ** 2)
-
-
-class ProductCochain(SewnCochain):
-    """Young product f * A sewn from the germ mu_sigma(f) A(sigma).
-
-    mu_sigma(f) is the average of f over the vertices of sigma; the sewn
-    limit does not depend on where in sigma the germ samples f. Requires
-    alpha + gamma > 1; the result carries (alpha, (alpha + gamma - 1) ^
-    beta) and the germ's defect exponent is gamma + k - 1 + alpha. The
-    vertex function holds f, followed by g when A is an increment dg, the
-    coboundary of the 0-form g, since A(sigma) = g(v_1) - g(v_0) reads g
-    only at the vertices too. Any other A is evaluated on the germ rows at
-    a geometrically shrinking share of the tolerance, and the total of
-    those inner tails is folded into the reported tail.
-    """
-
-    provenance = "product"
-
-    def __init__(self, f, a):
-        # product() builds every product through here, shortcuts included
-        if f.gamma + a.alpha <= 1:
-            raise ExponentViolationError(
-                f"product needs alpha + gamma > 1, "
-                f"got {a.alpha} + {f.gamma} = {a.alpha + f.gamma}"
-            )
-        super().__init__(
-            a.k, a.d, a.alpha, min(a.alpha + f.gamma - 1, a.beta)
-        )
-        self.f = f
-        self.base = a
-        self.germ_gamma = f.gamma + a.k - 1 + a.alpha
-        if f.constant and a.alpha_norm_bound is not None:
-            self.delta_norm = f.constant * a.alpha_norm_bound
-        self._vertex_parts = [f]
-        if isinstance(a, CoboundaryCochain) and isinstance(
-            a.base, ZeroFormCochain
-        ):
-            self._vertex_parts.append(a.base.f)
-        self.vertex_fn = self._at_vertices
-
-    def _at_vertices(self, x):
-        return np.stack([fn(x) for fn in self._vertex_parts], axis=-1)
-
-    def _germ_rows(self, pts, vals, tol, root_diam):
-        mu = vals[..., 0].mean(axis=1)
-        if len(self._vertex_parts) == 1:
-            a_vals, tails = self.base.eval_batch(
-                pts, _inner_tols(pts, tol, root_diam)
-            )
-            return mu * a_vals, np.abs(mu) * tails
-        g = vals[..., 1]
-        return mu * (g[:, 1] - g[:, 0]), np.zeros(len(pts))
-
-
 def product(f, a):
     """The Young product cochain f * A (Hoelder f, rough A).
 
-    Products with 0-forms are pointwise. A declared Hoelder constant of
-    zero certifies that f is constant, and a declared alpha-norm bound of
-    zero that A vanishes; either makes the product the combination c * A,
-    with c = f(0), or c = 0 when A vanishes.
+    Products with 0-forms are pointwise, with no declared constant (f.C +
+    g.C bounds nothing without sup |f| and sup |g|). A declared Hoelder
+    constant of zero certifies that f is constant, and a declared
+    alpha-norm bound of zero that A vanishes; either makes the product the
+    combination c * A, with c = f(0), or c = 0 when A vanishes. Otherwise
+    f joins every u of A's vertex terms: for A = dg the germ is
+    mu(f) (g(p_1) - g(p_0)), with delta-norm f.C times A's bound.
     """
     if a.k == 0:
         if not isinstance(a, ZeroFormCochain):
             raise TypeError("products with 0-forms need a ZeroFormCochain")
-        # the composite constant is a declared hint, not a derived bound
         g = HolderFunction(
             lambda x, f=f, a=a: f(x) * a.f(x),
             min(f.gamma, a.f.gamma),
-            f.constant + a.f.constant,
+            None,
             d=a.d,
         )
         return ZeroFormCochain(g)
-    prod = ProductCochain(f, a)  # checks the exponents
+    if f.gamma + a.alpha <= 1:
+        raise ExponentViolationError(
+            f"product needs alpha + gamma > 1, "
+            f"got {a.alpha} + {f.gamma} = {a.alpha + f.gamma}"
+        )
+    beta = min(a.alpha + f.gamma - 1, a.beta)
     if a.alpha_norm_bound == 0.0 or f.constant == 0.0:
         c = 0.0 if a.alpha_norm_bound == 0.0 else float(f(np.zeros(a.d)))
         return combination(
-            [(c, a)], alpha=a.alpha, beta=prod.beta, provenance="product"
+            [(c, a)], alpha=a.alpha, beta=beta, provenance="product"
         )
-    return prod
+    known = f.constant and a.alpha_norm_bound is not None
+    delta_norm = f.constant * a.alpha_norm_bound if known else None
+    terms = [(c, (f,) + u, vs) for c, u, vs in _terms(a, "product")]
+    return SewnCochain(a.k, a.d, a.alpha, beta, terms, "product", delta_norm)
 
 
 class CoboundaryCochain(Cochain):
@@ -671,6 +672,10 @@ class CoboundaryCochain(Cochain):
             self.alpha_norm_bound = a.f.constant
         elif a.alpha_norm_bound == 0.0:
             self.alpha_norm_bound = 0.0
+        if a.vertex_terms is not None:  # d(u dv...) = du ^ dv..., d1 = 0
+            self.vertex_terms = [
+                (c, (), (u,) + vs) for c, u, vs in a.vertex_terms if u
+            ]
 
     def eval_batch(self, pts, tols):
         """The signed faces' batches, summed at the one tolerance split.
@@ -711,7 +716,8 @@ def wedge_d(f, a):
     Needs alpha + gamma > 1 and beta + gamma > 1; the result carries
     ((alpha + gamma - 1) ^ beta, beta + gamma - 1). For a 0-form the
     function's Hoelder exponent stands in for alpha, since the mass
-    condition on points is vacuous.
+    condition on points is vacuous. It rewrites A's vertex terms by
+    df ^ u dv_1 ^ ... = u df ^ dv_1 ^ ....
     """
     eff_alpha = a.beta if a.k == 0 else a.alpha
     alpha_t = eff_alpha + f.gamma - 1
@@ -724,13 +730,13 @@ def wedge_d(f, a):
         raise ExponentViolationError(
             f"wedge needs beta + gamma > 1, got {a.beta} + {f.gamma}"
         )
-    left = coboundary(product(f, a))
-    right = product(f, coboundary(a))
-    return combination(
-        [(1.0, left), (-1.0, right)],
-        alpha=min(alpha_t, a.beta),
-        beta=beta_t,
-        provenance="wedge",
+    if a.k == 0 and not isinstance(a, ZeroFormCochain):
+        raise TypeError("wedges with 0-forms need a ZeroFormCochain")
+    terms = [(c, u, ((f,),) + vs) for c, u, vs in _terms(a, "wedge")]
+    if a.k >= a.d:
+        raise ValueError("wedge needs k < d")
+    return SewnCochain(
+        a.k + 1, a.d, min(alpha_t, a.beta), beta_t, terms, "wedge"
     )
 
 
@@ -739,7 +745,7 @@ def zust_form(g0, gs, a):
 
     The wedges are built from dgn inward, then the product; the first of
     them whose exponent check fails (wedge_d or product) raises
-    ExponentViolationError with its inequality.
+    ExponentViolationError with its inequality; the result sews Zust's germ.
     """
     cur = a
     for g in reversed(list(gs)):
@@ -749,36 +755,6 @@ def zust_form(g0, gs, a):
 
 # ---------------------------------------------------------------------------
 # pullback
-
-
-class PullbackCochain(SewnCochain):
-    """F^*A sewn from the germ sigma -> A([F(v_0), ..., F(v_k)]).
-
-    F is the vertex function, so sewing maps each lattice point once.
-    """
-
-    provenance = "pullback"
-
-    def __init__(self, f_map, a):
-        if a.alpha * (1 + f_map.eta) <= 1:
-            raise ExponentViolationError(
-                f"pullback needs alpha > 1/(1+eta): alpha={a.alpha}, "
-                f"eta={f_map.eta}"
-            )
-        if f_map.d != a.d:
-            raise ValueError("map target dimension must match the cochain")
-        beta_t = min(a.alpha * (1 + f_map.eta) - 1, a.beta)
-        super().__init__(a.k, f_map.m, a.alpha, beta_t)
-        self.f_map = f_map
-        self.base = a
-        self.germ_gamma = min(
-            a.k - 1 + a.alpha * (1 + f_map.eta),
-            a.k + a.beta * (1 + f_map.eta),
-        )
-        self.vertex_fn = f_map
-
-    def _germ_rows(self, pts, vals, tol, root_diam):
-        return self.base.eval_batch(vals, _inner_tols(pts, tol, root_diam))
 
 
 def _pulled_coefficient(f_map, components, J):
@@ -797,30 +773,51 @@ def _pulled_coefficient(f_map, components, J):
     return coefficient
 
 
+def _composed(fn, f_map):
+    """fn o F; F is Lipschitz, so fn's exponent holds, but not its constant."""
+    if isinstance(fn, HolderFunction):
+        return HolderFunction(lambda u: fn(f_map(u)), fn.gamma, None, f_map.m)
+    return lambda u: fn(f_map(u))
+
+
 def pullback(f_map, a):
     """F^*A for a C^{1,eta} map F: R^m -> R^d and a k-cochain A on R^d.
 
-    When A is a smooth form sum_I f_I dx^I and F has an analytic Jacobian,
-    F^*A is the smooth form sum_J sum_I (f_I o F) det DF[I, J] du^J on R^m
-    (change of variables), which needs no sewing. Otherwise it is the sewn
-    PullbackCochain. Both carry the sewn
-    construction's exponents and provenance.
+    Needs alpha (1 + eta) > 1 and carries (alpha, (alpha (1 + eta) - 1) ^
+    beta). When A is a smooth form sum_I f_I dx^I and F has an analytic
+    Jacobian, F^*A is the smooth form sum_J sum_I (f_I o F) det DF[I, J]
+    du^J on R^m (change of variables), which needs no sewing. Otherwise
+    it rewrites A's vertex terms, each point function h becoming h o F.
     """
-    pulled = PullbackCochain(f_map, a)  # checks the exponents and dimensions
+    if a.alpha * (1 + f_map.eta) <= 1:
+        raise ExponentViolationError(
+            f"pullback needs alpha > 1/(1+eta): alpha={a.alpha}, "
+            f"eta={f_map.eta}"
+        )
+    if f_map.d != a.d:
+        raise ValueError("map target dimension must match the cochain")
+    beta = min(a.alpha * (1 + f_map.eta) - 1, a.beta)
     # for k > m no du^J exists, and no k-simplex in R^m to evaluate on
     if (
-        not isinstance(a, SmoothFormCochain)
-        or f_map._jac is None
-        or a.k > f_map.m
+        isinstance(a, SmoothFormCochain)
+        and f_map._jac is not None
+        and a.k <= f_map.m
     ):
-        return pulled
-    components = {
-        J: _pulled_coefficient(f_map, a.components, J)
-        for J in itertools.combinations(range(1, f_map.m + 1), a.k)
-    }
-    return SmoothFormCochain(
-        components, f_map.m, pulled.alpha, pulled.beta, pulled.provenance
-    )
+        components = {
+            J: _pulled_coefficient(f_map, a.components, J)
+            for J in itertools.combinations(range(1, f_map.m + 1), a.k)
+        }
+        return SmoothFormCochain(
+            components, f_map.m, a.alpha, beta, "pullback"
+        )
+    pulled = {}  # one composition per function, shared by its terms
+
+    def pull(fns):
+        return tuple(pulled.setdefault(fn, _composed(fn, f_map)) for fn in fns)
+
+    terms = _terms(a, "pullback")
+    terms = [(c, pull(u), tuple(map(pull, vs))) for c, u, vs in terms]
+    return SewnCochain(a.k, f_map.m, a.alpha, beta, terms, "pullback")
 
 
 # ---------------------------------------------------------------------------

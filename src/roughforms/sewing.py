@@ -171,16 +171,16 @@ def _grew(sums, tol):
     return cur >= prev * (1 - 1e-12) and cur > max(tol, floor)
 
 
-def _stop(sums, tol, analytic, depth_max, card):
+def _stop(sums, tol, analytic, converges, depth_max, card):
     """(rule, tail) that ends a sew after level n = len(sums) - 1, or None.
 
     Tried in order: `analytic`, from level 1, when the certified tail
     analytic(n) meets tol; `empirical` when the last three increments are
     below tol/10 and their extrapolated tail (capped by analytic(n)) meets
     tol; `no_convergence` (tail inf) when the last three increments each
-    grew (`_grew`); `depth_cap` at depth_max, with that extrapolated tail;
-    `eval_cap` (tail inf) when level n + 1 would need more than
-    LEVEL_EVAL_CAP evaluations.
+    grew (`_grew`), unless the germ `converges`; `depth_cap` at depth_max,
+    with that extrapolated tail; `eval_cap` (tail inf) when level n + 1
+    would need more than LEVEL_EVAL_CAP evaluations.
     """
     n = len(sums) - 1
     certified = math.inf if analytic is None else analytic(n)
@@ -192,8 +192,7 @@ def _stop(sums, tol, analytic, depth_max, card):
     settled = n >= 3 and all(abs(x) < tol / 10 for x in increments)
     if settled and estimated <= tol:
         return "empirical", estimated
-    # a certificate guarantees convergence, and rough germs fluctuate under it
-    if analytic is None and n >= 4 and all(
+    if not converges and n >= 4 and all(
         _grew(sums[: m + 1], tol) for m in (n - 2, n - 1, n)
     ):
         return "no_convergence", math.inf
@@ -212,7 +211,9 @@ def sew(germ, simplex, tol, *, depth_max=None):
     card * q^n / (1 - q) * delta_norm * diam^gamma with q = card * c^gamma,
     when the germ declares gamma and delta_norm and q < 1. Raises
     NoConvergenceError for `no_convergence` and BudgetExceededError for a
-    cap whose tail is above tol; both carry the partial result.
+    cap whose tail is above tol; both carry the partial result. Growing
+    increments do not stop a certified germ or one that declares gamma >
+    k: the sewing lemma makes it converge, and rough germs fluctuate.
     """
     card = EDGEWISE.card(simplex.k)
     depth_max = DEPTH_MAX_BY_K[simplex.k] if depth_max is None else depth_max
@@ -229,10 +230,11 @@ def sew(germ, simplex, tol, *, depth_max=None):
             def analytic(n):
                 return card * q**n / (1.0 - q) * delta_norm * diam**gamma
 
+    converges = analytic is not None or gamma is not None and gamma > simplex.k
     sums = []
     for pts, vals in _lattice_levels(simplex, germ.vertex_fn):
         sums.append(float(np.sum(germ.eval_batch(pts, vals))))
-        stop = _stop(sums, tol, analytic, depth_max, card)
+        stop = _stop(sums, tol, analytic, converges, depth_max, card)
         if stop is not None:
             break
     rule, tail = stop

@@ -7,8 +7,9 @@ triangulated axis boxes), the vertex heights, the two-piece split, the
 sampled germ norms, the random rotation, the per-sample moment draws and
 the barycenter product serve only the tests; the germ norms are the
 oracle of the exponent and constant a germ declares, the per-sample draws
-the oracle of kolmogorov_fit's chunked draws, and the barycenter product
-a second germ with the library product's sewn limit.
+the oracle of kolmogorov_fit's chunked draws, and the barycenter product,
+a nested germ that evaluates A on every germ row, the reference for the
+library product's sewn limit.
 """
 
 import math
@@ -20,18 +21,20 @@ from hypothesis import settings
 
 from roughforms import forms, sampling
 from roughforms import gaussian as G
-from roughforms.errors import DegenerateSimplexError
+from roughforms.errors import BudgetExceededError, DegenerateSimplexError
 from roughforms.geometry import (
     Chain,
     Simplex,
     _signed_simplex,
     boundary,
     diameter,
+    diameter_array,
     faces,
     staircase_blocks,
     volume,
     volume_array,
 )
+from roughforms.sewing import FunctionGerm
 from roughforms.subdivision import EDGEWISE, iterate_array
 
 settings.register_profile(
@@ -89,18 +92,36 @@ def axis_box_chain(base, axes, extents):
     return Chain(_signed_simplex(verts[0], sign) for sign, verts in blocks)
 
 
-class BarycenterProduct(forms.ProductCochain):
+def _inner_tols(pts, tol, root_diam):
+    """Tolerances for inner evaluations on the rows of one germ batch.
+
+    A row gets a quarter of tol times its squared relative diameter, so
+    the shares shrink geometrically with the subdivision level.
+    """
+    return tol * 0.25 * np.minimum(1.0, (diameter_array(pts) / root_diam) ** 2)
+
+
+class BarycenterProduct(forms.Cochain):
     """The Young product f * A sewn from f at the barycenter times A(sigma).
 
-    The library's germ averages f over the vertices instead; the sewn limit
-    does not depend on where in sigma the germ samples f. When A is an
-    increment dg, g stays the vertex function; any other A is evaluated on
-    the germ rows at the library's inner tolerances, and the germ has no
-    vertex function.
+    The library's germ averages f over the vertices instead and reads A
+    through its vertex terms; the sewn limit does not depend on where in
+    sigma the germ samples f. When A is an increment dg, g is the vertex
+    function; any other A is evaluated on every germ row at a
+    geometrically shrinking share of the tolerance, and those inner tails
+    are added to the sewing tail. The exponents and the germ's declared
+    gamma and delta-norm are those of the library product.
     """
 
+    provenance = "product"
+
     def __init__(self, f, a):
-        super().__init__(f, a)  # checks the exponents
+        flat = forms.product(f, a)  # checks the exponents
+        super().__init__(a.k, a.d, flat.alpha, flat.beta)
+        self.f = f
+        self.base = a
+        self.germ_gamma = flat.germ_gamma
+        self.delta_norm = flat.delta_norm
         increment = isinstance(a, forms.CoboundaryCochain) and isinstance(
             a.base, forms.ZeroFormCochain
         )
@@ -110,10 +131,33 @@ class BarycenterProduct(forms.ProductCochain):
         mu = self.f(pts.mean(axis=1))
         if self.vertex_fn is None:
             a_vals, tails = self.base.eval_batch(
-                pts, forms._inner_tols(pts, tol, root_diam)
+                pts, _inner_tols(pts, tol, root_diam)
             )
             return mu * a_vals, np.abs(mu) * tails
         return mu * (vals[:, 1] - vals[:, 0]), np.zeros(len(pts))
+
+    def _eval_simplex(self, simplex, tol):
+        root_diam = diameter(simplex)
+        inner_tail = 0.0
+
+        def batch(pts, vals=None):
+            nonlocal inner_tail
+            values, tails = self._germ_rows(pts, vals, tol, root_diam)
+            inner_tail = float(np.sum(tails))
+            return values
+
+        germ = FunctionGerm(
+            batch,
+            gamma=self.germ_gamma,
+            delta_norm=self.delta_norm,
+            vertex_fn=self.vertex_fn,
+        )
+        try:
+            res = forms.sew(germ, simplex, tol)
+        except BudgetExceededError as exc:
+            res = exc.partial
+        tail = res.tail_bound + inner_tail
+        return res.value, tail, tail > tol
 
 
 def heights(simplex):

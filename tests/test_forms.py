@@ -13,7 +13,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from roughforms import fitting, forms, gaussian, sewing
-from roughforms.embedding import iota_cochain
+from roughforms.embedding import TestFunction, iota_cochain
 from roughforms.errors import (
     BudgetExceededError,
     ExponentViolationError,
@@ -37,7 +37,11 @@ from conftest import (
     boundary_chain,
     snap_to_grid,
 )
-from oracles import weierstrass_young_segment
+from oracles import (
+    exp_divided_difference,
+    weierstrass_triangle,
+    weierstrass_young_segment,
+)
 from test_geometry import canon
 
 
@@ -714,6 +718,62 @@ def test_product_rules_agree_on_rough_data():
         assert abs(v1 - v2) <= t1 + t2 + 1e-12
 
 
+def _bump():
+    # the m = 6 bump at (0.4, 0.3) with radius 0.2; sup |grad psi| = 11.23
+    psi = TestFunction(2, center=(0.4, 0.3), radius=0.2, m=6)
+    return forms.HolderFunction(psi, 1.0, 12.0, d=2)
+
+
+def test_product_of_a_product_is_the_flat_product():
+    f = forms.WeierstrassFunction(0.6, 2, seed=13)
+    dg = forms.increment_form(forms.WeierstrassFunction(0.7, 2, seed=14))
+    psi = _bump()
+    nested = forms.product(psi, forms.product(f, dg))
+    # psi f has f's exponent and, without sup |f|, no declared constant
+    psi_f = forms.HolderFunction(lambda x: psi(x) * f(x), 0.6, None, d=2)
+    flat = forms.product(psi_f, dg)
+    seg = Simplex([[0.38, 0.3], [0.42, 0.3]])  # inside psi's support
+    got = nested.eval_with_tail(seg, 1e-3)
+    assert got == flat.eval_with_tail(seg, 1e-3)
+    # the nested germ evaluates the inner product on every germ row
+    ref = BarycenterProduct(psi, forms.product(f, dg))
+    want = ref.eval_with_tail(seg, 1e-3, best_effort=True)
+    assert abs(got[0] - want[0]) <= got[1] + want[1]
+
+
+def test_a_product_over_a_gaussian_form_evaluates_no_cochain_in_its_sew(
+    monkeypatch,
+):
+    inside = []
+    nested = []
+
+    def recording_sew(*args, **kw):
+        inside.append(True)
+        try:
+            return sewing.sew(*args, **kw)
+        finally:
+            inside.pop()
+
+    def watch(method):
+        def watched(self, *args, **kw):
+            nested.append(bool(inside))
+            return method(self, *args, **kw)
+
+        return watched
+
+    cochains = [forms.Cochain]
+    for cls in cochains:
+        cochains += cls.__subclasses__()
+        if "eval_batch" in cls.__dict__:
+            monkeypatch.setattr(cls, "eval_batch", watch(cls.eval_batch))
+    monkeypatch.setattr(forms, "sew", recording_sew)
+    spec = gaussian.SpectralFieldSpec(d=2, theta=0.7, N=32, seed=4)
+    a = gaussian.sample_form(spec, 1)
+    p = forms.product(forms.WeierstrassFunction(0.5, 2, seed=3), a)
+    p.eval_with_tail(Simplex([[0.3, 0.4], [0.34, 0.43]]), 1e-2)
+    assert nested and not any(nested)
+
+
 # ---------------------------------------------------------------------------
 # Weierstrass products against the exact Young integral of tests/oracles.py
 
@@ -721,18 +781,27 @@ _F13 = forms.WeierstrassFunction(0.6, 2, seed=13)
 _G14 = forms.WeierstrassFunction(0.7, 2, seed=14)
 
 
-def _composite_gauss_young(segment, panels=512, order=32):
-    """int f dg on a segment by composite Gauss-Legendre on g's gradient."""
+def _gradient(g, x):
+    """Gradient of a WeierstrassFunction from its definition."""
+    j = np.arange(g.LEVELS)
+    rate = 2.0 * np.pi * 2.0**j
+    return -(2.0 ** (-g.gamma * j) * rate * np.sin(rate * (x @ g.xi.T))) @ g.xi
+
+
+def _composite_rule(panels, order):
+    """Nodes and weights of composite Gauss-Legendre on [0, 1]."""
     x, w = leggauss(order)
     t = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
+    return t, np.tile(0.5 * w / panels, panels)
+
+
+def _composite_gauss_young(segment, panels=512, order=32):
+    """int f dg on a segment by composite Gauss-Legendre on g's gradient."""
+    t, weights = _composite_rule(panels, order)
     a, b = np.asarray(segment, dtype=float)
     pts = a + t[:, None] * (b - a)
-    j = np.arange(_G14.LEVELS)
-    rate = 2.0 * np.pi * 2.0**j
-    phase = rate * (pts @ _G14.xi.T)
-    grad = -(2.0 ** (-_G14.gamma * j) * rate * np.sin(phase)) @ _G14.xi
-    weights = np.tile(0.5 * w / panels, panels)
-    return float(np.sum(weights * _F13(pts) * (grad @ (b - a))))
+    dg = _gradient(_G14, pts) @ (b - a)
+    return float(np.sum(weights * _F13(pts) * dg))
 
 
 def _short_segments(n, seed):
@@ -788,6 +857,51 @@ def test_rough_stokes_error_is_within_its_tail():
     assert abs(value - exact) <= tail
 
 
+@pytest.mark.parametrize("a", [0.0, 0.3 + 2j, 5j, 0.4j, 7j])
+def test_exp_divided_differences_at_coinciding_points(a):
+    # exp[a, a, a] = e^a / 2 and exp[0, a, a] = (e^a - exp[0, a]) / a
+    assert abs(exp_divided_difference(a, a, a) - np.exp(a) / 2) < 1e-15
+    if a:
+        want = (np.exp(a) - np.expm1(a) / a) / a
+        assert abs(exp_divided_difference(0.0, a, a) - want) < 1e-15
+        assert abs(exp_divided_difference(a, 0.0, a) - want) < 1e-15
+
+
+def test_exp_divided_differences_agree_across_the_series_threshold():
+    # spreads just below and above 1 take the series and the difference
+    for z in (0.4j, 0.2 + 0.5j):
+        below = exp_divided_difference(0.0, (1 - 1e-12) * 1j, z)
+        above = exp_divided_difference(0.0, (1 + 1e-12) * 1j, z)
+        assert abs(below - above) < 1e-12
+
+
+class _Weierstrass5(forms.WeierstrassFunction):
+    """W truncated after 5 levels, so composite quadrature resolves it."""
+
+    LEVELS = 5
+
+
+_TRIANGLE = [(0.1, 0.1), (0.6, 0.2), (0.3, 0.7)]
+
+
+def test_weierstrass_triangle_oracle_matches_composite_quadrature():
+    # the level-3 edgewise mesh, each piece by the 24-point oracle rule
+    w = _Weierstrass5(0.6, 2, seed=13)
+    for triangle in (_TRIANGLE, [(0.7, 0.1), (0.2, 0.3), (0.5, 0.6)]):
+        pieces = iterate(EDGEWISE, Simplex(triangle), 3)
+        total = sum(oracle_integral({(1, 2): w}, s, 24) for s in pieces)
+        assert abs(weierstrass_triangle(w, triangle) - abs(total)) < 1e-13
+
+
+def test_rough_area_integral_is_within_tol_of_the_triangle_oracle():
+    # W dx1 ^ dx2 is one vertex germ, mean(W) times the signed area
+    exact = weierstrass_triangle(_F13, _TRIANGLE)
+    assert abs(exact - 0.0759788245) < 1e-10
+    p = forms.product(_F13, forms.catalog_form("area"))
+    value, _ = p.eval_with_tail(Simplex(_TRIANGLE), 1e-3)
+    assert abs(value - exact) <= 1e-3
+
+
 @pytest.mark.parametrize("constant", [-5.0, math.inf, math.nan])
 def test_holder_constant_must_be_finite_and_nonnegative(constant):
     # a constant of -5 made the product's delta-norm negative, and sewing's
@@ -819,6 +933,27 @@ def test_product_with_zero_form_is_pointwise():
     p = forms.product(f, a0)
     assert p.k == 0
     assert p.eval(Simplex([[2.0, 3.0]]), 1e-12) == pytest.approx(8.0)
+
+
+def test_zero_form_product_declares_no_constant():
+    # f.C + g.C = 24 is no Hoelder constant of f g: the Lipschitz quotient
+    # of 16 sin 3x1 cos 3x2 reaches 47 on [0, 1]^2
+    f = forms.HolderFunction(
+        lambda p: 4 * np.sin(3 * p[..., 0]), 1.0, 12.0, d=2
+    )
+    g = forms.HolderFunction(
+        lambda p: 4 * np.cos(3 * p[..., 1]), 1.0, 12.0, d=2
+    )
+    fg = forms.product(f, forms.ZeroFormCochain(g)).f
+    x, y = np.random.default_rng(3).random((2, 20000, 2))
+    quotient = np.abs(fg(x) - fg(y)) / np.linalg.norm(x - y, axis=1)
+    assert quotient.max() > f.constant + g.constant
+    assert fg.constant is None
+    # so its increment declares no bound, and a product over it no
+    # delta-norm, the constant behind a certified tail
+    d_fg = forms.increment_form(fg)
+    assert d_fg.alpha_norm_bound is None
+    assert forms.product(f, d_fg).delta_norm is None
 
 
 def test_product_with_combined_zero_form_raises_type_error():
@@ -987,6 +1122,18 @@ def test_zust_with_no_wedge_factors_is_a_product():
     assert z.eval(s, 1e-8) == pytest.approx(p.eval(s, 1e-8))
 
 
+def test_rough_zust_form_is_one_sewn_germ_within_tol():
+    # W(0.6) d(x1^2 + sin x2) ^ dW(0.7); composite quadrature of the
+    # band-limited integrand gives 0.1435351 and 0.1435360
+    h = forms.HolderFunction(
+        lambda p: p[..., 0] ** 2 + np.sin(p[..., 1]), 1.0, 3.0, d=2
+    )
+    z = forms.zust_form(_F13, [h], forms.increment_form(_G14))
+    assert isinstance(z, forms.SewnCochain) and z.germ_gamma == 2.3
+    value, _ = z.eval_with_tail(Simplex(_TRIANGLE), 1e-2)
+    assert abs(value - 0.143535) <= 1e-2
+
+
 def test_zust_names_the_failing_inequality():
     one = forms.constant_function(1.0, d=2)
     rough = [
@@ -1116,7 +1263,7 @@ def test_closed_form_pullback_matches_the_sewn_one(map_name, form_name):
     closed = forms.pullback(_pullback_map(map_name, True), a)
     sewn = forms.pullback(_pullback_map(map_name, False), a)
     assert isinstance(closed, forms.SmoothFormCochain)
-    assert isinstance(sewn, forms.PullbackCochain)
+    assert isinstance(sewn, forms.SewnCochain)
     rng = np.random.default_rng(47)
     # sewn 2-form pullbacks converge slowly, so they get small simplices
     tol, scale = (1e-7, 1.0) if a.k == 1 else (3e-4, 0.5)
@@ -1133,7 +1280,7 @@ def test_closed_form_pullback_keeps_the_sewn_exponents():
         closed = forms.pullback(_pullback_map("paraboloid", True, eta), a)
         sewn = forms.pullback(_pullback_map("paraboloid", False, eta), a)
         assert isinstance(closed, forms.SmoothFormCochain)
-        assert type(sewn) is forms.PullbackCochain
+        assert type(sewn) is forms.SewnCochain
         assert (closed.k, closed.d) == (sewn.k, sewn.d) == (2, 2)
         assert (closed.alpha, closed.beta, closed.provenance) == (
             sewn.alpha,
@@ -1144,7 +1291,7 @@ def test_closed_form_pullback_keeps_the_sewn_exponents():
     # a rough base is sewn whatever the Jacobian
     rough = forms.increment_form(forms.WeierstrassFunction(0.8, 3, seed=2))
     pb = forms.pullback(_pullback_map("paraboloid", True), rough)
-    assert type(pb) is forms.PullbackCochain
+    assert type(pb) is forms.SewnCochain
 
 
 def test_pullback_requires_enough_regularity():
@@ -1152,6 +1299,53 @@ def test_pullback_requires_enough_regularity():
     f = forms.SmoothMap(lambda p: p, 2, 2, eta=1.0)
     with pytest.raises(ExponentViolationError, match="1/\\(1\\+eta\\)"):
         forms.pullback(f, rough)
+
+
+def _bent(x):
+    return np.stack(
+        [
+            x[..., 0] + 0.1 * np.sin(3 * x[..., 1]),
+            x[..., 1] + 0.1 * x[..., 0] ** 2,
+        ],
+        axis=-1,
+    )
+
+
+def test_sewn_pullback_of_a_rough_product_matches_quadrature():
+    # F^*(f dg) along a segment is f(F) grad g(F) . DF (b - a) dt, a
+    # band-limited integrand, by 512 panels of 32-point Gauss-Legendre
+    segment = np.array([[0.15, 0.2], [0.5, 0.4]])
+    t, weights = _composite_rule(512, 32)
+    u = segment[0] + t[:, None] * (segment[1] - segment[0])
+    du = segment[1] - segment[0]
+    dF = np.stack(
+        [
+            du[0] + 0.3 * np.cos(3 * u[:, 1]) * du[1],
+            0.2 * u[:, 0] * du[0] + du[1],
+        ],
+        axis=-1,
+    )
+    y = _bent(u)
+    integrand = _F13(y) * np.sum(_gradient(_G14, y) * dF, axis=1)
+    exact = float(np.sum(weights * integrand))
+    assert abs(exact - 1.0438047716) < 1e-10
+    product = forms.product(_F13, forms.increment_form(_G14))
+    pb = forms.pullback(forms.SmoothMap(_bent, 2, 2), product)
+    assert (pb.alpha, pb.beta) == (0.7, product.beta)
+    value, _ = pb.eval_with_tail(Simplex(segment), 1e-4)
+    assert abs(value - exact) <= 1e-4
+
+
+def test_constructions_need_a_cochain_with_vertex_terms():
+    a = iota_cochain(lambda x: x[..., 0] + x[..., 1], 2, n_max=3, nodes=4)
+    f = forms.HolderFunction(lambda p: p[..., 0], 1.0, 1.0, d=2)
+    for build in (
+        lambda: forms.product(f, a),
+        lambda: forms.pullback(forms.identity_map(2), a),
+        lambda: forms.wedge_d(f, a),
+    ):
+        with pytest.raises(TypeError, match="WhitneyCochain"):
+            build()
 
 
 def test_pullback_composition_law():
@@ -1215,6 +1409,14 @@ def test_pullback_commutes_with_products():
     v1, t1 = lhs.eval_with_tail(seg, 1e-5, best_effort=True)
     v2, t2 = rhs.eval_with_tail(seg, 1e-5, best_effort=True)
     assert abs(v1 - v2) <= t1 + t2 + 2e-5
+    # both sides sew the same terms; the integral itself is
+    # int phi(F(t)) F_2'(t) dt, a smooth one-dimensional integral
+    s, weights = _composite_rule(8, 16)
+    t = 0.2 + 0.9 * s
+    integrand = phi_pulled(t[:, None]) * (np.cos(t) + t)
+    exact = 0.9 * float(np.sum(weights * integrand))
+    for value, tail in ((v1, t1), (v2, t2)):
+        assert abs(value - exact) <= tail + 1e-5
 
 
 # ---------------------------------------------------------------------------

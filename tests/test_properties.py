@@ -13,7 +13,9 @@ For Young products, the sampled germ norms of `estimate_germ_norms`
 declares and that sewing's analytic tail trusts; on segments a product
 answers from its memo exactly what a fresh cochain returns at that
 tolerance, whatever was evaluated before, and a rough product adds over
-two-piece splits within the sum of its three tails.
+two-piece splits within the sum of its three tails. The sewn pullback of
+a rough product keeps the alpha it declares: its sampled values scale no
+worse than diam^alpha.
 """
 
 import math
@@ -266,18 +268,14 @@ def _product(gamma, alpha, d, seeds):
     f = forms.WeierstrassFunction(gamma, d, seed=seeds[0])
     g = forms.WeierstrassFunction(alpha, d, seed=seeds[1])
     p = forms.product(f, forms.increment_form(g))
-    assert isinstance(p, forms.ProductCochain)
+    assert isinstance(p, forms.SewnCochain)
     return p
 
 
 def _sewn_germ(p):
-    """The germ SewnCochain._eval_simplex sews for the product p.
-
-    Inner tolerances are those of a unit root; a product with an
-    increment base has exact inner values, so they do not matter.
-    """
+    """The germ SewnCochain._eval_simplex sews for the product p."""
     return sewing.FunctionGerm(
-        lambda pts, vals=None: p._germ_rows(pts, vals, TOL, 1.0)[0],
+        p._germ,
         gamma=p.germ_gamma,
         delta_norm=p.delta_norm,
         vertex_fn=p.vertex_fn,
@@ -317,3 +315,34 @@ def test_product_germ_norms_do_not_grow_at_the_declared_exponent():
     spec = sampling.SamplerSpec(samples_per_band=15, n_bands=5, seed=3)
     bands = [b["delta_gamma_norm"] for b in _germ_norms(p, spec).per_band]
     assert bands[-1] < 4.0 * bands[0]
+
+
+def test_sewn_pullback_of_a_rough_product_scales_at_its_declared_alpha():
+    # band sups of |A(sigma)| / diam^alpha, from diameter 0.5 down over 6
+    # bands: bounded at the declared alpha, while an alpha 1/2 too large
+    # grows them by 2^(1/2) per band, 5.7x from the coarsest to the finest
+    def bent(x):
+        return np.stack(
+            [
+                x[..., 0] + 0.1 * np.sin(3 * x[..., 1]),
+                x[..., 1] + 0.1 * x[..., 0] ** 2,
+            ],
+            axis=-1,
+        )
+
+    f = forms.WeierstrassFunction(0.6, 2, seed=13)
+    g = forms.WeierstrassFunction(0.7, 2, seed=14)
+    pb = forms.pullback(
+        forms.SmoothMap(bent, 2, 2), forms.product(f, forms.increment_form(g))
+    )
+    assert pb.alpha == 0.7
+    region = sampling.Box(np.full(2, 0.1), np.full(2, 0.7))
+    spec = sampling.SamplerSpec(12, 6, diam_max=0.5, seed=3)
+
+    def growth(alpha):
+        report = forms.norm_estimate(pb, alpha, pb.beta, region, spec, 1e-3)
+        bands = [band["sup_diam"] for band in report.per_band]
+        return bands[-1] / bands[0]
+
+    assert growth(pb.alpha) < 4.0
+    assert growth(pb.alpha + 0.5) > 4.0

@@ -400,7 +400,8 @@ def _reference_sew(germ, simplex, tol, depth_max=None):
             floor = 1e-14 * max(1.0, max(abs(v) for v in sums[:-1]))
             grows = cur >= prev * (1 - 1e-12) and cur > max(tol, floor)
             streak = streak + 1 if grows else 0
-        if analytic is None and n >= 4 and streak >= 3:
+        young = germ.gamma is not None and germ.gamma > k
+        if analytic is None and not young and n >= 4 and streak >= 3:
             raise NoConvergenceError(
                 "growing", partial=partial(n, math.inf, "no_convergence")
             )
@@ -431,12 +432,12 @@ def _assert_same_sew(germ, simplex, tol, depth_max=None):
     return got.rule
 
 
-def _subcritical_germ():
+def _subcritical_germ(**kw):
     def batch(p):
         e = p[:, 1, 0] - p[:, 0, 0]
         return np.sign(e) * np.sqrt(np.abs(e))
 
-    return FunctionGerm(batch)
+    return FunctionGerm(batch, **kw)
 
 
 TRIANGLE = Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]]))
@@ -462,6 +463,18 @@ LATTICE_CASES = {
         lambda: left_anchor_germ(np.sin), UNIT, 1e-3, None, "depth_cap"
     ),
     "subcritical": (_subcritical_germ, UNIT, 1e-6, None, "no_convergence"),
+    # the same growing sums: a declared gamma > k is trusted like a
+    # certificate, so they run to the cap; gamma = k is no such promise
+    "declared_young": (
+        lambda: _subcritical_germ(gamma=1.5), UNIT, 1e-6, None, "depth_cap"
+    ),
+    "declared_gamma_k": (
+        lambda: _subcritical_germ(gamma=1.0),
+        UNIT,
+        1e-6,
+        None,
+        "no_convergence",
+    ),
     "depth_capped": (
         lambda: midpoint_germ(lambda x: x * x), UNIT, 1e-14, 5, "depth_cap"
     ),

@@ -5,7 +5,10 @@ This guards the names and shapes it relies on: `sew` reached through
 bodies, `SewnCochain._eval_simplex` returning an exhausted flag at
 index 2, `sew` raising BudgetExceededError with a partial result at the
 depth cap, and `subdivision.whitney_partition` returning (Cube, weight)
-pairs. It also checks that leaving the tracer restores every original.
+pairs. It also checks that leaving the tracer restores every original,
+and that every workload of `perfbench/workloads.py` builds, makes its
+first pass and passes its own check on its first op, so a change that
+deletes or renames a name the benchmark calls fails here first.
 """
 
 import sys
@@ -22,6 +25,7 @@ from roughforms.sewing import FunctionGerm
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 
 def test_traced_product_counts_one_sew_and_one_batch_per_level():
@@ -77,3 +81,13 @@ def test_traced_partition_counts_weight_calls_and_keeps_pairs():
         isinstance(cube, Cube) and callable(weight) for cube, weight in parts
     )
     assert subdivision.whitney_partition is original
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_passes_its_check_on_its_first_op(name):
+    # as the worker does: the op runs on one state, the references of its
+    # pass come from another
+    workload = WORKLOADS[name]
+    state, ref_state = workload.build(roughforms), workload.build(roughforms)
+    op = workload.make_pass(roughforms, 0, 0, ref_state)[0]
+    assert workload.check(op, workload.run(state, op)) is None
